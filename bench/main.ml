@@ -92,11 +92,7 @@ let rows_per_category =
 (* The machine-readable perf trajectory: one BENCH_<date>.json per run,
    so successive PRs leave a comparable series of solved counts and
    times (see DESIGN.md for the schema). *)
-let bench_date =
-  lazy
-    (let tm = Unix.localtime (Unix.time ()) in
-     Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900)
-       (tm.Unix.tm_mon + 1) tm.Unix.tm_mday)
+let bench_date = lazy (Harness.today ())
 
 let trajectory_path () =
   match !out_path with
@@ -116,16 +112,6 @@ let engine_bench () =
   let report = Engine_bench.run_and_append ~path () in
   Engine_bench.pp fmt report;
   Format.fprintf fmt "engine run appended to %s@.@." path
-
-(* Service scaling curve (workers sweep, batch protocol A/B), under the
-   "service" section — part of the default phase list so every bench
-   day records it (ROADMAP item 2; `experiments service-bench --check`
-   fails when the section is absent). *)
-let service_bench () =
-  let path = trajectory_path () in
-  let report = Service_bench.run_and_append ~path () in
-  Service_bench.pp fmt report;
-  Format.fprintf fmt "service run appended to %s@.@." path
 
 let fig4c () =
   Format.fprintf fmt "== Figure 4(c): benchmark counts ==@.";
@@ -362,7 +348,6 @@ let () =
   fig4b ();
   write_trajectory ();
   engine_bench ();
-  service_bench ();
   ablation_dead ();
   ablation_dnf ();
   ablation_simplify ();

@@ -3,9 +3,10 @@
 # test suite, fuzz the match engine against the other matchers and the
 # DP oracle (each round also cross-checks the static analyzer's
 # Proved/Refuted verdicts against the solver), lint the whole benchmark
-# corpus through the analyzer, then smoke-test the solver service under
-# load (verdict/span agreement + witness validity are checked inside
-# the fuzzer and --selftest; non-zero exit on any mismatch).
+# corpus through the analyzer, then drive every benchmark workload
+# through a real sbdserve and check every reply (verdict/span agreement
+# and witness validity are checked inside the fuzzer, the service
+# session tests and perfbench; non-zero exit on any mismatch).
 set -eu
 
 cd "$(dirname "$0")/.."
@@ -111,20 +112,13 @@ echo "== engine throughput matrix gates =="
 # transition table), not noise
 dune exec bin/experiments.exe -- engine-bench --no-bench --check
 
-echo "== service smoke =="
-# --selftest replays match and analyze requests through the worker pool
-# (work-stealing deques, sharded LRU) and fails on any engine-vs-oracle
-# span mismatch; it also runs the protocol A/B phase, so batching,
-# pipelining, and id correlation are exercised at 2 workers here
-dune exec bin/sbdserve.exe -- --selftest 50 --workers 2 --no-bench
-
-echo "== service scaling gates =="
-# sweeps workers over {1,2,4,all-cores} through the full service stack
-# and gates: workers=1 >= 1.0x sequential (inline fast path), batching
-# >= 1.3x unbatched, Zipfian cache hit rate >= 0.2, zero verdict /
-# witness / protocol errors; multi-worker speedup floors apply only
-# when the runner actually has the cores
-dune exec bin/experiments.exe -- service-bench --no-bench --check --requests 120
+echo "== service workloads =="
+# builds sbdserve and runs each perfbench workload (corpus-cold,
+# zipf-hot, match-large) briefly against a real server, checking every
+# reply: verdicts against the corpus labels, witnesses against the
+# reference matcher, match spans against the oracle; exits non-zero on
+# any failed, missing or wrong reply
+python3 perfbench/run.py --test
 
 echo "== batch protocol robustness smoke =="
 # a malformed envelope and duplicate ids must each draw one structured

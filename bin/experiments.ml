@@ -1,6 +1,8 @@
 (* Experiment driver: regenerates every table and figure of the paper's
    evaluation (Section 6, Figure 4) plus the ablation studies listed in
    DESIGN.md.  See EXPERIMENTS.md for the paper-vs-measured record.
+   Service throughput and latency are not measured here: perfbench
+   drives a real sbdserve for those (see perfbench/README.md).
 
    Usage:
      experiments table [-c nb|b|h|all]    Figure 4(a) rows
@@ -20,8 +22,6 @@
                                           reduction agreement on the pair corpus
      experiments lookaround-bench         located engine vs oracle vs labels on
                                           the anchored/lookaround corpus
-     experiments service-bench            service scaling sweep (workers 1/2/4/
-                                          all-cores, batch protocol A/B)
      experiments all                      everything above (except dump)
 *)
 
@@ -256,7 +256,7 @@ let engine_bench no_bench out gate =
     Format.fprintf fmt "appended engine run to %s@."
       (match out with
       | Some p -> p
-      | None -> Sbd_service.Server.default_bench_path ());
+      | None -> Harness.default_bench_path ());
   if gate then begin
     match Engine_bench.check report with
     | [] -> Format.fprintf fmt "engine-bench gates: ok@."
@@ -299,7 +299,7 @@ let analyze_bench no_bench out =
     Format.fprintf fmt "appended analysis run to %s@."
       (match out with
       | Some p -> p
-      | None -> Sbd_service.Server.default_bench_path ())
+      | None -> Harness.default_bench_path ())
 
 let analyze_bench_cmd =
   cmd "analyze-bench"
@@ -326,7 +326,7 @@ let deriv_bench no_bench out label gate =
     Format.fprintf fmt "appended deriv run to %s@."
       (match out with
       | Some p -> p
-      | None -> Sbd_service.Server.default_bench_path ());
+      | None -> Harness.default_bench_path ());
   if gate then begin
     match Deriv_bench.check report with
     | [] -> Format.fprintf fmt "deriv-bench gates: ok@."
@@ -372,7 +372,7 @@ let contain_bench no_bench out label gate =
     Format.fprintf fmt "appended contain run to %s@."
       (match out with
       | Some p -> p
-      | None -> Sbd_service.Server.default_bench_path ());
+      | None -> Harness.default_bench_path ());
   if gate then begin
     match Contain_bench.check report with
     | [] -> Format.fprintf fmt "contain-bench gates: ok@."
@@ -419,7 +419,7 @@ let lookaround_bench no_bench out label gate =
     Format.fprintf fmt "appended lookaround run to %s@."
       (match out with
       | Some p -> p
-      | None -> Sbd_service.Server.default_bench_path ());
+      | None -> Harness.default_bench_path ());
   if gate then begin
     match Lookaround_bench.check report with
     | [] -> Format.fprintf fmt "lookaround-bench gates: ok@."
@@ -468,7 +468,7 @@ let absdom_bench no_bench out label gate =
     Format.fprintf fmt "appended absdom run to %s@."
       (match out with
       | Some p -> p
-      | None -> Sbd_service.Server.default_bench_path ());
+      | None -> Harness.default_bench_path ());
   if gate then begin
     match Absdom_bench.check report with
     | [] -> Format.fprintf fmt "absdom-bench gates: ok@."
@@ -505,66 +505,6 @@ let absdom_bench_cmd =
                  zero unsound verdicts, zero invalid witnesses); non-zero \
                  exit on violation."))
 
-let service_bench no_bench out label requests gate =
-  let report =
-    if no_bench then Service_bench.run ?label ?requests ()
-    else Service_bench.run_and_append ?label ?requests ?path:out ()
-  in
-  Service_bench.pp fmt report;
-  let path =
-    match out with Some p -> p | None -> Sbd_service.Server.default_bench_path ()
-  in
-  if not no_bench then Format.fprintf fmt "appended service run to %s@." path;
-  if gate then begin
-    let fails = Service_bench.check report in
-    let fails =
-      if no_bench || Service_bench.section_present ~path then fails
-      else fails @ [ Printf.sprintf "no \"service\" section in %s" path ]
-    in
-    match fails with
-    | [] -> Format.fprintf fmt "service-bench gates: ok@."
-    | fails ->
-      List.iter (Format.fprintf fmt "service-bench gate FAILED: %s@.") fails;
-      failwith "service-bench: regression gate failed"
-  end
-
-let service_bench_cmd =
-  cmd "service-bench"
-    "service scaling sweep: req/s, latency, cache hit rate and batch-protocol \
-     throughput at workers 1/2/4/all-cores"
-    Term.(
-      const service_bench
-      $ Arg.(
-          value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "label" ] ~docv:"LABEL"
-              ~doc:
-                "Variant label recorded in the report (default \
-                 service-scaling).")
-      $ Arg.(
-          value
-          & opt (some int) None
-          & info [ "requests" ] ~docv:"N"
-              ~doc:"Zipfian requests per sweep point (default 400).")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:
-                "Enforce the pinned gates (workers=1 at least sequential \
-                 throughput, core-conditional scaling floors, batching at \
-                 least 1.3x unbatched, cache hit-rate sanity, zero \
-                 mismatches/protocol errors, service section present); \
-                 non-zero exit on violation."))
-
 let all_cmd =
   cmd "all" "run every table, figure and ablation"
     Term.(
@@ -587,4 +527,4 @@ let () =
           ; ablation_simplify_cmd; ablation_algebra_cmd; states_cmd; dump_cmd
           ; engine_bench_cmd; analyze_bench_cmd; deriv_bench_cmd
           ; contain_bench_cmd; lookaround_bench_cmd; absdom_bench_cmd
-          ; service_bench_cmd; all_cmd ]))
+          ; all_cmd ]))

@@ -1,91 +1,46 @@
 (* sbdserve: persistent concurrent solver server over the
    symbolic-Boolean-derivative decision procedure (DESIGN.md §9).
 
-   Three modes:
+   Two modes:
    - default: serve newline-delimited JSON requests on stdin/stdout
      (one session);
    - --socket PATH: serve a Unix-domain socket, one session per
-     connection, until a client sends {"op":"shutdown"} or SIGTERM;
-   - --selftest N: replay a benchgen-derived mix of N requests through
-     the domain worker pool, compare every verdict against sequential
-     solving, and report throughput (req/s) and p50/p99 latency; the
-     report is appended to the BENCH_<date>.json trajectory as a
-     "service" run unless --no-bench is given.
+     connection, until a client sends {"op":"shutdown"} or SIGTERM.
 
    Requests:  {"id":1, "op":"solve", "re":"a{2,3}&~(.*b)",
                "deadline_s":2, "budget":100000, "stats":true}
    also ops assert/check (session conjunction), stats, shutdown, and
-   "smt2" instead of "re" for SMT-LIB scripts. *)
+   "smt2" instead of "re" for SMT-LIB scripts.  Throughput and latency
+   are measured by perfbench (perfbench/README.md). *)
 
 module Server = Sbd_service.Server
-module Obs = Sbd_obs.Obs
 
-let config workers queue_cap cache_cap cache_shards memo_cap budget deadline
-    no_cache =
-  {
-    Server.workers;
-    queue_cap;
-    cache_cap;
-    cache_shards;
-    memo_cap;
-    default_budget = budget;
-    default_deadline = deadline;
-    use_cache = not no_cache;
-  }
-
-let run selftest socket workers queue_cap cache_cap cache_shards memo_cap
-    budget deadline no_cache bench_out no_bench =
+let run socket workers queue_cap cache_cap cache_shards memo_cap budget
+    deadline =
   let cfg =
-    config workers queue_cap cache_cap cache_shards memo_cap budget deadline
-      no_cache
+    {
+      Server.workers;
+      queue_cap;
+      cache_cap;
+      cache_shards;
+      memo_cap;
+      default_budget = budget;
+      default_deadline = deadline;
+    }
   in
-  match selftest with
-  | Some n ->
-    let result = Server.selftest ~use_cache:(not no_cache) ~cfg ~n () in
-    print_endline (Obs.Json.to_string_pretty result.Server.report);
-    if not no_bench then begin
-      let path =
-        match bench_out with
-        | Some p -> p
-        | None -> Server.default_bench_path ()
-      in
-      Server.append_bench ~path result.Server.report;
-      Printf.eprintf "sbdserve: appended service run to %s\n%!" path
-    end;
-    if
-      result.Server.mismatches = 0
-      && result.Server.bad_witnesses = 0
-      && result.Server.match_mismatches = 0
-      && result.Server.protocol_errors = 0
-    then 0
-    else 1
-  | None -> (
-    let t = Server.create cfg in
-    Server.install_sigterm t;
-    match socket with
-    | Some path ->
-      Printf.eprintf "sbdserve: listening on %s (%d workers)\n%!" path
-        cfg.Server.workers;
-      Server.run_socket t ~path;
-      0
-    | None ->
-      Server.run_stdio t;
-      0)
+  let t = Server.create cfg in
+  Server.install_sigterm t;
+  (match socket with
+  | Some path ->
+    Printf.eprintf "sbdserve: listening on %s (%d workers)\n%!" path
+      cfg.Server.workers;
+    Server.run_socket t ~path
+  | None -> Server.run_stdio t);
+  0
 
 open Cmdliner
 
 let () =
-  let selftest_t =
-    Arg.(
-      value
-      & opt (some int) None
-      & info [ "selftest" ] ~docv:"N"
-          ~doc:
-            "Replay $(docv) benchgen-derived requests through the worker \
-             pool, verify against sequential solving, report req/s and \
-             latency percentiles, and append the run to the BENCH \
-             trajectory.")
-  in
   let socket_t =
     Arg.(
       value
@@ -145,26 +100,6 @@ let () =
             "Default wall-clock deadline per request (requests may \
              override with \"deadline_s\").")
   in
-  let no_cache_t =
-    Arg.(
-      value & flag
-      & info [ "no-cache" ] ~doc:"Disable the shared LRU result cache.")
-  in
-  let bench_out_t =
-    Arg.(
-      value
-      & opt (some string) None
-      & info [ "bench-out" ] ~docv:"FILE"
-          ~doc:
-            "Trajectory file for --selftest reports (default \
-             BENCH_<date>.json).")
-  in
-  let no_bench_t =
-    Arg.(
-      value & flag
-      & info [ "no-bench" ]
-          ~doc:"Do not append the --selftest report to the BENCH trajectory.")
-  in
   let cmd =
     Cmd.v
       (Cmd.info "sbdserve"
@@ -172,8 +107,7 @@ let () =
            "Concurrent regex-constraint solver service (domain worker pool, \
             JSON session protocol, cross-query result cache)")
       Term.(
-        const run $ selftest_t $ socket_t $ workers_t $ queue_cap_t
-        $ cache_cap_t $ cache_shards_t $ memo_cap_t $ budget_t $ deadline_t
-        $ no_cache_t $ bench_out_t $ no_bench_t)
+        const run $ socket_t $ workers_t $ queue_cap_t $ cache_cap_t
+        $ cache_shards_t $ memo_cap_t $ budget_t $ deadline_t)
   in
   exit (Cmd.eval' cmd)

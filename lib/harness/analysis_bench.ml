@@ -239,7 +239,7 @@ let run_and_append ?budget ?timeout ?analyze_budget ?instances ?path () :
   let path =
     match path with
     | Some p -> p
-    | None -> Sbd_service.Server.default_bench_path ()
+    | None -> Harness.default_bench_path ()
   in
-  Sbd_service.Server.append_bench ~section:"analysis" ~path r.json;
+  Harness.append_bench ~section:"analysis" ~path r.json;
   r

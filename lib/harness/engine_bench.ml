@@ -332,7 +332,7 @@ let run_and_append ?engine_bytes ?scan_bytes ?ref_bytes ?path () : report =
   let path =
     match path with
     | Some p -> p
-    | None -> Sbd_service.Server.default_bench_path ()
+    | None -> Harness.default_bench_path ()
   in
-  Sbd_service.Server.append_bench ~section:"engine" ~path r.json;
+  Harness.append_bench ~section:"engine" ~path r.json;
   r

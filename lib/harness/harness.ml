@@ -328,3 +328,56 @@ let write_bench_json ~(path : string) ~(date : string) ~(budget : int)
   output_string oc (Obs.Json.to_string_pretty (bench_json ~date ~budget ~timeout suites));
   output_char oc '\n';
   close_out oc
+
+let today () =
+  let tm = Unix.localtime (Unix.time ()) in
+  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
+    tm.Unix.tm_mday
+
+let default_bench_path () = Printf.sprintf "BENCH_%s.json" (today ())
+
+let read_file path =
+  let ic = open_in_bin path in
+  let n = in_channel_length ic in
+  let s = really_input_string ic n in
+  close_in ic;
+  s
+
+(** Append a report to the given section of the [BENCH_<date>.json]
+    trajectory document, preserving every other section (the suites
+    recorded by the experiment harness, the engine throughput runs,
+    ...); creates the file if absent. *)
+let append_bench ~section ~path (report : Obs.Json.t) : unit =
+  let module J = Obs.Json in
+  let report =
+    match[@warning "-4"] report with
+    | J.Obj kvs -> J.Obj (("date", J.Str (today ())) :: kvs)
+    | other -> other
+  in
+  let fresh () =
+    J.Obj
+      [
+        ("schema", J.Str "sbd-bench/1");
+        ("date", J.Str (today ()));
+        (section, J.Arr [ report ]);
+      ]
+  in
+  let doc =
+    match if Sys.file_exists path then Some (read_file path) else None with
+    | Some src -> (
+      match[@warning "-4"] Sbd_service.Jsonin.parse src with
+      | Ok (J.Obj kvs) ->
+        let runs =
+          match[@warning "-4"] List.assoc_opt section kvs with
+          | Some (J.Arr rs) -> rs
+          | _ -> []
+        in
+        let kvs = List.remove_assoc section kvs in
+        J.Obj (kvs @ [ (section, J.Arr (runs @ [ report ])) ])
+      | _ -> fresh ())
+    | None -> fresh ()
+  in
+  let oc = open_out path in
+  output_string oc (J.to_string_pretty doc);
+  output_char oc '\n';
+  close_out oc

@@ -259,7 +259,7 @@ let run_and_append ?label ?path () : report =
   let path =
     match path with
     | Some p -> p
-    | None -> Sbd_service.Server.default_bench_path ()
+    | None -> Harness.default_bench_path ()
   in
-  Sbd_service.Server.append_bench ~section:"lookaround" ~path r.json;
+  Harness.append_bench ~section:"lookaround" ~path r.json;
   r

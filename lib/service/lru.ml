@@ -147,13 +147,6 @@ let shard_rows t : (int * int * int * int) list =
              (Hashtbl.length s.table, s.hits, s.misses, s.evictions)))
        t.shards)
 
-(** Per-shard hit rate (0 for an untouched shard), shard order. *)
-let shard_hit_rates t : float list =
-  List.map
-    (fun (_, h, m, _) ->
-      float_of_int h /. Float.max (float_of_int (h + m)) 1.0)
-    (shard_rows t)
-
 let stats t : (string * float) list =
   let rows = shard_rows t in
   let agg f = List.fold_left (fun acc r -> acc + f r) 0 rows in

@@ -106,17 +106,6 @@ let submit ?affinity t (job : job) =
       false
     end
 
-(** Blocking submit, for cooperative producers (self-test generator). *)
-let submit_wait ?affinity t (job : job) =
-  match t.mode with
-  | Inline _ -> submit ?affinity t job
-  | Pooled { sched; _ } ->
-    if Sched.push_wait ?affinity sched job then begin
-      Obs.Counter.incr c_submitted;
-      true
-    end
-    else false
-
 let queue_length t =
   match t.mode with Inline _ -> 0 | Pooled { sched; _ } -> Sched.length sched
 
@@ -147,12 +136,6 @@ let stats t : (string * float) list =
     ("service.pool.inline", if t.workers = 1 then 1.0 else 0.0);
   ]
   @ match t.mode with Inline _ -> [] | Pooled { sched; _ } -> Sched.stats sched
-
-let steals t =
-  match t.mode with Inline _ -> 0 | Pooled { sched; _ } -> Sched.steals sched
-
-let spills t =
-  match t.mode with Inline _ -> 0 | Pooled { sched; _ } -> Sched.spills sched
 
 (** The worker deque an affinity value routes to.  The batch handler
     groups requests by this key: requests that would execute on the

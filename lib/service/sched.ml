@@ -158,8 +158,8 @@ let try_push ?affinity t x =
   end
 
 (** Blocking enqueue onto the affinity target, for cooperative
-    producers (the self-test load generator); [false] only once the
-    scheduler has been closed. *)
+    producers that must never spill; [false] only once the scheduler
+    has been closed. *)
 let push_wait ?affinity t x =
   let i = target_of t affinity in
   let d = t.deques.(i) in

@@ -20,7 +20,6 @@ type config = {
   memo_cap : int;  (** per-worker derivative-memo entry cap *)
   default_budget : int;
   default_deadline : float option;
-  use_cache : bool;
 }
 
 let default_config =
@@ -32,7 +31,6 @@ let default_config =
     memo_cap = 200_000;
     default_budget = 1_000_000;
     default_deadline = None;
-    use_cache = true;
   }
 
 type t = {
@@ -112,18 +110,13 @@ let stats_doc t ~id =
     query, the overwhelmingly common case under Zipfian traffic, is
     then answered without parsing or canonicalizing the pattern at
     all. *)
-let solve_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond patterns
+let solve_job t ~id ~want_stats ~deadline ~budget ~respond patterns
     (module W : Worker.WORKER) =
   let t0 = Obs.now () in
   let raw_key =
     match patterns with [ one ] -> Some ("r:" ^ one) | _ -> None
   in
-  let raw_hit =
-    match (use_cache, raw_key) with
-    | true, Some rk -> Lru.find t.cache rk
-    | _ -> None
-  in
-  match raw_hit with
+  match Option.bind raw_key (Lru.find t.cache) with
   | Some v ->
     respond
       (Protocol.solve_response ~id ~cached:true ~wall_s:(Obs.now () -. t0) v)
@@ -136,20 +129,11 @@ let solve_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond patterns
     match key_res with
     | Error msg -> respond (Protocol.error_response ~id msg)
     | Ok key -> (
-      let cache_fill verdict =
-        if use_cache then begin
-          Lru.put t.cache key verdict;
-          match raw_key with
-          | Some rk -> Lru.put t.cache rk verdict
-          | None -> ()
-        end
-      in
-      match if use_cache then Lru.find t.cache key else None with
+      let put_raw v = Option.iter (fun rk -> Lru.put t.cache rk v) raw_key in
+      match Lru.find t.cache key with
       | Some v ->
         (* seed the raw fast path for the next exact repeat *)
-        (match raw_key with
-        | Some rk when use_cache -> Lru.put t.cache rk v
-        | _ -> ());
+        put_raw v;
         respond
           (Protocol.solve_response ~id ~cached:true ~wall_s:(Obs.now () -. t0)
              v)
@@ -163,7 +147,9 @@ let solve_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond patterns
         | Error msg -> respond (Protocol.error_response ~id msg)
         | Ok (verdict, stats) ->
           (match verdict with
-          | Protocol.Sat _ | Protocol.Unsat -> cache_fill verdict
+          | Protocol.Sat _ | Protocol.Unsat ->
+            Lru.put t.cache key verdict;
+            put_raw verdict
           | Protocol.Unknown _ -> ());
           respond
             (Protocol.solve_response ~id ~cached:false
@@ -174,17 +160,16 @@ let solve_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond patterns
 (** The pool-side work of a containment/equivalence request: canonical
     order-independent cache key for [equiv], shared-LRU lookup, prover
     on miss.  Like solve, only the deterministic verdicts (proved /
-    refuted) are cached, never [Unknown]. *)
-let contain_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond ~equiv
-    ~left ~right (module W : Worker.WORKER) =
+    refuted) are cached, never [Unknown].  [budget] is the request's
+    own: the server's solver default (der-rule scale) means nothing for
+    pair expansions, so an absent budget leaves the prover's default. *)
+let contain_job t ~id ~want_stats ~deadline ?budget ~respond ~equiv ~left
+    ~right (module W : Worker.WORKER) =
   let t0 = Obs.now () in
-  (* the solver budget default (der-rule scale) is not meaningful for
-     pair expansions; only honor an explicit request budget *)
-  let budget = if budget = t.cfg.default_budget then None else Some budget in
   match W.contain_cache_key ~equiv left right with
   | Error msg -> respond (Protocol.error_response ~id msg)
   | Ok key -> (
-    match if use_cache then Lru.find t.cache key else None with
+    match Lru.find t.cache key with
     | Some v ->
       respond
         (Protocol.contain_response ~id ~cached:true
@@ -194,8 +179,7 @@ let contain_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond ~equiv
       | Error msg -> respond (Protocol.error_response ~id msg)
       | Ok (verdict, stats) ->
         (match verdict with
-        | Protocol.Sat _ | Protocol.Unsat ->
-          if use_cache then Lru.put t.cache key verdict
+        | Protocol.Sat _ | Protocol.Unsat -> Lru.put t.cache key verdict
         | Protocol.Unknown _ -> ());
         respond
           (Protocol.contain_response ~id ~cached:false
@@ -256,7 +240,6 @@ let classify t session (req : Protocol.request) : dispatchable =
   in
   let budget = Option.value req.budget ~default:t.cfg.default_budget in
   let want_stats = req.want_stats in
-  let use_cache = t.cfg.use_cache in
   match[@warning "-4"] req.payload with
   | Protocol.Stats -> Immediate (stats_doc t ~id)
   | Protocol.Assert_re pat ->
@@ -270,7 +253,7 @@ let classify t session (req : Protocol.request) : dispatchable =
         affinity = Hashtbl.hash pat;
         job =
           (fun ~respond ->
-            solve_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond
+            solve_job t ~id ~want_stats ~deadline ~budget ~respond
               [ pat ]);
       }
   | Protocol.Check ->
@@ -280,7 +263,7 @@ let classify t session (req : Protocol.request) : dispatchable =
         affinity = Hashtbl.hash snapshot;
         job =
           (fun ~respond ->
-            solve_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond
+            solve_job t ~id ~want_stats ~deadline ~budget ~respond
               snapshot);
       }
   | Protocol.Match_re { pattern; input } ->
@@ -303,8 +286,8 @@ let classify t session (req : Protocol.request) : dispatchable =
         affinity = Hashtbl.hash (left, right);
         job =
           (fun ~respond ->
-            contain_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond
-              ~equiv:false ~left ~right);
+            contain_job t ~id ~want_stats ~deadline ?budget:req.budget
+              ~respond ~equiv:false ~left ~right);
       }
   | Protocol.Equiv_re { left; right } ->
     Queued
@@ -312,8 +295,8 @@ let classify t session (req : Protocol.request) : dispatchable =
         affinity = Hashtbl.hash (left, right);
         job =
           (fun ~respond ->
-            contain_job t ~id ~want_stats ~deadline ~budget ~use_cache ~respond
-              ~equiv:true ~left ~right);
+            contain_job t ~id ~want_stats ~deadline ?budget:req.budget
+              ~respond ~equiv:true ~left ~right);
       }
   | Protocol.Solve_smt2 script ->
     Queued
@@ -503,482 +486,3 @@ let install_sigterm t =
          !(t.stop_listener) ();
          Pool.drain t.pool;
          exit 0))
-
-(* -- self-test / load generator ------------------------------------------ *)
-
-(** Deterministic benchgen-derived request mix: the non-Boolean and
-    Boolean standard suites, shuffled by a fixed-seed LCG, then sampled
-    {b Zipfian} over the shuffled ranks (weight 1/(rank+1)) — real query
-    traffic re-asks a small head of popular patterns, which is exactly
-    the regime the shared LRU exists for, so the selftest's measured hit
-    rate says something about production caching rather than cycling
-    uniformly through the corpus (every repeat a guaranteed hit). *)
-let selftest_mix n : string list =
-  let module I = Sbd_benchgen.Instance in
-  let base =
-    Array.of_list
-      (List.map
-         (fun (i : I.t) -> i.I.pattern)
-         (Sbd_benchgen.Standard.non_boolean () @ Sbd_benchgen.Standard.boolean ()))
-  in
-  let rng = I.Rng.create 7 in
-  let len = Array.length base in
-  for i = len - 1 downto 1 do
-    let j = I.Rng.int rng (i + 1) in
-    let tmp = base.(i) in
-    base.(i) <- base.(j);
-    base.(j) <- tmp
-  done;
-  let weights = Array.init len (fun k -> 1.0 /. float_of_int (k + 1)) in
-  let total = Array.fold_left ( +. ) 0.0 weights in
-  let scale = 1_000_000 in
-  let draw () =
-    let u = float_of_int (I.Rng.int rng scale) /. float_of_int scale *. total in
-    let k = ref 0 and acc = ref 0.0 in
-    while !k < len - 1 && !acc +. weights.(!k) <= u do
-      acc := !acc +. weights.(!k);
-      incr k
-    done;
-    !k
-  in
-  List.init n (fun _ -> base.(draw ()))
-
-let percentile sorted p =
-  match Array.length sorted with
-  | 0 -> 0.0
-  | n ->
-    let idx = int_of_float (ceil (p /. 100.0 *. float_of_int n)) - 1 in
-    sorted.(max 0 (min (n - 1) idx))
-
-type self_result = {
-  report : J.t;
-  mismatches : int;
-  bad_witnesses : int;
-  match_mismatches : int;
-      (** engine vs reference-matcher disagreements in the match phase *)
-  pool_rps : float;
-  seq_rps : float;
-  p50_ms : float;
-  p99_ms : float;
-  cache_hit_rate : float;
-  unbatched_rps : float;  (** protocol A/B: one request per line, pipelined *)
-  batched_rps : float;  (** protocol A/B: same stream in batch envelopes *)
-  batch_ratio : float;  (** batched / unbatched throughput *)
-  protocol_errors : int;
-      (** missing, duplicate, or error responses in the protocol phase *)
-}
-
-(** Protocol A/B measurement: replay [reqs] over an in-process pipe
-    session — once pipelined one-request-per-line, once wrapped in
-    batch envelopes — after a warm-up pass that fills the result cache,
-    so both timed passes are cache hits and the difference isolates
-    protocol overhead (syscalls, queue hand-offs, response flushes).
-    Every response is correlated by its client-assigned id; a missing,
-    duplicated, or error response counts as a protocol error.  Returns
-    [(unbatched_rps, batched_rps, protocol_errors)]. *)
-let protocol_phase ~(cfg : config) ~deadline ~budget (reqs : string array) =
-  let pn = Array.length reqs in
-  let t = create { cfg with use_cache = true } in
-  (* client -> server and server -> client pipes; the server side runs
-     the real [serve_channel] loop in its own thread *)
-  let c2s_r, c2s_w = Unix.pipe () in
-  let s2c_r, s2c_w = Unix.pipe () in
-  let sic = Unix.in_channel_of_descr c2s_r in
-  let soc = Unix.out_channel_of_descr s2c_w in
-  let server = Thread.create (fun () -> ignore (serve_channel t sic soc)) () in
-  let coc = Unix.out_channel_of_descr c2s_w in
-  let cic = Unix.in_channel_of_descr s2c_r in
-  let protocol_errors = ref 0 in
-  let seen = Hashtbl.create (8 * pn) in
-  let read_response () =
-    match input_line cic with
-    | exception End_of_file -> incr protocol_errors
-    | line -> (
-      match Jsonin.parse line with
-      | Error _ -> incr protocol_errors
-      | Ok doc -> (
-        (match Jsonin.member "error" doc with
-        | Some _ -> incr protocol_errors
-        | None -> ());
-        match[@warning "-4"] Jsonin.member "id" doc with
-        | Some (J.Int i) ->
-          if Hashtbl.mem seen i then incr protocol_errors
-          else Hashtbl.add seen i ()
-        | _ -> incr protocol_errors))
-  in
-  let solve_doc ~id pat =
-    J.Obj
-      ([ ("id", J.Int id); ("op", J.Str "solve"); ("re", J.Str pat) ]
-      @ (match deadline with
-        | Some d -> [ ("deadline_s", J.Float d) ]
-        | None -> [])
-      @ [ ("budget", J.Int budget) ])
-  in
-  let send_str line =
-    output_string coc line;
-    output_char coc '\n'
-  in
-  (* Keep at most [window] requests in flight: deep enough to pipeline,
-     shallow enough that neither pipe's kernel buffer can fill up and
-     deadlock writer against writer, and comfortably inside the pool's
-     queue capacity so a burst never draws [overloaded] responses. *)
-  let window = max 8 (min 64 (cfg.queue_cap / 4)) in
-  (* One envelope per window keeps the batched arm's peak in-flight at
-     [2 * window - 1], inside the queue capacity. *)
-  let batch_size = window in
-  let next_id = ref 0 in
-  (* Request serialization happens on the client; do it before starting
-     the timer so both arms measure wire + server cost, not the
-     client's JSON rendering. *)
-  let unbatched_lines () =
-    Array.map
-      (fun pat ->
-        let id = !next_id in
-        incr next_id;
-        J.to_string (solve_doc ~id pat))
-      reqs
-  in
-  let batched_lines () =
-    let out = ref [] in
-    let i = ref 0 in
-    while !i < pn do
-      let j = min pn (!i + batch_size) in
-      let items =
-        List.init (j - !i) (fun k -> solve_doc ~id:(!next_id + k) reqs.(!i + k))
-      in
-      next_id := !next_id + (j - !i);
-      let line =
-        J.to_string (J.Obj [ ("op", J.Str "batch"); ("reqs", J.Arr items) ])
-      in
-      out := (line, j - !i) :: !out;
-      i := j
-    done;
-    Array.of_list (List.rev !out)
-  in
-  let run_unbatched () =
-    let lines = unbatched_lines () in
-    let t0 = Obs.now () in
-    let in_flight = ref 0 in
-    Array.iter
-      (fun line ->
-        send_str line;
-        incr in_flight;
-        if !in_flight >= window then begin
-          flush coc;
-          read_response ();
-          decr in_flight
-        end)
-      lines;
-    flush coc;
-    while !in_flight > 0 do
-      read_response ();
-      decr in_flight
-    done;
-    Obs.now () -. t0
-  in
-  let run_batched () =
-    let envelopes = batched_lines () in
-    let t0 = Obs.now () in
-    let in_flight = ref 0 in
-    Array.iter
-      (fun (line, count) ->
-        send_str line;
-        in_flight := !in_flight + count;
-        while !in_flight > window do
-          flush coc;
-          read_response ();
-          decr in_flight
-        done)
-      envelopes;
-    flush coc;
-    while !in_flight > 0 do
-      read_response ();
-      decr in_flight
-    done;
-    Obs.now () -. t0
-  in
-  (* warm: fill the result cache so the timed passes are hits *)
-  ignore (run_unbatched ());
-  (* two timed rounds each, interleaved; best-of to shed scheduler noise *)
-  let u1 = run_unbatched () in
-  let b1 = run_batched () in
-  let u2 = run_unbatched () in
-  let b2 = run_batched () in
-  close_out coc;
-  (* EOF ends the server loop *)
-  Thread.join server;
-  Atomic.set t.stopping true;
-  Pool.shutdown t.pool;
-  (try close_in cic with _ -> ());
-  (try close_in sic with _ -> ());
-  (try close_out soc with _ -> ());
-  let rps s = float_of_int pn /. Float.max s 1e-9 in
-  (rps (Float.min u1 u2), rps (Float.min b1 b2), !protocol_errors)
-
-(** Replay the mix through the pool and compare with sequential
-    solving on a single worker: verdicts must agree (sat/unsat), pool
-    witnesses must validate against the reference matcher.  Reports
-    throughput and latency percentiles.  The result cache defaults to
-    off here so the numbers measure solving, not cache hits. *)
-let selftest ?(use_cache = false) ?(verbose = true) ~(cfg : config) ~n () :
-    self_result =
-  let phase_t = ref (Obs.now ()) in
-  let phase name =
-    let t = Obs.now () in
-    if verbose then
-      Printf.eprintf "sbdserve: selftest %-12s %6.2fs\n%!" name (t -. !phase_t);
-    phase_t := t
-  in
-  let patterns = Array.of_list (selftest_mix n) in
-  phase "mix";
-  (* The replay runs at the harness calibration (~1s of work per
-     instance at budget 20k): hard Boolean instances under the serving
-     defaults (1M budget, multi-second deadline) would each burn
-     seconds and gigabytes, which measures pathology, not throughput.
-     Tighter configured values are honored. *)
-  let deadline = Some (min (Option.value cfg.default_deadline ~default:1.0) 1.0) in
-  let budget = min cfg.default_budget 20_000 in
-  (* Sequential baseline: one worker, same stream. *)
-  let (module W0) = Worker.create ~memo_cap:cfg.memo_cap () in
-  let seq_verdicts = Array.make n None in
-  let t0 = Obs.now () in
-  Array.iteri
-    (fun i pat ->
-      match W0.solve_pattern ?deadline ~budget pat with
-      | Ok (v, _) -> seq_verdicts.(i) <- Some v
-      | Error _ -> ())
-    patterns;
-  let seq_s = Obs.now () -. t0 in
-  phase "sequential";
-  (* Pool run. *)
-  let t = create { cfg with use_cache } in
-  let pool_verdicts = Array.make n None in
-  let latencies = Array.make n 0.0 in
-  let completed = Atomic.make 0 in
-  let t1 = Obs.now () in
-  Array.iteri
-    (fun i pat ->
-      let submitted = Obs.now () in
-      let job (module W : Worker.WORKER) =
-        let key_ok =
-          match[@warning "-4"] if use_cache then Some (W.cache_key pat) else None with
-          | Some (Ok key) -> (
-            match Lru.find t.cache key with
-            | Some v ->
-              pool_verdicts.(i) <- Some v;
-              true
-            | None -> false)
-          | _ -> false
-        in
-        if not key_ok then
-          (match W.solve_pattern ?deadline ~budget pat with
-          | Ok (v, _) ->
-            pool_verdicts.(i) <- Some v;
-            if use_cache then (
-              match[@warning "-4"] (W.cache_key pat, v) with
-              | Ok key, (Protocol.Sat _ | Protocol.Unsat) -> Lru.put t.cache key v
-              | _ -> ())
-          | Error _ -> ());
-        latencies.(i) <- Obs.now () -. submitted;
-        ignore (Atomic.fetch_and_add completed 1)
-      in
-      ignore (Pool.submit_wait ~affinity:(Hashtbl.hash pat) t.pool job))
-    patterns;
-  while Atomic.get completed < n do
-    Unix.sleepf 0.001
-  done;
-  let pool_s = Obs.now () -. t1 in
-  phase "pool";
-  (* Match workload: engine verdicts through the pool, cross-checked
-     below against the independent reference matcher. *)
-  let match_cases =
-    [|
-      ("ab*c", "xxabbbcyy");
-      ("a*b", "aaaaaaaa");
-      ("\\d{2}-\\d{2}", "on 24-07 it shipped");
-      (".*a.*&.*b.*", "xxxayyybzzz");
-      ("~(.*ab.*)", "ba");
-      ("~(.*ab.*)", "xaby");
-      ("h.llo", "h\xc3\xa9llo");
-      ("(a|b){3}", "abba");
-      (".*(0|1){2}", "xyz01");
-      ("x+y+", "zzzxxyyzz");
-    |]
-  in
-  let m = Array.length match_cases in
-  let match_verdicts = Array.make m None in
-  let mcompleted = Atomic.make 0 in
-  Array.iteri
-    (fun i (pat, input) ->
-      let job (module W : Worker.WORKER) =
-        (match W.match_input ?deadline ~pattern:pat ~input () with
-        | Ok (v, _) -> match_verdicts.(i) <- Some v
-        | Error _ -> ());
-        ignore (Atomic.fetch_and_add mcompleted 1)
-      in
-      ignore (Pool.submit_wait ~affinity:(Hashtbl.hash pat) t.pool job))
-    match_cases;
-  while Atomic.get mcompleted < m do
-    Unix.sleepf 0.001
-  done;
-  let match_checked = ref 0 in
-  let match_mismatches = ref 0 in
-  Array.iteri
-    (fun i (pat, input) ->
-      match[@warning "-4"] (match_verdicts.(i), W0.match_ref ~pattern:pat ~input) with
-      | Some (Protocol.Matched { full; span; _ }), Some (ref_full, ref_span) ->
-        incr match_checked;
-        if full <> ref_full || span <> ref_span then incr match_mismatches
-      | _ -> ())
-    match_cases;
-  phase "match";
-  Atomic.set t.stopping true;
-  Pool.shutdown t.pool;
-  phase "shutdown";
-  (* Agreement: strict sat-vs-unsat conflicts; witnesses validated
-     against the independent reference matcher. *)
-  let mismatches = ref 0 in
-  let unknowns = ref 0 in
-  let bad_witnesses = ref 0 in
-  for i = 0 to n - 1 do
-    (match[@warning "-4"] (seq_verdicts.(i), pool_verdicts.(i)) with
-    | Some (Protocol.Sat _), Some Protocol.Unsat
-    | Some Protocol.Unsat, Some (Protocol.Sat _) ->
-      incr mismatches
-    | Some (Protocol.Unknown _), _ | _, Some (Protocol.Unknown _) ->
-      incr unknowns
-    | _ -> ());
-    match[@warning "-4"] pool_verdicts.(i) with
-    | Some (Protocol.Sat { codepoints; _ }) ->
-      if W0.check_witness patterns.(i) codepoints = Some false then
-        incr bad_witnesses
-    | _ -> ()
-  done;
-  phase "validate";
-  (* Protocol A/B over the deterministically-solvable slice of the mix
-     (cached verdicts make both timed passes pure cache hits, so the
-     ratio isolates batching's syscall/hand-off amortization). *)
-  let det_patterns =
-    let keep = ref [] in
-    for i = n - 1 downto 0 do
-      match[@warning "-4"] seq_verdicts.(i) with
-      | Some (Protocol.Sat _ | Protocol.Unsat) ->
-        keep := patterns.(i) :: !keep
-      | _ -> ()
-    done;
-    let arr = Array.of_list !keep in
-    if Array.length arr >= 32 then arr else patterns
-  in
-  let proto_slice =
-    Array.sub det_patterns 0 (min (Array.length det_patterns) 400)
-  in
-  let unbatched_rps, batched_rps, protocol_errors =
-    protocol_phase ~cfg ~deadline ~budget proto_slice
-  in
-  let batch_ratio = batched_rps /. Float.max unbatched_rps 1e-9 in
-  phase "protocol";
-  let sorted = Array.copy latencies in
-  Array.sort compare sorted;
-  let seq_rps = float_of_int n /. max seq_s 1e-9 in
-  let pool_rps = float_of_int n /. max pool_s 1e-9 in
-  (* Measured shared-LRU hit rate over the Zipfian replay (0 with the
-     cache off): the service-bench gauge for ROADMAP item 2. *)
-  let cache_hit_rate = Lru.hit_rate t.cache in
-  let report =
-    J.Obj
-      [
-        ("requests", J.Int n);
-        ("workers", J.Int cfg.workers);
-        ("cores", J.Int (Domain.recommended_domain_count ()));
-        ("cache", J.Bool use_cache);
-        ("pool_req_s", J.Float pool_rps);
-        ("seq_req_s", J.Float seq_rps);
-        ("speedup_vs_seq", J.Float (pool_rps /. max seq_rps 1e-9));
-        ("p50_ms", J.Float (percentile sorted 50.0 *. 1000.0));
-        ("p99_ms", J.Float (percentile sorted 99.0 *. 1000.0));
-        ("mismatches", J.Int !mismatches);
-        ("unknowns", J.Int !unknowns);
-        ("bad_witnesses", J.Int !bad_witnesses);
-        ("match_checked", J.Int !match_checked);
-        ("match_mismatches", J.Int !match_mismatches);
-        ("cache_hit_rate", J.Float cache_hit_rate);
-        ( "cache_shard_hit_rates",
-          J.Arr (List.map (fun f -> J.Float f) (Lru.shard_hit_rates t.cache)) );
-        ("steals", J.Int (Pool.steals t.pool));
-        ("spills", J.Int (Pool.spills t.pool));
-        ("unbatched_req_s", J.Float unbatched_rps);
-        ("batched_req_s", J.Float batched_rps);
-        ("batch_ratio", J.Float batch_ratio);
-        ("protocol_errors", J.Int protocol_errors);
-        ("cache_stats", Protocol.json_of_stats (Lru.stats t.cache));
-      ]
-  in
-  {
-    report;
-    mismatches = !mismatches;
-    bad_witnesses = !bad_witnesses;
-    match_mismatches = !match_mismatches;
-    pool_rps;
-    seq_rps;
-    p50_ms = percentile sorted 50.0 *. 1000.0;
-    p99_ms = percentile sorted 99.0 *. 1000.0;
-    cache_hit_rate;
-    unbatched_rps;
-    batched_rps;
-    batch_ratio;
-    protocol_errors;
-  }
-
-(* -- BENCH_<date>.json trajectory ---------------------------------------- *)
-
-let today () =
-  let tm = Unix.localtime (Unix.time ()) in
-  Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
-    tm.Unix.tm_mday
-
-let default_bench_path () = Printf.sprintf "BENCH_%s.json" (today ())
-
-let read_file path =
-  let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
-
-(** Append a report to the given section (default [service]) of the
-    [BENCH_<date>.json] trajectory document, preserving every other
-    section (the suites recorded by the experiment harness, the engine
-    throughput runs, ...); creates the file if absent. *)
-let append_bench ?(section = "service") ~path (report : J.t) : unit =
-  let report =
-    match[@warning "-4"] report with
-    | J.Obj kvs -> J.Obj (("date", J.Str (today ())) :: kvs)
-    | other -> other
-  in
-  let fresh () =
-    J.Obj
-      [
-        ("schema", J.Str "sbd-bench/1");
-        ("date", J.Str (today ()));
-        (section, J.Arr [ report ]);
-      ]
-  in
-  let doc =
-    match if Sys.file_exists path then Some (read_file path) else None with
-    | Some src -> (
-      match[@warning "-4"] Jsonin.parse src with
-      | Ok (J.Obj kvs) ->
-        let runs =
-          match[@warning "-4"] List.assoc_opt section kvs with
-          | Some (J.Arr rs) -> rs
-          | _ -> []
-        in
-        let kvs = List.remove_assoc section kvs in
-        J.Obj (kvs @ [ (section, J.Arr (runs @ [ report ])) ])
-      | _ -> fresh ())
-    | None -> fresh ()
-  in
-  let oc = open_out path in
-  output_string oc (J.to_string_pretty doc);
-  output_char oc '\n';
-  close_out oc

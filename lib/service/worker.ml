@@ -75,7 +75,7 @@ module type WORKER = sig
       input the same way, then asks {!Sbd_classic.Refmatch} for the
       full-match flag and (by brute-force enumeration over scalar
       boundaries) the leftmost-earliest span.  Exponential in the input
-      length — selftest-sized inputs only.  [None] on parse error. *)
+      length — test-sized inputs only.  [None] on parse error. *)
 
   val contain_pattern :
     ?deadline:float ->

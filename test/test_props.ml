@@ -23,7 +23,7 @@ module Ref = Sbd_classic.Refmatch.Make (R)
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module MSolve = Sbd_classic.Minterm_solver.Make (R)
 module Simp = Sbd_regex.Simplify.Make (R)
-module Eq = Sbd_core.Lang_equiv.Make (R)
+module C = Sbd_contain.Contain.Make (R)
 module Matcher = Sbd_matcher.Matcher.Make (R)
 module Safa = Sbd_core.Safa.Make (R)
 
@@ -283,6 +283,8 @@ let t_simplify_preserves =
       let r' = Simp.simplify r in
       R.size r' <= R.size r && Ref.matches r w = Ref.matches r' w)
 
+let csession = C.create_session ()
+
 let t_simplify_equiv_to_original =
   (* stronger check on a subsample: decide equivalence symbolically *)
   prop "simplify output is equivalent (decision procedure)"
@@ -292,29 +294,34 @@ let t_simplify_equiv_to_original =
       let r' = Simp.simplify r in
       if R.equal r r' then true
       else
-        match Eq.equiv ~max_pairs:20_000 r r' with
-        | Some b -> b
-        | None -> QCheck2.assume_fail ())
+        match C.equiv ~budget:20_000 csession r r' with
+        | C.Proved -> true
+        | C.Refuted _ -> false
+        | C.Unknown _ -> QCheck2.assume_fail ())
 
-let t_lang_equiv_vs_solver =
+let t_contain_equiv_vs_solver =
   let session = S.create_session () in
   prop "coinductive equivalence agrees with complement-based equivalence"
     QCheck2.Gen.(pair (gen_regex ~boolean:true) (gen_regex ~boolean:true))
     (fun (r, s) -> Printf.sprintf "%s / %s" (R.to_string r) (R.to_string s))
     (fun (r, s) ->
-      match (Eq.equiv ~max_pairs:20_000 r s, S.equiv ~budget:20_000 session r s) with
-      | Some a, Some b -> a = b
-      | None, _ | _, None -> QCheck2.assume_fail ())
+      match
+        (C.equiv ~budget:20_000 ~presolve:false csession r s,
+         S.equiv ~budget:20_000 session r s)
+      with
+      | C.Proved, Some b -> b
+      | C.Refuted _, Some b -> not b
+      | C.Unknown _, _ | _, None -> QCheck2.assume_fail ())
 
-let t_lang_equiv_counterexample =
+let t_contain_equiv_counterexample =
   prop "equivalence counterexamples distinguish the languages"
     QCheck2.Gen.(pair (gen_regex ~boolean:true) (gen_regex ~boolean:true))
     (fun (r, s) -> Printf.sprintf "%s / %s" (R.to_string r) (R.to_string s))
     (fun (r, s) ->
-      match Eq.check ~max_pairs:20_000 r s with
-      | Some (Eq.Counterexample w) -> Ref.matches r w <> Ref.matches s w
-      | Some Eq.Equivalent -> true
-      | None -> QCheck2.assume_fail ())
+      match C.equiv ~budget:20_000 ~presolve:false csession r s with
+      | C.Refuted w -> Ref.matches r w <> Ref.matches s w
+      | C.Proved -> true
+      | C.Unknown _ -> QCheck2.assume_fail ())
 
 let t_safa_vs_oracle =
   prop "SAFA acceptance = oracle (Propositions 8.2/8.3)"
@@ -440,7 +447,7 @@ let suite =
       ; t_solver_sound; t_solvers_agree; t_equiv_reflexive; t_bdd_vs_ranges
       ; t_minterms_partition; t_choose_sound; t_roundtrip
       ; t_smart_constructors; t_simplify_preserves; t_simplify_equiv_to_original
-      ; t_lang_equiv_vs_solver; t_lang_equiv_counterexample
+      ; t_contain_equiv_vs_solver; t_contain_equiv_counterexample
       ; t_matcher_vs_oracle; t_safa_vs_oracle
       ; t_rev_involution; t_rev_structural; t_rev_language
       ; t_rev_engine_backward ] )

@@ -641,19 +641,135 @@ let test_analyze_op () =
       send {|{"id": 4, "op": "shutdown"}|};
       ignore (recv ()))
 
+(* -- explicit containment budget ------------------------------------------ *)
+
+let test_contain_budget () =
+  (* a request budget equal to the server's solver default is still the
+     request's own budget, not "unset" *)
+  let req extra =
+    Printf.sprintf
+      {|{"id":1,"op":"subset","re":"~(.*a{9,17}.*)&.*b{8,16}.*","re2":"~(.*a{8,16}.*)"%s}|}
+      extra
+  in
+  with_session { small_cfg with default_budget = 17 } (fun ~send ~recv ->
+      send (req {|,"budget":17|});
+      check "explicit budget honoured" true (status (recv ()) = Some "unknown");
+      (* without one the prover's own default applies *)
+      send (req "");
+      check "prover default" true (status (recv ()) = Some "refuted");
+      send {|{"id": 0, "op": "shutdown"}|};
+      ignore (recv ()))
+
 (* -- pool vs sequential agreement ---------------------------------------- *)
 
-let test_pool_agreement () =
-  let r =
-    Server.selftest ~verbose:false
-      ~cfg:{ small_cfg with queue_cap = 64 }
-      ~n:48 ()
+(* Inverse of [Solve.string_of_witness]: printable ASCII verbatim,
+   backslash-escaped quote and backslash, [\u{HHHH}] for the rest. *)
+let decode_witness s =
+  let n = String.length s in
+  let rec go i acc =
+    if i >= n then List.rev acc
+    else if s.[i] <> '\\' then go (i + 1) (Char.code s.[i] :: acc)
+    else if s.[i + 1] <> 'u' then go (i + 2) (Char.code s.[i + 1] :: acc)
+    else
+      let j = String.index_from s i '}' in
+      go (j + 1) (int_of_string ("0x" ^ String.sub s (i + 3) (j - i - 3)) :: acc)
   in
-  check_int "verdict mismatches" 0 r.Server.mismatches;
-  check_int "invalid witnesses" 0 r.Server.bad_witnesses;
-  check_int "protocol errors" 0 r.Server.protocol_errors;
-  check "throughput measured" true (r.Server.pool_rps > 0.0);
-  check "batch throughput measured" true (r.Server.batched_rps > 0.0)
+  go 0 []
+
+(* One pipelined pass and one batched pass of the same solve stream over
+   a 2-worker session with the result cache on, plus match requests:
+   every id answered once without error, no sat/unsat conflict with a
+   sequential worker, every witness valid, batched repeats of decided
+   patterns served from the cache, match spans equal to the oracle's. *)
+let test_pool_agreement () =
+  let module I = Sbd_benchgen.Instance in
+  let base =
+    Array.of_list
+      (List.map
+         (fun (i : I.t) -> i.I.pattern)
+         (Sbd_benchgen.Standard.non_boolean () @ Sbd_benchgen.Standard.boolean ()))
+  in
+  let rng = I.Rng.create 7 in
+  for i = Array.length base - 1 downto 1 do
+    let j = I.Rng.int rng (i + 1) in
+    let tmp = base.(i) in
+    base.(i) <- base.(j);
+    base.(j) <- tmp
+  done;
+  let pats = Array.init 48 (fun _ -> base.(I.Rng.int rng 16)) in
+  let (module W0) = Worker.create () in
+  let seq =
+    Array.map
+      (fun p ->
+        match W0.solve_pattern ~deadline:1.0 ~budget:20_000 p with
+        | Ok (v, _) -> v
+        | Error msg -> Alcotest.fail msg)
+      pats
+  in
+  let solve_req i =
+    Printf.sprintf {|{"id":%d,"op":"solve","re":%s,"deadline_s":1.0,"budget":20000}|}
+      i (J.to_string (J.Str pats.(i mod 48)))
+  in
+  let replies = Hashtbl.create 128 in
+  let take recv =
+    let r = recv () in
+    check "no error reply" true (Jsonin.member "error" r = None);
+    match[@warning "-4"] Jsonin.member "id" r with
+    | Some (J.Int i) ->
+      check "answered once" false (Hashtbl.mem replies i);
+      Hashtbl.add replies i r
+    | _ -> Alcotest.fail "reply without an integer id"
+  in
+  with_session { small_cfg with queue_cap = 64; cache_cap = 4096 }
+    (fun ~send ~recv ->
+      (* pipelined: up to 8 requests in flight *)
+      for i = 0 to 47 do
+        send (solve_req i);
+        if i >= 7 then take recv
+      done;
+      for _ = 1 to 7 do take recv done;
+      (* the same stream again, as batch envelopes of 8 *)
+      for e = 0 to 5 do
+        send
+          (Printf.sprintf {|{"op":"batch","reqs":[%s]}|}
+             (String.concat "," (List.init 8 (fun k -> solve_req (48 + (8 * e) + k)))));
+        for _ = 1 to 8 do take recv done
+      done;
+      List.iteri
+        (fun k (pattern, input) ->
+          send
+            (J.to_string
+               (J.Obj
+                  [ ("id", J.Int (96 + k)); ("op", J.Str "match");
+                    ("re", J.Str pattern); ("input", J.Str input) ]));
+          let r = (take recv; Hashtbl.find replies (96 + k)) in
+          match W0.match_ref ~pattern ~input with
+          | None -> Alcotest.fail ("oracle cannot parse " ^ pattern)
+          | Some (full, span) ->
+            check ("full " ^ pattern) true (Jsonin.bool_member "full" r = Some full);
+            check ("span " ^ pattern) true
+              (Jsonin.member "span" r
+              = Option.map (fun (i, j) -> J.Arr [ J.Int i; J.Int j ]) span))
+        [ ("ab*c", "xxabbbcyy"); ("a*b", "aaaaaaaa"); ("\\d{2}-\\d{2}", "on 24-07 it shipped")
+        ; (".*a.*&.*b.*", "xxxayyybzzz"); ("~(.*ab.*)", "ba"); ("~(.*ab.*)", "xaby")
+        ; ("h.llo", "h\xc3\xa9llo"); ("(a|b){3}", "abba"); (".*(0|1){2}", "xyz01")
+        ; ("x+y+", "zzzxxyyzz") ];
+      send {|{"id": 0, "op": "shutdown"}|};
+      ignore (recv ()));
+  check_int "every id answered" 106 (Hashtbl.length replies);
+  for i = 0 to 95 do
+    let r = Hashtbl.find replies i and pat = pats.(i mod 48) in
+    (match[@warning "-4"] (status r, seq.(i mod 48)) with
+    | Some "sat", Protocol.Unsat | Some "unsat", Protocol.Sat _ ->
+      Alcotest.failf "verdict conflict on %s" pat
+    | Some "sat", _ ->
+      let w = decode_witness (Option.get (Jsonin.str_member "witness" r)) in
+      check ("witness for " ^ pat) true (W0.check_witness pat w = Some true)
+    | _ -> ());
+    let decided r = status r = Some "sat" || status r = Some "unsat" in
+    if i >= 48 && decided (Hashtbl.find replies (i - 48)) then
+      check ("cached repeat " ^ pat) true (Jsonin.bool_member "cached" r = Some true)
+  done
 
 let suite =
   ( "service",
@@ -676,6 +792,7 @@ let suite =
     ; Alcotest.test_case "batch robustness" `Quick test_batch_robustness
     ; Alcotest.test_case "analyze op" `Quick test_analyze_op
     ; Alcotest.test_case "contain ops" `Quick test_contain_op
+    ; Alcotest.test_case "contain request budget" `Quick test_contain_budget
     ; Alcotest.test_case "deadline isolation" `Quick test_deadline_isolation
     ; Alcotest.test_case "pool vs sequential agreement" `Quick
         test_pool_agreement
