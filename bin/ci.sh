@@ -122,16 +122,33 @@ python3 perfbench/run.py --test
 
 echo "== batch protocol robustness smoke =="
 # a malformed envelope and duplicate ids must each draw one structured
-# error while the session stays alive for the requests around them
+# error while the session stays alive for the requests around them;
+# run inline (1 worker) and pooled (2 workers, where a batch's members
+# are split into one pool job per worker)
+for w in 1 2; do
+  out=$(printf '%s\n' \
+    '{"op":"batch","reqs":[{"id":1,"op":"solve","re":"a|b"},{"id":2,"op":"solve","re":"ab&~ab"},{"id":4,"op":"match","re":"ab*c","input":"xxabbbcyy"}]}' \
+    '{"op":"batch","reqs":"nope"}' \
+    '{"op":"batch","reqs":[{"id":3,"op":"solve","re":"a"},{"id":3,"op":"solve","re":"b"}]}' \
+    '{"id":9,"op":"solve","re":"[0-9]{3}"}' \
+    '{"op":"shutdown"}' \
+    | dune exec bin/sbdserve.exe -- --workers "$w")
+  echo "$out" | grep -q '"id":1,"status":"sat"' || { echo "workers=$w: batch member 1 missing"; exit 1; }
+  echo "$out" | grep -q '"id":2,"status":"unsat"' || { echo "workers=$w: batch member 2 missing"; exit 1; }
+  echo "$out" | grep -q '"id":4,"status":"ok"' || { echo "workers=$w: batch member 4 missing"; exit 1; }
+  echo "$out" | grep -q '"id":9,"status":"sat"' || { echo "workers=$w: post-abuse solve missing: session died"; exit 1; }
+  errs=$(echo "$out" | grep -c '"error"') || true
+  [ "$errs" -eq 2 ] || { echo "workers=$w: expected 2 structured batch errors, got $errs"; exit 1; }
+done
+
+echo "== many-worker smoke =="
+# one domain per worker with no cap on the count: 63 workers must
+# answer every request and exit 0 after shutdown
 out=$(printf '%s\n' \
-  '{"op":"batch","reqs":[{"id":1,"op":"solve","re":"a|b"},{"id":2,"op":"solve","re":"ab&~ab"}]}' \
-  '{"op":"batch","reqs":"nope"}' \
-  '{"op":"batch","reqs":[{"id":3,"op":"solve","re":"a"},{"id":3,"op":"solve","re":"b"}]}' \
-  '{"id":9,"op":"solve","re":"[0-9]{3}"}' \
-  '{"op":"shutdown"}' \
-  | dune exec bin/sbdserve.exe -- --workers 2)
-echo "$out" | grep -q '"id":1,"status":"sat"' || { echo "batch member 1 missing"; exit 1; }
-echo "$out" | grep -q '"id":2,"status":"unsat"' || { echo "batch member 2 missing"; exit 1; }
-echo "$out" | grep -q '"id":9,"status":"sat"' || { echo "post-abuse solve missing: session died"; exit 1; }
-errs=$(echo "$out" | grep -c '"error"') || true
-[ "$errs" -eq 2 ] || { echo "expected 2 structured batch errors, got $errs"; exit 1; }
+  '{"id":1,"op":"solve","re":"a|b"}' \
+  '{"id":2,"op":"solve","re":"ab&~ab"}' \
+  '{"id":3,"op":"shutdown"}' \
+  | dune exec bin/sbdserve.exe -- --workers 63)
+echo "$out" | grep -q '"id":1,"status":"sat"' || { echo "63 workers: solve 1 missing"; exit 1; }
+echo "$out" | grep -q '"id":2,"status":"unsat"' || { echo "63 workers: solve 2 missing"; exit 1; }
+echo "$out" | grep -q '"id":3,"status":"ok","drained":true' || { echo "63 workers: shutdown reply missing"; exit 1; }

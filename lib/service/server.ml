@@ -222,15 +222,12 @@ let smt2_job ~id ~deadline ~budget ~respond script (module W : Worker.WORKER) =
     respond (Protocol.smt2_response ~id ~wall_s:(Obs.now () -. t0) answers output)
 
 (** How one parsed request is executed: answered by the reader thread
-    itself, or queued onto the pool with a deque-routing affinity. *)
+    itself, or queued onto the pool. *)
 type dispatchable =
   | Immediate of J.t
-  | Queued of { affinity : int; job : respond:(J.t -> unit) -> Pool.job }
+  | Queued of (respond:(J.t -> unit) -> Pool.job)
 
-(** Classify one non-[batch], non-[shutdown] request.  The affinity is
-    the hash of the pattern (or script) text, so repeats of the same
-    query land on the same worker deque and find that worker's
-    hash-cons, memo, and compiled-engine caches hot. *)
+(** Classify one non-[batch], non-[shutdown] request. *)
 let classify t session (req : Protocol.request) : dispatchable =
   let id = req.Protocol.id in
   let deadline =
@@ -249,61 +246,31 @@ let classify t session (req : Protocol.request) : dispatchable =
          [ ("asserted", J.Int (List.length session.asserted)) ])
   | Protocol.Solve_re pat ->
     Queued
-      {
-        affinity = Hashtbl.hash pat;
-        job =
-          (fun ~respond ->
-            solve_job t ~id ~want_stats ~deadline ~budget ~respond
-              [ pat ]);
-      }
+      (fun ~respond ->
+        solve_job t ~id ~want_stats ~deadline ~budget ~respond [ pat ])
   | Protocol.Check ->
     let snapshot = List.rev session.asserted in
     Queued
-      {
-        affinity = Hashtbl.hash snapshot;
-        job =
-          (fun ~respond ->
-            solve_job t ~id ~want_stats ~deadline ~budget ~respond
-              snapshot);
-      }
+      (fun ~respond ->
+        solve_job t ~id ~want_stats ~deadline ~budget ~respond snapshot)
   | Protocol.Match_re { pattern; input } ->
     Queued
-      {
-        affinity = Hashtbl.hash pattern;
-        job =
-          (fun ~respond ->
-            match_job ~id ~want_stats ~deadline ~respond ~pattern ~input);
-      }
+      (fun ~respond ->
+        match_job ~id ~want_stats ~deadline ~respond ~pattern ~input)
   | Protocol.Analyze_re pat ->
-    Queued
-      {
-        affinity = Hashtbl.hash pat;
-        job = (fun ~respond -> analyze_job ~id ~deadline ~budget ~respond pat);
-      }
+    Queued (fun ~respond -> analyze_job ~id ~deadline ~budget ~respond pat)
   | Protocol.Subset_re { left; right } ->
     Queued
-      {
-        affinity = Hashtbl.hash (left, right);
-        job =
-          (fun ~respond ->
-            contain_job t ~id ~want_stats ~deadline ?budget:req.budget
-              ~respond ~equiv:false ~left ~right);
-      }
+      (fun ~respond ->
+        contain_job t ~id ~want_stats ~deadline ?budget:req.budget ~respond
+          ~equiv:false ~left ~right)
   | Protocol.Equiv_re { left; right } ->
     Queued
-      {
-        affinity = Hashtbl.hash (left, right);
-        job =
-          (fun ~respond ->
-            contain_job t ~id ~want_stats ~deadline ?budget:req.budget
-              ~respond ~equiv:true ~left ~right);
-      }
+      (fun ~respond ->
+        contain_job t ~id ~want_stats ~deadline ?budget:req.budget ~respond
+          ~equiv:true ~left ~right)
   | Protocol.Solve_smt2 script ->
-    Queued
-      {
-        affinity = Hashtbl.hash script;
-        job = (fun ~respond -> smt2_job ~id ~deadline ~budget ~respond script);
-      }
+    Queued (fun ~respond -> smt2_job ~id ~deadline ~budget ~respond script)
   | Protocol.Shutdown | Protocol.Batch _ ->
     (* both are intercepted by [handle_request] / refused by the parser
        inside a batch *)
@@ -312,32 +279,36 @@ let classify t session (req : Protocol.request) : dispatchable =
 let dispatch_one t session ~id (d : dispatchable) =
   match d with
   | Immediate doc -> respond session doc
-  | Queued { affinity; job } ->
+  | Queued job ->
     if Atomic.get t.stopping then
       respond session (Protocol.error_response ~id "shutting down")
-    else if not (Pool.submit ~affinity t.pool (job ~respond:(respond session)))
-    then respond session (Protocol.overloaded_response ~id)
+    else if not (Pool.submit t.pool (job ~respond:(respond session))) then
+      respond session (Protocol.overloaded_response ~id)
+
+(** [chunks k xs] splits [xs], in order, into at most [k] contiguous
+    chunks of near-equal length. *)
+let chunks k xs =
+  let size = max 1 ((List.length xs + k - 1) / k) in
+  let rec go acc cur n = function
+    | [] -> List.rev (if cur = [] then acc else List.rev cur :: acc)
+    | x :: rest ->
+      if n = size then go (List.rev cur :: acc) [ x ] 1 rest
+      else go acc (x :: cur) (n + 1) rest
+  in
+  go [] [] 0 xs
 
 (** Execute a validated batch envelope.  Reader-side responses (parse
     errors of wrapped requests, [stats], [assert]) flush as one burst;
-    pool-bound requests are grouped by affinity — each group becomes
-    {e one} pool job that runs its requests in order and writes all
-    their responses with a single lock/flush.  Compared to one job and
-    one flush per request this amortizes the queue hand-off, wake-up,
-    and write syscall across the group, while out-of-order id
-    correlation lets independent groups run on different workers. *)
+    the pool-bound members are split in arrival order into at most one
+    contiguous chunk per worker, and each chunk becomes {e one} pool
+    job that runs its requests in order and writes all their responses
+    with a single lock/flush.  Compared to one job and one flush per
+    request this amortizes the queue hand-off, wake-up, and write
+    syscall across the chunk, while out-of-order id correlation lets
+    the chunks run on different workers. *)
 let handle_batch t session (reqs : (Protocol.request, J.t * string) result list)
     =
-  let immediate = ref [] in
-  (* per-deque groups in arrival order: route -> (affinity, id, job)s
-     (newest first); grouping by [Pool.route] rather than the raw
-     affinity merges requests that would land on the same worker *)
-  let groups :
-      (int, (int * J.t * (respond:(J.t -> unit) -> Pool.job)) list ref) Hashtbl.t
-      =
-    Hashtbl.create 8
-  in
-  let order = ref [] in
+  let immediate = ref [] and queued = ref [] in
   List.iter
     (fun item ->
       match item with
@@ -346,39 +317,28 @@ let handle_batch t session (reqs : (Protocol.request, J.t * string) result list)
       | Ok req -> (
         match classify t session req with
         | Immediate doc -> immediate := doc :: !immediate
-        | Queued { affinity; job } -> (
-          let key = Pool.route t.pool affinity in
-          match Hashtbl.find_opt groups key with
-          | Some cell -> cell := (affinity, req.Protocol.id, job) :: !cell
-          | None ->
-            Hashtbl.add groups key (ref [ (affinity, req.Protocol.id, job) ]);
-            order := key :: !order)))
+        | Queued job -> queued := (req.Protocol.id, job) :: !queued))
     reqs;
   respond_many session (List.rev !immediate);
   List.iter
-    (fun key ->
-      let jobs =
-        List.rev_map (fun (a, id, job) -> (a, (id, job))) !(Hashtbl.find groups key)
-      in
-      let affinity = match jobs with (a, _) :: _ -> a | [] -> 0 in
-      let jobs = List.map snd jobs in
+    (fun jobs ->
       if Atomic.get t.stopping then
         respond_many session
           (List.map
              (fun (id, _) -> Protocol.error_response ~id "shutting down")
              jobs)
       else begin
-        let group_job (worker : (module Worker.WORKER)) =
+        let chunk_job (worker : (module Worker.WORKER)) =
           let out = ref [] in
           let buffer doc = out := doc :: !out in
           List.iter (fun (_, job) -> (job ~respond:buffer) worker) jobs;
           respond_many session (List.rev !out)
         in
-        if not (Pool.submit ~affinity t.pool group_job) then
+        if not (Pool.submit t.pool chunk_job) then
           respond_many session
             (List.map (fun (id, _) -> Protocol.overloaded_response ~id) jobs)
       end)
-    (List.rev !order)
+    (chunks t.pool.Pool.workers (List.rev !queued))
 
 (** Handle one parsed request; [`Shutdown] ends the whole server. *)
 let handle_request t session (parsed : (Protocol.request, J.t * string) result)

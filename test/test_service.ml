@@ -1,16 +1,16 @@
 (* Tests for the concurrent solver service (lib/service, DESIGN.md §9,
    §17): wire-protocol parsing (including batch envelopes), a full
    session round-trip over pipes (including malformed input,
-   per-request deadlines and batch robustness), work-stealing scheduler
-   backpressure and drain, sharded-LRU accounting under multi-domain
-   churn, and pool-vs-sequential agreement with reference-matcher
-   witness validation. *)
+   per-request deadlines, batch robustness and batch chunking), the
+   pool's shared queue (FIFO order, backpressure, drain, many workers),
+   sharded-LRU accounting under multi-domain churn, and
+   pool-vs-sequential agreement with reference-matcher witness
+   validation. *)
 
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
 module Jsonin = Sbd_service.Jsonin
 module Protocol = Sbd_service.Protocol
-module Sched = Sbd_service.Sched
 module Lru = Sbd_service.Lru
 module Worker = Sbd_service.Worker
 module Pool = Sbd_service.Pool
@@ -65,71 +65,128 @@ let test_parse_request () =
   | Error (J.Int 1, _) -> ()
   | _ -> Alcotest.fail "assert without re must fail"
 
-(* -- scheduler backpressure and drain ------------------------------------ *)
+(* -- pool queue: FIFO, backpressure, drain ------------------------------- *)
 
-let test_sched_backpressure () =
-  (* one worker: a single deque, exactly the old shared-queue contract *)
-  let q = Sched.create ~workers:1 ~cap:2 in
-  check "push 1" true (Sched.try_push q 1);
-  check "push 2" true (Sched.try_push q 2);
-  check "push beyond cap refused" false (Sched.try_push q 3);
-  check_int "length" 2 (Sched.length q);
-  (match Sched.pop q ~me:0 with
-  | Some 1 -> ()
-  | _ -> Alcotest.fail "FIFO order");
-  check "slot freed" true (Sched.try_push q 4);
-  Sched.close q;
-  check "push after close refused" false (Sched.try_push q 5);
-  check "drains after close" true (Sched.pop q ~me:0 = Some 2);
-  check "drains after close" true (Sched.pop q ~me:0 = Some 4);
-  check "None once drained" true (Sched.pop q ~me:0 = None)
-
-let test_sched_spill () =
-  (* a full affinity target spills to the least-loaded deque instead of
-     shedding, and the spill is counted *)
-  let q = Sched.create ~workers:2 ~cap:4 in
-  (* per-deque cap is 2; all pushes target deque 0 *)
-  check "push 1" true (Sched.try_push ~affinity:0 q 1);
-  check "push 2" true (Sched.try_push ~affinity:0 q 2);
-  check "spilled to deque 1" true (Sched.try_push ~affinity:0 q 3);
-  check_int "one spill" 1 (Sched.spills q);
-  check "spill target fills too" true (Sched.try_push ~affinity:0 q 4);
-  check "both deques full" false (Sched.try_push ~affinity:0 q 5);
-  check_int "length" 4 (Sched.length q);
-  Sched.close q
-
-(* Multi-domain churn: every item routed to deque 0, consumed only by
-   workers 1..3 — each delivery is necessarily a steal.  Checks no item
-   is lost or duplicated and that close lets consumers drain cleanly. *)
-let test_sched_steal_stress () =
-  let n = 1_000 in
-  let workers = 4 in
-  let q = Sched.create ~workers ~cap:64 in
-  let got = Array.make workers [] in
-  let consumers =
-    List.init (workers - 1) (fun k ->
-        let me = k + 1 in
-        Domain.spawn (fun () ->
-            let rec go () =
-              match Sched.pop q ~me with
-              | Some x ->
-                got.(me) <- x :: got.(me);
-                go ()
-              | None -> ()
-            in
-            go ()))
+(* A gate that [wait]s until [release]d. *)
+let gate () =
+  let m = Mutex.create () and c = Condition.create () and opened = ref false in
+  let wait () =
+    Mutex.protect m (fun () -> while not !opened do Condition.wait c m done)
   in
-  for i = 0 to n - 1 do
-    check "push_wait accepted" true (Sched.push_wait ~affinity:0 q i)
+  let release () =
+    Mutex.protect m (fun () ->
+        opened := true;
+        Condition.broadcast c)
+  in
+  (wait, release)
+
+let spin_until p =
+  while not (p ()) do
+    Unix.sleepf 0.001
+  done
+
+(* Occupy both workers of a 2-worker pool with jobs that block on their
+   own gate, and run [f] with the two release functions once both are
+   running.  The gates are opened when [f] ends, so a failing check
+   cannot leave the pool unjoinable. *)
+let with_blocked_workers pool f =
+  let started = Atomic.make 0 in
+  let gates = List.init 2 (fun _ -> gate ()) in
+  List.iter
+    (fun (wait, _) ->
+      (* a 1-slot queue refuses the second blocker until a worker takes
+         the first *)
+      spin_until (fun () ->
+          Pool.submit pool (fun _ ->
+              Atomic.incr started;
+              wait ())))
+    gates;
+  spin_until (fun () -> Atomic.get started = 2);
+  let releases = List.map snd gates in
+  Fun.protect
+    ~finally:(fun () -> List.iter (fun release -> release ()) releases)
+    (fun () -> f releases)
+
+let pool_stat pool name = List.assoc name (Pool.stats pool)
+
+let test_pool_backpressure () =
+  let cap = 4 in
+  let pool = Pool.create ~workers:2 ~queue_cap:cap () in
+  let ran = ref [] and ran_mutex = Mutex.create () in
+  with_blocked_workers pool (fun releases ->
+      for i = 1 to cap do
+        check "within cap accepted" true
+          (Pool.submit pool (fun _ ->
+               Mutex.protect ran_mutex (fun () -> ran := i :: !ran)))
+      done;
+      check "submit at queue_cap refused" false (Pool.submit pool (fun _ -> ()));
+      check_int "queue full" cap (Pool.queue_length pool);
+      (* close while the jobs are still queued: the workers run them
+         before they stop *)
+      let closer = Thread.create Pool.shutdown pool in
+      Unix.sleepf 0.01;
+      (* only one worker is freed, so the run order is the queue order *)
+      List.hd releases ();
+      spin_until (fun () ->
+          Mutex.protect ran_mutex (fun () -> List.length !ran = cap));
+      closer)
+  |> Thread.join;
+  check "FIFO order" true (List.rev !ran = List.init cap (fun i -> i + 1));
+  check "submit after close refused" false (Pool.submit pool (fun _ -> ()));
+  check "rejections counted" true (pool_stat pool "service.pool.rejected" = 2.0);
+  check "nothing pending" true (pool_stat pool "service.pool.pending" = 0.0)
+
+(* Producer domains race on a small queue (retrying on refusal) while
+   three workers consume; shutdown closes with jobs possibly queued.
+   Every job must run exactly once. *)
+let test_pool_stress () =
+  let n = 2_000 and producers = 3 in
+  let pool = Pool.create ~workers:3 ~queue_cap:16 () in
+  let runs = Array.init n (fun _ -> Atomic.make 0) in
+  let refused = Atomic.make 0 in
+  let domains =
+    List.init producers (fun p ->
+        Domain.spawn (fun () ->
+            let i = ref p in
+            while !i < n do
+              let k = !i in
+              if Pool.submit pool (fun _ -> Atomic.incr runs.(k)) then
+                i := !i + producers
+              else begin
+                Atomic.incr refused;
+                Unix.sleepf 1e-4
+              end
+            done))
+  in
+  List.iter Domain.join domains;
+  Pool.shutdown pool;
+  check "every job ran exactly once" true
+    (Array.for_all (fun a -> Atomic.get a = 1) runs);
+  check "submit after shutdown refused" false (Pool.submit pool (fun _ -> ()));
+  check "processed" true (pool_stat pool "service.pool.processed" = float_of_int n);
+  check "rejections counted" true
+    (pool_stat pool "service.pool.rejected" = float_of_int (Atomic.get refused + 1));
+  check_int "drained empty" 0 (Pool.queue_length pool)
+
+(* [drain] must not return while an accepted job has left the queue but
+   not yet finished.  The first rounds run jobs that sleep; the later,
+   instant ones make [drain] race the hand-off from queue to worker. *)
+let test_pool_drain () =
+  let pool = Pool.create ~workers:2 ~queue_cap:8 () in
+  let finished = Atomic.make 0 and accepted = ref 0 in
+  for round = 1 to 1000 do
+    for _ = 1 to 2 do
+      if
+        Pool.submit pool (fun _ ->
+            if round <= 10 then Unix.sleepf 0.003;
+            Atomic.incr finished)
+      then incr accepted
+    done;
+    Pool.drain pool;
+    check_int "every accepted job finished" !accepted (Atomic.get finished)
   done;
-  Sched.close q;
-  List.iter Domain.join consumers;
-  check "push after close refused" false (Sched.push_wait ~affinity:0 q n);
-  let all = Array.to_list got |> List.concat |> List.sort compare in
-  check_int "no lost or duplicated items" n (List.length all);
-  check "exactly the pushed items" true (all = List.init n Fun.id);
-  check_int "every delivery was a steal" n (Sched.steals q);
-  check_int "drained empty" 0 (Sched.length q)
+  check_int "all accepted" 2000 !accepted;
+  Pool.shutdown pool
 
 (* -- LRU accounting ------------------------------------------------------ *)
 
@@ -390,18 +447,21 @@ let test_lines_reader () =
 (* -- full session over pipes --------------------------------------------- *)
 
 (* Run a server on its own thread, speaking the newline-delimited JSON
-   protocol over two pipes, exactly as a socket client would see it. *)
-let with_session cfg f =
+   protocol over two pipes, exactly as a socket client would see it.
+   The pool is shut down when the session ends; an exception from that
+   (a worker domain that died) fails the test. *)
+let with_server t f =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
-  let t = Server.create cfg in
+  let shutdown_error = ref None in
   let srv =
     Thread.create
       (fun () ->
         let ic = Unix.in_channel_of_descr req_r in
         let oc = Unix.out_channel_of_descr resp_w in
         ignore (Server.serve_channel t ic oc);
-        Pool.shutdown t.Server.pool;
+        (try Pool.shutdown t.Server.pool
+         with e -> shutdown_error := Some (Printexc.to_string e));
         close_out_noerr oc;
         close_in_noerr ic)
       ()
@@ -418,12 +478,18 @@ let with_session cfg f =
     | Ok json -> json
     | Error msg -> Alcotest.fail ("bad response JSON: " ^ msg)
   in
-  Fun.protect
-    ~finally:(fun () ->
-      close_out_noerr out;
-      Thread.join srv;
-      close_in_noerr inp)
-    (fun () -> f ~send ~recv)
+  let result =
+    Fun.protect
+      ~finally:(fun () ->
+        close_out_noerr out;
+        Thread.join srv;
+        close_in_noerr inp)
+      (fun () -> f ~send ~recv)
+  in
+  Option.iter (Alcotest.failf "Pool.shutdown raised %s") !shutdown_error;
+  result
+
+let with_session cfg f = with_server (Server.create cfg) f
 
 let small_cfg =
   {
@@ -569,6 +635,85 @@ let test_batch_robustness () =
       check "id correlated" true (Jsonin.member "id" r = Some (J.Str "alive"));
       send {|{"id": 0, "op": "shutdown"}|};
       ignore (recv ()))
+
+(* Receive [n] replies and index them by their string id; each id must
+   appear once. *)
+let recv_ids recv n =
+  let replies = Hashtbl.create n in
+  for _ = 1 to n do
+    let r = recv () in
+    match[@warning "-4"] Jsonin.member "id" r with
+    | Some (J.Str id) ->
+      check ("answered once: " ^ id) false (Hashtbl.mem replies id);
+      Hashtbl.add replies id r
+    | _ -> Alcotest.fail "reply without a string id"
+  done;
+  fun id ->
+    match Hashtbl.find_opt replies id with
+    | Some r -> r
+    | None -> Alcotest.fail ("no response for id " ^ id)
+
+let test_batch_chunks () =
+  check "chunks of a batch" true
+    (Server.chunks 2 [ 1; 2; 3; 4; 5 ] = [ [ 1; 2; 3 ]; [ 4; 5 ] ]
+    && Server.chunks 4 [ 1; 2; 3; 4; 5 ] = [ [ 1; 2 ]; [ 3; 4 ]; [ 5 ] ]
+    && Server.chunks 3 [ 1 ] = [ [ 1 ] ]
+    && Server.chunks 2 [] = []);
+  (* five pool-bound members on two workers: two chunks, two pool jobs;
+     the reader answers the assert and the bad member itself *)
+  let t = Server.create small_cfg in
+  with_server t (fun ~send ~recv ->
+      send
+        {|{"op":"batch","reqs":[{"id":"s1","op":"solve","re":"ab*c"},{"id":"s2","op":"solve","re":"a{2}&a{3}"},{"id":"a","op":"assert","re":"x"},{"id":"s3","op":"match","re":"ab*c","input":"xxabbbcyy"},{"id":"bad","op":"frobnicate"},{"id":"s4","op":"subset","re":"a","re2":"a*"},{"id":"s5","op":"solve","re":"[0-9]{3}"}]}|};
+      let by_id = recv_ids recv 7 in
+      check "s1 sat" true (status (by_id "s1") = Some "sat");
+      check "s2 unsat" true (status (by_id "s2") = Some "unsat");
+      check "assert ok" true (status (by_id "a") = Some "ok");
+      check "s3 span" true
+        (Jsonin.member "span" (by_id "s3") = Some (J.Arr [ J.Int 2; J.Int 7 ]));
+      check "bad member error" true (Jsonin.str_member "error" (by_id "bad") <> None);
+      check "s4 proved" true (status (by_id "s4") = Some "proved");
+      check "s5 sat" true (status (by_id "s5") = Some "sat");
+      send {|{"id":"end","op":"shutdown"}|};
+      ignore (recv ()));
+  check "one pool job per chunk" true
+    (pool_stat t.Server.pool "service.pool.processed" = 2.0)
+
+(* A full queue answers [overloaded] at once, and the queued request is
+   still answered once the workers free up. *)
+let test_overloaded_reply () =
+  let t = Server.create { small_cfg with queue_cap = 1 } in
+  with_server t (fun ~send ~recv ->
+      with_blocked_workers t.Server.pool (fun _ ->
+          send {|{"id":"queued","op":"solve","re":"ab*c"}|};
+          send {|{"id":"shed","op":"solve","re":"a|b"}|};
+          let r = recv () in
+          check "shed request answered first" true
+            (Jsonin.member "id" r = Some (J.Str "shed"));
+          check_str "overloaded" "overloaded"
+            (Option.value (Jsonin.str_member "error" r) ~default:"<none>"));
+      let r = recv () in
+      check "queued request answered" true
+        (Jsonin.member "id" r = Some (J.Str "queued") && status r = Some "sat");
+      send {|{"id":"end","op":"shutdown"}|};
+      ignore (recv ()))
+
+(* 63 workers, one domain each: every request is answered and the pool
+   joins cleanly.  [max 1] is the only clamp on the worker count. *)
+let test_many_workers () =
+  let t = Server.create { small_cfg with workers = 63 } in
+  check_int "63 workers" 63 t.Server.pool.Pool.workers;
+  with_server t (fun ~send ~recv ->
+      send {|{"id":"a","op":"solve","re":"ab*c"}|};
+      send {|{"id":"b","op":"solve","re":"a{2}&a{3}"}|};
+      send {|{"id":"c","op":"match","re":"b+","input":"abbc"}|};
+      let by_id = recv_ids recv 3 in
+      check "a sat" true (status (by_id "a") = Some "sat");
+      check "b unsat" true (status (by_id "b") = Some "unsat");
+      check "c matched" true (Jsonin.bool_member "matched" (by_id "c") = Some true);
+      send {|{"id":"end","op":"shutdown"}|};
+      check "drained" true (Jsonin.bool_member "drained" (recv ()) = Some true));
+  check_int "workers floor at 1" 1 (Pool.create ~workers:0 ~queue_cap:1 ()).Pool.workers
 
 (* An intersection of alternations that clean-DNF pruning cannot
    collapse (see test_obs.ml): the first transition computation builds
@@ -779,9 +924,9 @@ let suite =
     ; Alcotest.test_case "match request parsing" `Quick test_parse_match_request
     ; Alcotest.test_case "batch envelope parsing" `Quick test_parse_batch
     ; Alcotest.test_case "draining line reader" `Quick test_lines_reader
-    ; Alcotest.test_case "sched backpressure" `Quick test_sched_backpressure
-    ; Alcotest.test_case "sched spill-over" `Quick test_sched_spill
-    ; Alcotest.test_case "sched steal stress" `Quick test_sched_steal_stress
+    ; Alcotest.test_case "pool backpressure" `Quick test_pool_backpressure
+    ; Alcotest.test_case "pool stress" `Quick test_pool_stress
+    ; Alcotest.test_case "pool drain" `Quick test_pool_drain
     ; Alcotest.test_case "lru accounting" `Quick test_lru
     ; Alcotest.test_case "lru shard layout" `Quick test_lru_shards
     ; Alcotest.test_case "lru sharded stress" `Quick test_lru_sharded_stress
@@ -790,6 +935,9 @@ let suite =
     ; Alcotest.test_case "session round-trip" `Quick test_session_roundtrip
     ; Alcotest.test_case "batch round-trip" `Quick test_batch_roundtrip
     ; Alcotest.test_case "batch robustness" `Quick test_batch_robustness
+    ; Alcotest.test_case "batch chunks" `Quick test_batch_chunks
+    ; Alcotest.test_case "overloaded reply" `Quick test_overloaded_reply
+    ; Alcotest.test_case "63 workers" `Quick test_many_workers
     ; Alcotest.test_case "analyze op" `Quick test_analyze_op
     ; Alcotest.test_case "contain ops" `Quick test_contain_op
     ; Alcotest.test_case "contain request budget" `Quick test_contain_budget
