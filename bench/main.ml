@@ -305,7 +305,7 @@ let tests =
       Test.make_grouped ~name:"core"
         [ Test.make ~name:"delta_dnf"
             (Staged.stage (fun () ->
-                 D.clear_tables ();
+                 D.clear ();
                  ignore (D.delta_dnf (re password_re))))
         ; Test.make ~name:"derive_word"
             (Staged.stage (fun () ->

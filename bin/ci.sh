@@ -24,7 +24,7 @@ echo "== tests (GC-perturbed interleavings) =="
 # OCaml has no thread-schedule randomizer; the closest portable lever
 # is a tiny minor heap (s=4k words), which forces frequent GC
 # safepoints and so perturbs domain/thread interleavings in the
-# scheduler, pool, and sharded-cache stress tests.  --force reruns the
+# pool queue and sharded-cache stress tests.  --force reruns the
 # suite even though dune has cached the first pass.
 OCAMLRUNPARAM='s=4k' dune runtest --force
 
@@ -90,10 +90,12 @@ dune exec bin/experiments.exe -- contain-bench --no-bench --check
 
 echo "== derivation bench gates =="
 # cold-derives every state of the boolean + handwritten + dz3 suites,
-# then gates: boolean dz3 solved% must be 100 and the warm DNF memo
+# then gates: boolean dz3 solved% must be 100, the warm DNF memo
 # hit rate >= 0.9 on every suite (a hash-consing or memo regression
-# shows up here before it shows up as wall time); --no-bench skips the
-# throughput timing, which is meaningless on shared CI runners
+# shows up here before it shows up as wall time), and the dz3 verdict
+# digest over the three suites must equal the pinned one; --no-bench
+# skips the throughput timing, which is meaningless on shared CI
+# runners
 dune exec bin/experiments.exe -- deriv-bench --no-bench --check
 
 echo "== abstract pre-solver gates =="
@@ -142,8 +144,8 @@ for w in 1 2; do
 done
 
 echo "== many-worker smoke =="
-# one domain per worker with no cap on the count: 63 workers must
-# answer every request and exit 0 after shutdown
+# one domain per worker: 63 workers must answer every request and exit
+# 0 after shutdown
 out=$(printf '%s\n' \
   '{"id":1,"op":"solve","re":"a|b"}' \
   '{"id":2,"op":"solve","re":"ab&~ab"}' \
@@ -152,3 +154,11 @@ out=$(printf '%s\n' \
 echo "$out" | grep -q '"id":1,"status":"sat"' || { echo "63 workers: solve 1 missing"; exit 1; }
 echo "$out" | grep -q '"id":2,"status":"unsat"' || { echo "63 workers: solve 2 missing"; exit 1; }
 echo "$out" | grep -q '"id":3,"status":"ok","drained":true' || { echo "63 workers: shutdown reply missing"; exit 1; }
+# OCaml runs at most 128 domains, the main one included: --workers
+# outside 1..127 is a usage error (exit 124) naming the bound, never a
+# crash at startup
+for w in 0 128; do
+  rc=0; err=$(dune exec bin/sbdserve.exe -- --workers "$w" < /dev/null 2>&1) || rc=$?
+  [ "$rc" -eq 124 ] || { echo "--workers $w: expected exit 124, got $rc"; exit 1; }
+  echo "$err" | grep -q "1 to 127" || { echo "--workers $w: error does not name the bound"; exit 1; }
+done

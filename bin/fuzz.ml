@@ -36,11 +36,11 @@ module Sbfa = Sbd_core.Sbfa.Make (R)
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module MSolve = Sbd_classic.Minterm_solver.Make (R)
 module Matcher = Sbd_matcher.Matcher.Make (R)
-module An = Sbd_analysis.Analyze.Make (R)
-module Ab = Sbd_absdom.Absdom.Make (R)
+module An = Sbd_service.Default.An
+module Ab = Sbd_service.Default.Ab
 module C = Sbd_service.Default.C
-module Eng = Sbd_engine.Search.Make (R)
-module EngStream = Sbd_engine.Stream.Make (R)
+module Eng = Sbd_service.Default.Eng
+module EngStream = Sbd_engine.Stream.Make (Ab)
 module U = Sbd_alphabet.Utf8
 module LR = Sbd_service.Default.LR
 module LRef = Sbd_service.Default.LRef

@@ -48,14 +48,29 @@ let () =
       & info [ "socket" ] ~docv:"PATH"
           ~doc:"Serve a Unix-domain socket at $(docv) instead of stdin/stdout.")
   in
+  (* One domain per worker, and OCaml runs at most 128 domains at once,
+     the main one included. *)
+  let max_workers = 127 in
+  let workers_conv =
+    let parse s =
+      match int_of_string_opt s with
+      | Some n when n >= 1 && n <= max_workers -> Ok n
+      | _ ->
+        Error
+          (`Msg
+            (Printf.sprintf "expected an integer from 1 to %d, got %S"
+               max_workers s))
+    in
+    Arg.conv (parse, Format.pp_print_int)
+  in
   let workers_t =
     Arg.(
       value
-      & opt int (Sbd_service.Pool.default_workers ())
+      & opt workers_conv (Sbd_service.Pool.default_workers ())
       & info [ "workers" ]
           ~doc:
-            "Size of the domain worker pool (default: recommended domain \
-             count minus one, at least 1).")
+            "Size of the domain worker pool, from 1 to 127 (default: \
+             recommended domain count minus one, at least 1).")
   in
   let queue_cap_t =
     Arg.(
@@ -83,8 +98,9 @@ let () =
       value & opt int 200_000
       & info [ "memo-cap" ]
           ~doc:
-            "Per-worker derivative memo-table entry cap; beyond it the \
-             worker clears its tables (cache-pressure relief).")
+            "Per-worker cap on memo entries across the solver tower; \
+             beyond it the worker clears every memo (cache-pressure \
+             relief).")
   in
   let budget_t =
     Arg.(

@@ -41,9 +41,9 @@ module L = Sbd_service.Default.LR
 module LP = Sbd_service.Default.LP
 module LM = Sbd_service.Default.LM
 module LA = Sbd_service.Default.LA
-module Eng = Sbd_engine.Search.Make (Sbd_service.Default.R)
-module An = Sbd_analysis.Analyze.Make (Sbd_service.Default.R)
-module Ab = Sbd_absdom.Absdom.Make (Sbd_service.Default.R)
+module Eng = Sbd_service.Default.Eng
+module An = Sbd_service.Default.An
+module Ab = Sbd_service.Default.Ab
 module Obs = Sbd_obs.Obs
 
 let read_all ic =

@@ -9,7 +9,8 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module T = Sbd_service.Default.Make (R)
+module S = T.S
 
 let session = S.create_session ()
 

@@ -10,7 +10,8 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module T = Sbd_service.Default.Make (R)
+module S = T.S
 
 let session = S.create_session ()
 
@@ -71,8 +72,7 @@ let () =
   (* Character theory at work: the same policy over the Unicode BMP.  A
      password containing a CJK character still satisfies "no whitespace"
      but not "has a lowercase [a-z] letter". *)
-  let module D = Sbd_core.Deriv.Make (R) in
   let cjk_password = [ 0x4E2D; 0x6587; Char.code 'a'; Char.code 'A'
                      ; Char.code '7'; Char.code '!'; Char.code 'x'; Char.code 'y' ] in
   Printf.printf "\nCJK-containing password accepted: %b\n"
-    (D.matches policy cjk_password)
+    (S.D.matches policy cjk_password)

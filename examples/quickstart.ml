@@ -4,13 +4,14 @@
    The stack is functorized over an effective Boolean algebra of
    character predicates; instantiate it once with the BDD algebra over
    the Unicode BMP and you get regexes, symbolic derivatives, and the
-   decision procedure. *)
+   decision procedure, all built over one derivative tower. *)
 
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
-module P = Sbd_regex.Parser.Make (R)
-module D = Sbd_core.Deriv.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module T = Sbd_service.Default.Make (R)
+module P = T.P
+module D = T.D
+module S = T.S
 
 let () =
   (* 1. Parse extended regexes: & is intersection, ~ is complement. *)

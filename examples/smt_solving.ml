@@ -6,7 +6,8 @@
    Run with: dune exec examples/smt_solving.exe *)
 
 module R = Sbd_regex.Regex.Make (Sbd_alphabet.Bdd)
-module E = Sbd_smtlib.Eval.Make (R)
+module T = Sbd_service.Default.Make (R)
+module E = T.E
 
 let script =
   {|

@@ -27,9 +27,11 @@
    On any doubt the answer degrades to [Unknown] -- the same
    never-wrong contract as the SBD201-SBD204 semantic lints. *)
 
-module Make (R : Sbd_regex.Regex.S) = struct
-  module A = R.A
-  module D = Sbd_core.Deriv.Make (R)
+module Body (D : Sbd_core.Deriv.S) = struct
+  open struct
+    module R = D.R
+    module A = R.A
+  end
 
   (* Widening caps: combined strides above [stride_cap] fall back to
      their gcd (coarser but sound); candidate witnesses longer than
@@ -229,12 +231,13 @@ module Make (R : Sbd_regex.Regex.S) = struct
       =
     Hashtbl.create 256
 
-  let memo_entries () = Hashtbl.length memo
+  let memo_entries () = Hashtbl.length memo + Hashtbl.length verdict_memo
 
+  (* Drops this domain's own memos only: the derivative tower [D] below
+     is shared with the other layers and cleared by its owner. *)
   let clear () =
     Hashtbl.reset memo;
-    Hashtbl.reset verdict_memo;
-    D.clear ()
+    Hashtbl.reset verdict_memo
 
   (* Post-pass per node: fold the domains into each other and into the
      emptiness verdict.  Raising lmin to the disjoint-required count
@@ -499,4 +502,18 @@ module Make (R : Sbd_regex.Regex.S) = struct
       | Empty -> "empty"
       | Nonempty -> "nonempty"
       | Maybe_empty -> "maybe")
+end
+
+(** The domain over one derivative tower [D].  The solver, the
+    containment prover, the analyzers and the match engine are functors
+    over an instance of [S], so they share its memos and take [D] from
+    it. *)
+module type S = sig
+  module D : Sbd_core.Deriv.S
+  include module type of Body (D)
+end
+
+module Make (D : Sbd_core.Deriv.S) : S with module D = D = struct
+  module D = D
+  include Body (D)
 end

@@ -75,12 +75,12 @@
     ([sbdsolve --lint --corpus]) additionally re-checks every suggestion
     against the solver (symmetric difference must be unsatisfiable). *)
 
-module Make (R : Sbd_regex.Regex.S) = struct
+module Make (C : Sbd_contain.Contain.S) = struct
+  module Ab = C.Ab
+  module D = C.D
+  module R = D.R
   module A = R.A
-  module D = Sbd_core.Deriv.Make (R)
-  module C = Sbd_contain.Contain.Make (R)
   module Mt = Sbd_alphabet.Minterm.Make (A)
-  module Ab = Sbd_absdom.Absdom.Make (R)
   module Obs = Sbd_obs.Obs
   module J = Obs.Json
 
@@ -1118,20 +1118,16 @@ module Make (R : Sbd_regex.Regex.S) = struct
     | fs ->
       List.iter (fun f -> Format.fprintf ppf "%a@\n" pp_finding f) fs
 
-  (** Cache-pressure accounting, mirroring {!Sbd_core.Deriv}: the
-      analyzer keeps its own derivative memo (a separate functor
-      application) plus the structural scan memos. *)
+  (** Cache-pressure accounting for the analyzer's own tables: the
+      structural scan memos and its containment session.  The shared
+      derivative tower and abstract domain below are counted and
+      cleared by their owner. *)
   let memo_entries () =
-    D.memo_entries () + Hashtbl.length scan_memo
-    + Hashtbl.length cheap_empty_memo
-    + C.memo_entries csession + C.D.memo_entries ()
-    + Ab.memo_entries ()
+    Hashtbl.length scan_memo + Hashtbl.length cheap_empty_memo
+    + C.memo_entries csession
 
   let clear () =
-    D.clear ();
     Hashtbl.reset scan_memo;
     Hashtbl.reset cheap_empty_memo;
-    C.clear csession;
-    C.D.clear ();
-    Ab.clear ()
+    C.clear csession
 end

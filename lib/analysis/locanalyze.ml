@@ -30,9 +30,11 @@
     severity vocabulary of {!Analyze} so the CLI and service render
     both uniformly. *)
 
-module Make (L : Sbd_locregex.Locregex.S) = struct
+module Make
+    (Ab : Sbd_absdom.Absdom.S)
+    (L : Sbd_locregex.Locregex.S with module R = Ab.D.R) =
+struct
   module R = L.R
-  module Ab = Sbd_absdom.Absdom.Make (R)
 
   type severity = Error | Warning | Info
 

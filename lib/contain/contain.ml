@@ -28,12 +28,86 @@
     hitting a known-refuted pair refutes immediately with
     [path ++ suffix]. *)
 
-module Make (R : Sbd_regex.Regex.S) = struct
+(** The prover over one abstract domain [Ab] and its derivative tower
+    [Ab.D], shared with the solver and the analyzer. *)
+module type S = sig
+  module Ab : Sbd_absdom.Absdom.S
+  module D = Ab.D
+  module R = D.R
   module A = R.A
-  module D = Sbd_core.Deriv.Make (R)
+
+  type verdict =
+    | Proved
+    | Refuted of int list
+        (** distinguishing word (code points): for [subset r s] a word in
+            [L(r) \ L(s)]; for [equiv r s] a word in exactly one of the
+            two languages *)
+    | Unknown of string  (** budget or deadline exhausted *)
+
+  val string_of_verdict : verdict -> string
+  val pp_verdict : Format.formatter -> verdict -> unit
+
+  (** A prover session: persistent id-pair memo tables (proved and
+      refuted pairs survive across queries) plus work counters.  Pair
+      keys are O(1) thanks to hash-consing: two packed node ids. *)
+  type session
+
+  val create_session : unit -> session
+
+  val session_stats : session -> (string * float) list
+  (** Machine-readable counters (name, value): queries, pair expansions,
+      memo hits, peak frontier, verdict tallies, memo sizes, wall time. *)
+
+  val memo_entries : session -> int
+  (** Total entries across the pair memo tables (cache-pressure gauge;
+      the shared [D] and [Ab] memos are counted by the tower). *)
+
+  val clear : session -> unit
+  (** Drop the pair memo tables (not the underlying derivative memos).
+      Safe at any query boundary. *)
+
+  val default_budget : int
+
+  val subset :
+    ?budget:int ->
+    ?deadline:Sbd_obs.Obs.Deadline.t ->
+    ?presolve:bool ->
+    session ->
+    R.t ->
+    R.t ->
+    verdict
+  (** Decide [L(r) ⊆ L(s)].  [budget] bounds pair expansions (default
+      {!default_budget}); on exhaustion the verdict is [Unknown], never
+      a guess.  [deadline] is additionally enforced between expansions
+      and inside the derivative/DNF machinery.
+
+      [presolve] (default [true]) first runs the abstract-domain
+      prescan on the emptiness reduction [r & ~s]: an abstractly empty
+      difference proves the containment, a matcher-validated member of
+      the difference refutes it with that distinguishing word, and on
+      any doubt the coinductive pair search runs as before.  Set
+      [presolve:false] for A/B measurements. *)
+
+  val equiv :
+    ?budget:int ->
+    ?deadline:Sbd_obs.Obs.Deadline.t ->
+    ?presolve:bool ->
+    session ->
+    R.t ->
+    R.t ->
+    verdict
+  (** Decide [L(r) = L(s)] by direct pair coinduction (one pass over
+      unordered pairs, not two containment runs).  The memo key is
+      canonical under argument order. *)
+end
+
+module Make (Ab : Sbd_absdom.Absdom.S) : S with module Ab = Ab = struct
+  module Ab = Ab
+  module D = Ab.D
+  module R = D.R
+  module A = R.A
   module Mt = Sbd_alphabet.Minterm.Make (A)
   module Obs = Sbd_obs.Obs
-  module Ab = Sbd_absdom.Absdom.Make (R)
 
   let c_queries = Obs.Counter.make "contain.queries"
   let c_expansions = Obs.Counter.make "contain.expansions"

@@ -11,7 +11,69 @@
     state space of the corresponding SBFA lazily, and hash-consed regexes
     make the memo table a map from state to out-transitions. *)
 
-module Make (R : Sbd_regex.Regex.S) = struct
+(** The interface of one derivative tower: the layers above (the
+    abstract domain, the solver, the containment prover, the analyzer)
+    are functors over an instance of [S], so one application of {!Make}
+    serves them all with one set of memo tables. *)
+module type S = sig
+  module R : Sbd_regex.Regex.S
+  module A : Sbd_alphabet.Algebra.S with type pred = R.A.pred
+  module Tr : module type of Tregex.Make (R)
+
+  val delta : ?deadline:Sbd_obs.Obs.Deadline.t -> R.t -> Tr.t
+  (** The symbolic derivative [δ : ERE → TR] (Section 4).  Complements
+      are pushed eagerly through [Tr.neg] (sound by Lemma 4.2), which
+      keeps intermediate transition regexes negation-free.
+      [deadline] bounds the work of one derivation: on expiry the
+      recursion raises [Sbd_obs.Obs.Deadline_exceeded] (memo tables stay
+      consistent -- only completed results are cached). *)
+
+  val delta_dnf : ?deadline:Sbd_obs.Obs.Deadline.t -> R.t -> Tr.t
+  (** The derivative in clean disjunctive normal form (Section 5,
+      "Transition Regex Normal Form").  The normalization is the
+      worst-case exponential step; [deadline] is checked at every node
+      it visits. *)
+
+  val transitions :
+    ?deadline:Sbd_obs.Obs.Deadline.t -> R.t -> (A.pred * R.t) list
+  (** Guarded out-edges of [r] in the derivative graph: the transitions
+      of [delta_dnf r], memoized.  [deadline] as in {!delta_dnf}. *)
+
+  val derive : int -> R.t -> R.t
+  (** One-character derivation: [derive c r = delta(r)(c)]. *)
+
+  val matches : R.t -> int list -> bool
+  (** Derivative-based matching of a concrete word (code points). *)
+
+  val matches_string : R.t -> string -> bool
+  (** Match the bytes of an OCaml string (Latin-1 code points). *)
+
+  val stats : unit -> int * int * int
+  (** Sizes of the (delta, dnf, transitions) memo tables, for the
+      harness. *)
+
+  val memo_entries : unit -> int
+  (** Total entries across all memo tables, including the Tr
+      normalization memos (but not the never-evicted Tr intern table):
+      this layer's share of the tower's cache-pressure gauge
+      ([Sbd_service.Default.Make]). *)
+
+  val clear : unit -> unit
+  (** Drop every memo table, including the Tr normalization memos (the
+      Tr intern table survives; see tregex.mli).  The tables otherwise
+      grow without bound across queries, which is correct amortization
+      for a batch run but a memory leak in a persistent server; the
+      tower's owner calls this when its gauge exceeds the worker's cap.
+      Safe at any query boundary: subsequent queries just recompute. *)
+
+  val cache_stats : unit -> (string * float) list
+  (** Current table sizes as (name, value) gauges for the [--stats]
+      surfaces: [deriv.table.{delta,dnf,transitions}] plus the Tr
+      layer's [tregex.*] gauges. *)
+end
+
+module Make (R : Sbd_regex.Regex.S) : S with module R = R = struct
+  module R = R
   module A = R.A
   module Tr = Tregex.Make (R)
   module Obs = Sbd_obs.Obs
@@ -37,15 +99,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
   (* Decrement an upper loop bound; unbounded stays unbounded. *)
   let pred_bound = function None -> None | Some n -> Some (n - 1)
 
-  (** The symbolic derivative [delta : ERE -> TR] (Section 4).  Complements
-      are pushed eagerly through [Tr.neg] (sound by Lemma 4.2), which keeps
-      intermediate transition regexes negation-free.
-
-      [deadline] bounds the work of a single derivation: the recursion
-      (and, downstream, the DNF expansion) raises
-      [Sbd_obs.Obs.Deadline_exceeded] when it expires, leaving the memo
-      tables consistent (entries are added only for completed
-      subcomputations). *)
   let rec delta ?(deadline = Obs.Deadline.none) (r : R.t) : Tr.t =
     match Idmemo.find delta_table r.R.id with
     | Some t ->
@@ -80,10 +133,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
       List.fold_left (fun acc x -> Tr.inter acc (delta x)) Tr.top rs
     | Not body -> Tr.neg (delta body)
 
-  (** [delta_dnf r]: the derivative in clean disjunctive normal form
-      (Section 5, "Transition Regex Normal Form").  The normalization is
-      the worst-case exponential step of the procedure; [deadline] is
-      checked at every node it visits. *)
   let delta_dnf ?(deadline = Obs.Deadline.none) (r : R.t) : Tr.t =
     match Idmemo.find dnf_table r.R.id with
     | Some t ->
@@ -105,9 +154,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
 
   let transitions_table : (A.pred * R.t) list Idmemo.t = Idmemo.create 4096
 
-  (** The guarded out-edges of [r] in the derivative graph: the
-      transitions of [delta_dnf r], memoized (the decision procedure
-      re-visits states at several search depths). *)
   let transitions ?(deadline = Obs.Deadline.none) (r : R.t) :
       (A.pred * R.t) list =
     match Idmemo.find transitions_table r.R.id with
@@ -121,47 +167,30 @@ module Make (R : Sbd_regex.Regex.S) = struct
       Idmemo.set transitions_table r.R.id ts;
       ts
 
-  (** One-character derivation: [derive c r = delta(r)(c)]. *)
   let derive c r = Tr.apply (delta r) c
 
-  (** [matches r w]: derivative-based matching of the concrete word [w]
-      (a list of code points) against [r]. *)
   let matches (r : R.t) (w : int list) : bool =
     R.nullable (List.fold_left (fun r c -> derive c r) r w)
 
-  (** [matches_string r s] matches the bytes of an OCaml string (i.e.
-      Latin-1 code points). *)
   let matches_string r s =
     matches r (List.init (String.length s) (fun i -> Char.code s.[i]))
 
-  (** Statistics about the memo tables, for the experiment harness:
-      sizes of the (delta, dnf, transitions) tables. *)
   let stats () =
     ( Idmemo.count delta_table,
       Idmemo.count dnf_table,
       Idmemo.count transitions_table )
 
-  let clear_tables () =
+  let clear () =
     Idmemo.clear delta_table;
     Idmemo.clear dnf_table;
     Idmemo.clear transitions_table;
     Tr.clear_memos ()
 
-  (** Total entries across the derivation memo tables {e and} the
-      transition-regex normalization memos below them: the
-      cache-pressure gauge a long-lived process watches against
-      [--memo-cap] (see [Sbd_service.Worker]).  The Tr intern table is
-      not counted -- it is never evicted (see tregex.mli). *)
   let memo_entries () =
     Idmemo.count delta_table + Idmemo.count dnf_table
     + Idmemo.count transitions_table
     + Tr.memo_entries ()
 
-  let clear = clear_tables
-
-  (** Current table sizes of this instantiation as (name, value) gauges
-      for the [--stats] surfaces: the three derivation memo tables plus
-      the Tr intern/memo tables. *)
   let cache_stats () =
     [
       ("deriv.table.delta", float_of_int (Idmemo.count delta_table));

@@ -11,9 +11,9 @@
 
 module Make (R : Sbd_regex.Regex.S) = struct
   module A = R.A
-  module D = Deriv.Make (R)
-  module Tr = D.Tr
   module Sbfa = Sbfa.Make (R)
+  module D = Sbfa.D
+  module Tr = Sbfa.Tr
 
   let escape s =
     let buf = Buffer.create (String.length s) in

@@ -97,11 +97,11 @@ let contains_sub (s : string) (needle : string) (shift : int array) : bool =
     !found
   end
 
-module Make (R : Sbd_regex.Regex.S) = struct
+module Make (Ab : Sbd_absdom.Absdom.S) = struct
+  module R = Ab.D.R
   module Bc = Byteclass.Make (R)
   module Dfa = Dfa.Make (R)
   module Lit = Sbd_analysis.Literals.Make (R)
-  module Ab = Sbd_absdom.Absdom.Make (R)
 
   (** Start-state byte-skip acceleration: while the DFA sits in its
       start state, bytes outside the candidate set provably keep it

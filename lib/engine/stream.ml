@@ -19,8 +19,8 @@
 
 module Obs = Sbd_obs.Obs
 
-module Make (R : Sbd_regex.Regex.S) = struct
-  module Search = Search.Make (R)
+module Make (Ab : Sbd_absdom.Absdom.S) = struct
+  module Search = Search.Make (Ab)
   module Bc = Search.Bc
   module Dfa = Search.Dfa
 

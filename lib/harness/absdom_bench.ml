@@ -30,7 +30,7 @@ module R = Harness.R
 module P = Harness.P
 module S = Harness.S
 module C = Sbd_service.Default.C
-module Ab = Sbd_absdom.Absdom.Make (R)
+module Ab = Sbd_service.Default.Ab
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
@@ -38,9 +38,9 @@ module I = Sbd_benchgen.Instance
 module Std = Sbd_benchgen.Standard
 module Pairs = Sbd_benchgen.Pairs
 
-(* A fresh solver instance per A/B arm (cold derivative memos); OCaml's
-   applicative functor paths make the two instances share [R]'s types. *)
-module type SOLVER = module type of Sbd_solver.Solve.Make (Harness.R)
+(* A fresh solver tower per A/B arm (cold derivative and abstract
+   memos) over the shared [R]. *)
+module type SOLVER = Sbd_solver.Solve.S with module Ab.D.R = R
 
 (* Pinned regression gates (bin/ci.sh gates on these via [check]). *)
 let corpus_hit_floor_pct = 25.0
@@ -96,7 +96,7 @@ let reduction_regex (mode : Pairs.mode) (l : R.t) (r : R.t) : R.t =
   | Pairs.Equiv -> R.alt (R.inter l (R.compl r)) (R.inter r (R.compl l))
 
 let run ?(label = "absdom") () : report =
-  Ab.clear ();
+  Sbd_service.Default.clear ();
   let corpus = Std.all () in
   let ssession = S.create_session () in
   let unsound = ref 0 in
@@ -255,8 +255,12 @@ let run ?(label = "absdom") () : report =
     done;
     Obs.now () -. t0
   in
-  let module S_on = Sbd_solver.Solve.Make (R) in
-  let module S_off = Sbd_solver.Solve.Make (R) in
+  let arm () =
+    (module Sbd_solver.Solve.Make
+              (Sbd_absdom.Absdom.Make (Sbd_core.Deriv.Make (R))) : SOLVER)
+  in
+  let module S_on = (val arm ()) in
+  let module S_off = (val arm ()) in
   let password_wall_off_s = run_password (module S_off) ~presolve:false in
   let password_wall_on_s = run_password (module S_on) ~presolve:true in
   let password_speedup =

@@ -19,7 +19,7 @@
 module R = Harness.R
 module P = Harness.P
 module S = Harness.S
-module An = Sbd_analysis.Analyze.Make (R)
+module An = Sbd_service.Default.An
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
 
@@ -109,7 +109,7 @@ let solver_effort ~budget ~timeout (r : R.t) : S.result * int * float =
 
 let run ?(budget = 50_000) ?(timeout = 0.5) ?(analyze_budget = 2_000)
     ?(instances = Sbd_benchgen.Standard.all ()) () : report =
-  An.clear ();
+  Sbd_service.Default.clear ();
   let errors = ref 0 and warnings = ref 0 and infos = ref 0 in
   let proved_empty = ref 0
   and refuted_empty = ref 0

@@ -43,6 +43,10 @@ module Std = Sbd_benchgen.Standard
 let solved_floor_pct = 100.0
 let dnf_hit_rate_floor = 0.9
 
+(* The pinned dz3 verdict digest: every refactor of the derivative,
+   abstract-domain or solver layers must reproduce it bit for bit. *)
+let pinned_verdict_digest = "5c5fdbd8da921bc7a58d4330c32f3479"
+
 (* Deterministic budgets: state exploration is bounded per pattern by a
    node budget (not wall time), so runs are reproducible. *)
 let solve_budget = 20_000
@@ -253,8 +257,9 @@ let run ?(label = "hashcons") () : report =
   { label; rows; boolean_solved_pct; verdict_digest; min_dnf_hit_rate; json }
 
 (** Regression gates for CI: boolean dz3 solved% must not drop below
-    the seed value and the warm [deriv.dnf] hit rate must stay near 1.
-    Returns the list of violated gates (empty = pass). *)
+    the seed value, the warm [deriv.dnf] hit rate must stay near 1, and
+    the verdict digest must equal {!pinned_verdict_digest}.  Returns the
+    list of violated gates (empty = pass). *)
 let check (r : report) : string list =
   let fails = ref [] in
   if r.boolean_solved_pct < solved_floor_pct then
@@ -266,6 +271,11 @@ let check (r : report) : string list =
     fails :=
       Printf.sprintf "deriv.dnf memo hit rate %.3f below floor %.2f"
         r.min_dnf_hit_rate dnf_hit_rate_floor
+      :: !fails;
+  if r.verdict_digest <> pinned_verdict_digest then
+    fails :=
+      Printf.sprintf "verdict digest %s differs from pinned %s"
+        r.verdict_digest pinned_verdict_digest
       :: !fails;
   List.rev !fails
 

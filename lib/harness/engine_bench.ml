@@ -27,7 +27,7 @@ module R = Harness.R
 module P = Harness.P
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
-module Eng = Sbd_engine.Search.Make (R)
+module Eng = Sbd_service.Default.Eng
 module Matcher = Sbd_matcher.Matcher.Make (R)
 module Ref = Sbd_classic.Refmatch.Make (R)
 

@@ -37,9 +37,10 @@ module Eager = Sbd_sfa.Eager.Make (R)
 module AntS = Sbd_sfa.Antimirov_solver.Make (R)
 
 (* The ranges-algebra stack, for the algebra ablation. *)
-module Rr = Sbd_regex.Regex.Make (Sbd_alphabet.Ranges)
-module Pr = Sbd_regex.Parser.Make (Rr)
-module Sr = Sbd_solver.Solve.Make (Rr)
+module Rs =
+  Sbd_service.Default.Make (Sbd_regex.Regex.Make (Sbd_alphabet.Ranges))
+module Pr = Rs.P
+module Sr = Rs.S
 
 type solver_id =
   | Dz3

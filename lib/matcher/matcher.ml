@@ -27,8 +27,11 @@ module Make (R : Sbd_regex.Regex.S) = struct
   let c_cache_hit = Obs.Counter.make "matcher.cache_hit"
   let c_cache_miss = Obs.Counter.make "matcher.cache_miss"
 
-  module Eng = Sbd_engine.Search.Make (R)
-  module An = Sbd_analysis.Analyze.Make (R)
+  (* A private tower: the matcher reads only the structural hints and
+     the abstract length bound, never the derivative memos. *)
+  module Ab = Sbd_absdom.Absdom.Make (Sbd_core.Deriv.Make (R))
+  module Eng = Sbd_engine.Search.Make (Ab)
+  module An = Sbd_analysis.Analyze.Make (Sbd_contain.Contain.Make (Ab))
 
   type t = {
     pattern : R.t;

@@ -1,32 +1,51 @@
-(** The canonical default solver instantiation, shared by every
-    binary and by the experiment harness.
+(** The solver tower, applied once.  [Make] applies [Deriv.Make] and
+    [Absdom.Make] exactly once; every layer above is a functor over that
+    [Ab] and its [D], so a derivative one layer computed is a memo hit
+    for the others, and {!Make.clear} reaches every memo.
 
-    [sbdsolve], [experiments], [fuzz] and [sbdserve] all want the same
-    tower — BDD algebra, regexes, parser, derivative-based solver,
-    SMT-LIB evaluator — and used to re-apply the functors themselves;
-    this module is the single shared application (one set of
-    hash-cons/memo tables per process for the single-threaded tools).
+    This module is [Make] over the process-global BDD algebra, shared by
+    the binaries and the harness.  Each service worker applies [Make]
+    over its own generative [Bdd.Make ()] instead ({!Worker.create}). *)
 
-    The concurrent service does {e not} use these: its pool workers
-    need isolated mutable state and instantiate their own tower via
-    the generative {!Worker.create}. *)
+module Make (R : Sbd_regex.Regex.S) = struct
+  module R = R
+  module A = R.A
+  module P = Sbd_regex.Parser.Make (R)
+  module D = Sbd_core.Deriv.Make (R)
+  module Ab = Sbd_absdom.Absdom.Make (D)
+  module S = Sbd_solver.Solve.Make (Ab)
+  module E = Sbd_smtlib.Eval.Make (S)
+  module C = Sbd_contain.Contain.Make (Ab)
+  module An = Sbd_analysis.Analyze.Make (C)
+  module Eng = Sbd_engine.Search.Make (Ab)
+  module Simp = Sbd_regex.Simplify.Make (R)
+  module Ref = Sbd_classic.Refmatch.Make (R)
 
-module A = Sbd_alphabet.Bdd
-module R = Sbd_regex.Regex.Make (A)
-module P = Sbd_regex.Parser.Make (R)
-module D = Sbd_core.Deriv.Make (R)
-module S = Sbd_solver.Solve.Make (R)
-module E = Sbd_smtlib.Eval.Make (R)
-module Simp = Sbd_regex.Simplify.Make (R)
-module Ref = Sbd_classic.Refmatch.Make (R)
-module C = Sbd_contain.Contain.Make (R)
+  (* The located layer shares [R]'s hash-cons table: plain results
+     route back to the classical machinery with physical equality. *)
+  module LR = Sbd_locregex.Locregex.Make (R)
+  module LP = Sbd_locregex.Locparser.Make (LR)
+  module LRef = Sbd_locregex.Locref.Make (LR)
+  module LA = Sbd_analysis.Locanalyze.Make (Ab) (LR)
+  module LM = Sbd_engine.Locmatch.Make (LR)
 
-(* Location-aware layer (anchors, lookarounds): one application over the
-   same [R], so lookaround bodies and plain terms share one hash-cons
-   table and plain results route back to the classical machinery with
-   physical equality intact. *)
-module LR = Sbd_locregex.Locregex.Make (R)
-module LP = Sbd_locregex.Locparser.Make (LR)
-module LRef = Sbd_locregex.Locref.Make (LR)
-module LA = Sbd_analysis.Locanalyze.Make (LR)
-module LM = Sbd_engine.Locmatch.Make (LR)
+  (** The tower's containment session (its pair memos persist). *)
+  let csession = C.create_session ()
+
+  (** Entries across every memo of the tower: derivatives and Tr
+      normalizations, abstract summaries and verdicts, {!csession}'s
+      pairs, the analyzer's scans.  The [R] hash-cons, [Tregex] intern
+      and BDD tables are never counted and never dropped. *)
+  let memo_entries () =
+    D.memo_entries () + Ab.memo_entries () + C.memo_entries csession
+    + An.memo_entries ()
+
+  (** Drop every memo {!memo_entries} counts; safe between queries. *)
+  let clear () =
+    D.clear ();
+    Ab.clear ();
+    C.clear csession;
+    An.clear ()
+end
+
+include Make (Sbd_regex.Regex.Make (Sbd_alphabet.Bdd))

@@ -1,13 +1,14 @@
-(** A solver worker: one full, freshly instantiated solver stack.
+(** A solver worker: one freshly instantiated solver tower.
 
-    The memo tables of [Deriv.Make]/[Solve.Make] and the hash-cons /
-    operation caches of the BDD algebra are mutable state scoped to a
-    functor application, so parallel workers must not share them.
-    {!create} therefore applies the whole functor tower — a generative
-    [Sbd_alphabet.Bdd.Make ()] at the bottom, then regex, parser,
-    solver, SMT-LIB evaluator on top — per call and packs the result
-    as a first-class module: each pool domain calls [create] once and
-    owns every piece of mutable solver state it touches.
+    The memo tables of the tower and the hash-cons / operation caches
+    of the BDD algebra are mutable state scoped to a functor
+    application, so parallel workers must not share them.  {!create}
+    applies {!Default.Make} over a generative [Sbd_alphabet.Bdd.Make ()]
+    per call and packs the result as a first-class module: each pool
+    domain calls [create] once and owns every piece of mutable solver
+    state it touches.  One [Deriv.Make] and one [Absdom.Make] serve
+    every op of the worker, and {!WORKER.relieve_pressure} clears all
+    their memos at once.
 
     Cache keys: queries are keyed by the digest of a {e canonical}
     rendering of the parsed (hash-consed, similarity-normalized) regex
@@ -135,10 +136,11 @@ module type WORKER = sig
       Exposed so tests can observe that hints steer worker behavior. *)
 
   val memo_entries : unit -> int
-  (** Cache-pressure gauge: entries across the derivative memo tables. *)
+  (** Cache-pressure gauge: entries across every memo of the tower
+      ({!Default.Make.memo_entries}). *)
 
   val relieve_pressure : unit -> bool
-  (** Clear the derivative memo tables if {!memo_entries} exceeds the
+  (** Clear every memo of the tower if {!memo_entries} exceeds the
       worker's cap; returns whether a clear happened. *)
 
   val queries : unit -> int
@@ -146,23 +148,10 @@ end
 
 let create ?(memo_cap = 200_000) () : (module WORKER) =
   let module B = Sbd_alphabet.Bdd.Make () in
-  let module R = Sbd_regex.Regex.Make (B) in
-  let module P = Sbd_regex.Parser.Make (R) in
-  let module S = Sbd_solver.Solve.Make (R) in
-  let module E = Sbd_smtlib.Eval.Make (R) in
-  let module Ref = Sbd_classic.Refmatch.Make (R) in
-  let module An = Sbd_analysis.Analyze.Make (R) in
-  let module C = Sbd_contain.Contain.Make (R) in
-  (* Located layer over the same generative R: lookaround bodies share
-     this worker's hash-cons table, so plain results route back to the
-     classical machinery with physical equality intact. *)
-  let module LR = Sbd_locregex.Locregex.Make (R) in
-  let module LP = Sbd_locregex.Locparser.Make (LR) in
-  let module LA = Sbd_analysis.Locanalyze.Make (LR) in
-  let module LM = Sbd_engine.Locmatch.Make (LR) in
+  let module T = Default.Make (Sbd_regex.Regex.Make (B)) in
+  let open T in
   (module struct
     let session = S.create_session ()
-    let csession = C.create_session ()
     let nqueries = ref 0
 
     let parse pat =
@@ -235,19 +224,11 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
       | S.Unsat -> Protocol.Unsat
       | S.Unknown why -> Protocol.Unknown why
 
-    (* The analyzer and containment prover keep their own memos (separate
-       functor applications over the same R), so their entries count
-       against the same cap and are cleared together. *)
-    let memo_entries () =
-      S.D.memo_entries () + An.memo_entries () + C.memo_entries csession
-      + C.D.memo_entries ()
+    let memo_entries = T.memo_entries
 
     let relieve_pressure () =
-      if memo_entries () > memo_cap then begin
-        S.D.clear ();
-        An.clear ();
-        C.clear csession;
-        C.D.clear ();
+      if T.memo_entries () > memo_cap then begin
+        T.clear ();
         Obs.Counter.incr c_memo_clears;
         true
       end
@@ -276,8 +257,8 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
         Obs.Counter.incr c_queries;
         let deadline = Option.map Obs.Deadline.of_seconds deadline in
         let res =
-          if equiv then C.equiv ~budget ?deadline csession l r
-          else C.subset ~budget ?deadline csession l r
+          if equiv then C.equiv ~budget ?deadline T.csession l r
+          else C.subset ~budget ?deadline T.csession l r
         in
         let verdict =
           match res with
@@ -286,7 +267,7 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
             Protocol.Sat { witness = S.string_of_witness w; codepoints = w }
           | C.Unknown why -> Protocol.Unknown why
         in
-        let stats = C.session_stats csession in
+        let stats = C.session_stats T.csession in
         ignore (relieve_pressure ());
         Ok (verdict, stats)
 
@@ -309,8 +290,6 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
       | exception E.Unsupported what -> Error ("unsupported: " ^ what)
 
     (* -- the match workload ------------------------------------------- *)
-
-    module Eng = Sbd_engine.Search.Make (R)
 
     (* Compiled engines are cached per pattern string; the cap bounds
        worker memory on adversarial pattern churn (reset is cheap — the

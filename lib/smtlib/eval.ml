@@ -15,9 +15,9 @@
     scope (reported as [unknown]), matching the paper's focus on regex
     constraints. *)
 
-module Make (R : Sbd_regex.Regex.S) = struct
+module Make (S : Sbd_solver.Solve.S) = struct
+  module R = S.R
   module A = R.A
-  module S = Sbd_solver.Solve.Make (R)
 
   exception Unsupported of string
 
@@ -134,8 +134,7 @@ module Make (R : Sbd_regex.Regex.S) = struct
     | Sexp.List [ Sexp.Atom "str.in_re"; Sexp.Str lit; rterm ] ->
       (* ground membership: evaluate statically via the regex semantics *)
       let r = regex_of_sexp rterm in
-      let module D = Sbd_core.Deriv.Make (R) in
-      if D.matches r (decode_string lit) then FTrue else FFalse
+      if S.D.matches r (decode_string lit) then FTrue else FFalse
     | Sexp.List [ Sexp.Atom "="; a; b ] -> equality env a b
     | Sexp.List [ Sexp.Atom ("<=" | "<" | ">=" | ">"); _; _ ] -> length_cmp env e
     | Sexp.List [ Sexp.Atom "str.prefixof"; Sexp.Str p; Sexp.Atom x ] ->

@@ -4,7 +4,7 @@
     arguments, and length bounds.  Word equations between variables are
     out of scope and reported as [unknown]. *)
 
-module Make (R : Sbd_regex.Regex.S) : sig
+module Make (S : Sbd_solver.Solve.S) : sig
   exception Unsupported of string
 
   val decode_string : string -> int list
@@ -14,7 +14,7 @@ module Make (R : Sbd_regex.Regex.S) : sig
   val encode_string : int list -> string
   (** Code points back to SMT-LIB literal contents. *)
 
-  val regex_of_sexp : Sexp.t -> R.t
+  val regex_of_sexp : Sexp.t -> S.R.t
   (** Translate an SMT-LIB regex term ([re.none], [re.all], [re.allchar],
       [str.to_re], [re.range], [re.union], [re.inter], [re.comp],
       [re.diff], [re.++], [re.*], [re.+], [re.opt], [(_ re.loop m n)],

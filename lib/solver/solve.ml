@@ -19,12 +19,150 @@
     guards during search but never pollute the persistent graph, which
     stores scope-independent facts only. *)
 
-module Make (R : Sbd_regex.Regex.S) = struct
+(** The solver over one abstract domain [Ab] and its derivative tower
+    [Ab.D]: the graph search and the pre-solver share their memos with
+    every other layer built on the same [Ab]. *)
+module type S = sig
+  module Ab : Sbd_absdom.Absdom.S
+  module D = Ab.D
+  module R = D.R
   module A = R.A
-  module D = Sbd_core.Deriv.Make (R)
+  module Tr = D.Tr
+
+  module G : module type of Graph.Make (struct
+    type t = R.t
+
+    let id (r : R.t) = r.R.id
+  end)
+
+  type result =
+    | Sat of int list  (** witness word, as code points *)
+    | Unsat
+    | Unknown of string  (** work budget exhausted *)
+
+  val string_of_witness : int list -> string
+  (** Printable witness with exactly one layer of escaping: [\u{HHHH}]
+      for non-printable code points, backslash-escapes for double-quote
+      and backslash.  Print through [%s] inside plain quotes, not
+      [%S]. *)
+
+  val pp_result : Format.formatter -> result -> unit
+
+  (** Side constraints from the surrounding solver context (Section 2's
+      example: a blocked first character). *)
+  type side = {
+    min_len : int;
+    max_len : int option;
+    char_at : (int * A.pred) list;  (** predicate on position [i] *)
+  }
+
+  val no_side : side
+
+  (** A solver session: the persistent derivative graph shared across
+      queries, plus work counters. *)
+  type session = {
+    graph : G.t;
+    mutable expansions : int;
+    mutable dead_hits : int;
+    mutable queries : int;
+    mutable max_depth : int;
+    mutable peak_frontier : int;
+    mutable deadline_hits : int;
+    mutable presolve_hits : int;
+    mutable wall_time : float;
+    mutable last_wall_time : float;
+  }
+
+  val create_session : unit -> session
+
+  val session_stats : session -> (string * float) list
+  (** Machine-readable session counters (name, value): queries,
+      expansions, dead hits, max search depth, peak frontier size,
+      deadline aborts, graph size, wall time. *)
+
+  type strategy = Dfs | Bfs
+
+  val solve :
+    ?budget:int ->
+    ?deadline:float ->
+    ?dead_state_elim:bool ->
+    ?side:side ->
+    ?strategy:strategy ->
+    ?presolve:bool ->
+    session ->
+    R.t ->
+    result
+  (** Decide satisfiability of [in(s, r)] within [budget] der-rule
+      applications (default 200k).  [Dfs] (default) mirrors dZ3's
+      CDCL-style search and plunges into one branch, backtracking on
+      dead states; [Bfs] returns a shortest witness.  Unsatisfiable
+      instances explore the same state space either way.
+      [dead_state_elim:false] disables the bot rule (ablation A2).
+      [deadline] is a wall-clock limit in seconds, enforced between
+      frontier pops and inside the DNF expansion: on expiry the query
+      returns [Unknown] (reason [deadline]) shortly after the limit,
+      even when a single exponential expansion is in flight.
+
+      [presolve] (default [true]) runs the abstract-domain pre-solver
+      ({!Sbd_absdom.Absdom}) before the derivative search: abstractly
+      proven-empty inputs return [Unsat] without expanding a single
+      state, and matcher-validated abstract witnesses return [Sat]
+      under [Dfs] whenever the side constraint admits them ([Bfs]
+      keeps its shortest-witness contract and never takes the sat
+      fast path).  Set [presolve:false] for A/B measurements. *)
+
+  val is_empty_lang :
+    ?budget:int -> ?deadline:float -> session -> R.t -> bool option
+
+  val subset :
+    ?budget:int -> ?deadline:float -> session -> R.t -> R.t -> bool option
+
+  val equiv :
+    ?budget:int -> ?deadline:float -> session -> R.t -> R.t -> bool option
+
+  val enumerate :
+    ?budget:int ->
+    ?deadline:float ->
+    ?strategy:strategy ->
+    session ->
+    R.t ->
+    int ->
+    int list list
+  (** Up to [n] distinct members of [L(r)], via blocking constraints. *)
+
+  (** Formulas about one string variable: memberships under Boolean
+      connectives, length bounds, positional character predicates. *)
+  type formula =
+    | In of R.t
+    | Len_eq of int
+    | Len_ge of int
+    | Len_le of int
+    | Char_at of int * A.pred
+    | FAnd of formula list
+    | FOr of formula list
+    | FNot of formula
+    | FTrue
+    | FFalse
+
+  val solve_formula :
+    ?budget:int ->
+    ?deadline:float ->
+    ?dead_state_elim:bool ->
+    session ->
+    formula ->
+    result
+  (** Boolean structure is compiled away: per DNF clause, memberships
+      fold into one ERE (negation becoming complement, conjunction
+      intersection) and the rest become side constraints. *)
+end
+
+module Make (Ab : Sbd_absdom.Absdom.S) : S with module Ab = Ab = struct
+  module Ab = Ab
+  module D = Ab.D
+  module R = D.R
+  module A = R.A
   module Tr = D.Tr
   module Obs = Sbd_obs.Obs
-  module Ab = Sbd_absdom.Absdom.Make (R)
 
   module G = Graph.Make (struct
     type t = R.t
@@ -46,12 +184,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
     | Unsat
     | Unknown of string  (** budget exhausted; the reason is reported *)
 
-  (** [string_of_witness w] is a printable rendition of a witness word
-      with exactly one layer of escaping: printable ASCII verbatim
-      (except double-quote and backslash, which are backslash-escaped)
-      and everything else as [\u{HHHH}].  Print it inside plain quotes
-      -- through [%s], not [%S], which would re-escape the
-      backslashes. *)
   let string_of_witness w =
     let buf = Buffer.create (List.length w) in
     List.iter
@@ -68,8 +200,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
     | Unsat -> Format.fprintf ppf "unsat"
     | Unknown why -> Format.fprintf ppf "unknown (%s)" why
 
-  (** Side constraints on the string variable, as produced by the
-      surrounding solver context. *)
   type side = {
     min_len : int;
     max_len : int option;
@@ -78,8 +208,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
 
   let no_side = { min_len = 0; max_len = None; char_at = [] }
 
-  (** A solver session: the persistent derivative graph shared across
-      queries (and across logical scopes), plus counters. *)
   type session = {
     graph : G.t;
     mutable expansions : int;  (** der-rule applications *)
@@ -108,8 +236,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
       last_wall_time = 0.0;
     }
 
-  (** Machine-readable session counters (name, value), for [--stats] and
-      the JSON surfaces. *)
   let session_stats (s : session) : (string * float) list =
     [
       ("session.queries", float_of_int s.queries);
@@ -133,25 +259,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
 
   type strategy = Dfs | Bfs
 
-  (** [solve session r] decides satisfiability of [in(s, r)] under the
-      optional [side] constraints, with a work [budget] measured in
-      der-rule applications (default 200k).  [dead_state_elim:false]
-      disables the bot rule (for the ablation study).
-
-      [deadline] is a wall-clock limit in seconds for this query.  It is
-      enforced between frontier pops {e and} inside the symbolic
-      derivative/DNF computation itself (via [D.transitions]), so a
-      single exponential expansion -- which a der-rule step budget can
-      never interrupt -- aborts with an [Unknown] (reason [deadline])
-      shortly after the limit instead of hanging.
-
-      [strategy] selects the exploration order of the der-rule case
-      splits.  [Dfs] (the default) mirrors dZ3's CDCL-style search --
-      plunge into one branch, backtrack on dead states -- and is
-      dramatically faster on satisfiable instances whose witnesses are
-      deep inside blowup-prone state spaces.  [Bfs] explores by depth and
-      therefore returns a {e shortest} witness.  Unsatisfiable instances
-      explore the same state space either way. *)
   (* Does the side constraint admit this witness word?  Positional
      predicates beyond the end of the word are vacuous: the search only
      applies [char_at i] when extending a word past position [i]. *)
@@ -389,10 +496,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
 
   (* -- formulas over a single string variable -------------------------- *)
 
-  (** Quantifier-free formulas about one string variable [s], covering the
-      constraint shapes of the paper's benchmarks: regex memberships
-      combined with Boolean connectives, length bounds, and positional
-      character predicates. *)
   type formula =
     | In of R.t  (** [s ∈ L(r)] *)
     | Len_eq of int
@@ -483,10 +586,6 @@ module Make (R : Sbd_regex.Regex.S) = struct
         ( R.inter_list (R.full :: !regexes),
           { min_len = !min_len; max_len = !max_len; char_at = !char_at } )
 
-  (** Solve a formula about one string variable.  Boolean structure is
-      compiled away: regex memberships are folded into a single ERE per
-      DNF clause (negation becoming regex complement, conjunction becoming
-      intersection), and the remaining atoms become side constraints. *)
   let solve_formula ?budget ?deadline ?dead_state_elim (session : session)
       (f : formula) : result =
     let clauses = dnf_clauses (fnnf f) in

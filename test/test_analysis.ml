@@ -7,7 +7,8 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module An = Sbd_analysis.Analyze.Make (R)
+module T = Sbd_service.Default.Make (R)
+module An = T.An
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Matcher = Sbd_matcher.Matcher.Make (R)
 module J = Sbd_obs.Obs.Json
@@ -332,7 +333,7 @@ let test_corpus_soundness () =
 
 (* -- abstract domains (lib/analysis/absdom.ml) ------------------------ *)
 
-module Ab = Sbd_absdom.Absdom.Make (R)
+module Ab = T.Ab
 
 (* Length lattice: ultimately-periodic sets with CRT intersection. *)
 let test_absdom_lengths () =

@@ -7,8 +7,9 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module C = Sbd_contain.Contain.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module T = Sbd_service.Default.Make (R)
+module C = T.C
+module S = T.S
 module Ref = Sbd_classic.Refmatch.Make (R)
 
 let re = P.parse_exn

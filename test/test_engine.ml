@@ -11,8 +11,8 @@ module R = Sbd_service.Default.R
 module P = Sbd_service.Default.P
 module Ref = Sbd_service.Default.Ref
 module Bc = Sbd_engine.Byteclass.Make (R)
-module Eng = Sbd_engine.Search.Make (R)
-module EngStream = Sbd_engine.Stream.Make (R)
+module Eng = Sbd_service.Default.Eng
+module EngStream = Sbd_engine.Stream.Make (Sbd_service.Default.Ab)
 module Matcher = Sbd_matcher.Matcher.Make (R)
 module Obs = Sbd_obs.Obs
 module U = Sbd_alphabet.Utf8

@@ -4,14 +4,15 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module D = Sbd_core.Deriv.Make (R)
+module T = Sbd_service.Default.Make (R)
+module D = T.D
 module Dot = Sbd_core.Dot.Make (R)
 module Sbfa = Sbd_core.Sbfa.Make (R)
-module C = Sbd_contain.Contain.Make (R)
+module C = T.C
 module Simp = Sbd_regex.Simplify.Make (R)
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Matcher = Sbd_matcher.Matcher.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module S = T.S
 module Safa = Sbd_core.Safa.Make (R)
 
 let re = P.parse_exn

@@ -7,11 +7,12 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module E = Sbd_smtlib.Eval.Make (R)
+module Tw = Sbd_service.Default.Make (R)
+module E = Tw.E
 module T = Sbd_smtlib.To_smt.Make (R)
 module I = Sbd_benchgen.Instance
 module Cf = Sbd_regex.Casefold.Make (R)
-module D = Sbd_core.Deriv.Make (R)
+module D = Tw.D
 
 let check = Alcotest.(check bool)
 

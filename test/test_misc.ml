@@ -5,7 +5,8 @@ module A = Sbd_alphabet.Bdd
 module Utf8 = Sbd_alphabet.Utf8
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module T = Sbd_service.Default.Make (R)
+module S = T.S
 module Ref = Sbd_classic.Refmatch.Make (R)
 module I = Sbd_benchgen.Instance
 
@@ -61,7 +62,7 @@ let test_utf8_lossy () =
 
 (* regex matching through UTF-8: a CJK word through encode/decode *)
 let test_utf8_matching () =
-  let module D = Sbd_core.Deriv.Make (R) in
+  let module D = S.D in
   let r = re "\\w+" in
   let input = Utf8.encode [ 0x4E2D; 0x6587; Char.code 'a' ] in
   match Utf8.decode input with

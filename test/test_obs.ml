@@ -6,8 +6,9 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module D = Sbd_core.Deriv.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module T = Sbd_service.Default.Make (R)
+module D = T.D
+module S = T.S
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Obs = Sbd_obs.Obs
 module H = Sbd_harness.Harness

@@ -15,15 +15,16 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module D = Sbd_core.Deriv.Make (R)
+module T = Sbd_service.Default.Make (R)
+module D = T.D
 module Tr = D.Tr
 module Sbfa = Sbd_core.Sbfa.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module S = T.S
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module MSolve = Sbd_classic.Minterm_solver.Make (R)
 module Simp = Sbd_regex.Simplify.Make (R)
-module C = Sbd_contain.Contain.Make (R)
+module C = T.C
 module Matcher = Sbd_matcher.Matcher.Make (R)
 module Safa = Sbd_core.Safa.Make (R)
 
@@ -413,7 +414,7 @@ let t_rev_engine_backward =
     QCheck2.Gen.(pair (gen_regex ~boolean:true) gen_word)
     print_regex_word
     (fun (r, w) ->
-      let module Eng = Sbd_engine.Search.Make (R) in
+      let module Eng = T.Eng in
       let s = String.init (List.length w) (fun i -> Char.chr (List.nth w i)) in
       let eng = Eng.create ~mode:Sbd_engine.Byteclass.Byte r in
       let r' = R.rev r in

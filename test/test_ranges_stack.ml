@@ -8,11 +8,12 @@
 module A = Sbd_alphabet.Ranges
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module D = Sbd_core.Deriv.Make (R)
+module T = Sbd_service.Default.Make (R)
+module D = T.D
 module Sbfa = Sbd_core.Sbfa.Make (R)
 module Safa = Sbd_core.Safa.Make (R)
-module C = Sbd_contain.Contain.Make (R)
-module S = Sbd_solver.Solve.Make (R)
+module C = T.C
+module S = T.S
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module Matcher = Sbd_matcher.Matcher.Make (R)

@@ -4,7 +4,8 @@
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
 module P = Sbd_regex.Parser.Make (R)
-module E = Sbd_smtlib.Eval.Make (R)
+module T = Sbd_service.Default.Make (R)
+module E = T.E
 
 let check = Alcotest.(check bool)
 let check_str = Alcotest.(check string)
