@@ -16,6 +16,8 @@
      - coinductive equivalence vs complement-based equivalence
      - containment prover (Sbd_contain) vs the is_empty (r & ~s)
        reduction, with witness validation against the oracle
+     - a generational service worker (memo_cap 0: a fresh tower for
+       every query) vs Default's solver, with witness validation
      - located engine (Sbd_engine.Locmatch) on random anchored /
        lookaround patterns vs the all-splits oracle (Locref): full
        verdicts and earliest match ends in Byte and Utf8 modes,
@@ -45,6 +47,7 @@ module U = Sbd_alphabet.Utf8
 module LR = Sbd_service.Default.LR
 module LRef = Sbd_service.Default.LRef
 module LM = Sbd_service.Default.LM
+module Protocol = Sbd_service.Protocol
 
 let alphabet = List.map Char.code [ 'a'; 'b'; '0'; '1'; 'x' ]
 
@@ -256,6 +259,8 @@ let run ~rounds ~seed ~size ~counters =
   let total_loc_anchor = ref 0 and total_loc_look = ref 0 in
   let total_loc_stream = ref 0 and total_loc_lower = ref 0 in
   let total_presolve_unsat = ref 0 and total_presolve_sat = ref 0 in
+  let (module W) = Sbd_service.Worker.create ~memo_cap:0 () in
+  let generations0 = Sbd_obs.Obs.Counter.value Sbd_service.Worker.c_memo_clears in
   for round = 1 to rounds do
     let r = gen_regex ~counters rand size in
     let w = gen_word rand in
@@ -391,6 +396,21 @@ let run ~rounds ~seed ~size ~counters =
     | S.Sat _, S.Unsat | S.Unsat, S.Sat _ ->
       fail_at round "solver presolve on/off verdicts" r
     | _ -> ());
+    (* generational worker: every query runs on a tower no earlier
+       query touched, and must agree with the long-lived one (⊥, which
+       survives only at the root, prints as the unparsable "[]") *)
+    let pat = if R.equal r R.empty then "~(.*)" else R.to_string r in
+    (match (W.solve_pattern ~budget:20_000 pat, S.solve ~budget:20_000 session r) with
+    | Error msg, _ -> fail_at round ("generational worker parse: " ^ msg) r
+    | Ok (Protocol.Sat { codepoints; _ }, _), res ->
+      if not (Ref.matches r codepoints) then
+        fail_at ~word:codepoints round "generational worker witness" r;
+      (match res with
+      | S.Unsat -> fail_at round "generational worker sat vs solver unsat" r
+      | S.Sat _ | S.Unknown _ -> ())
+    | Ok (Protocol.Unsat, _), S.Sat _ ->
+      fail_at round "generational worker unsat vs solver sat" r
+    | Ok ((Protocol.Unsat | Protocol.Unknown _), _), _ -> ());
     (* abstract-domain pre-solver differential: its verdicts are
        theorems, so any disagreement with the solver or the oracle is a
        bug *)
@@ -557,6 +577,13 @@ let run ~rounds ~seed ~size ~counters =
     raise (Mismatch "abstract pre-solver unsat path was never exercised");
   if rounds >= 100 && !total_presolve_sat = 0 then
     raise (Mismatch "abstract pre-solver sat path was never exercised");
+  let generations =
+    Sbd_obs.Obs.Counter.value Sbd_service.Worker.c_memo_clears - generations0
+  in
+  if rounds >= 100 && generations = 0 then
+    raise (Mismatch "worker generation swap was never exercised");
+  Printf.printf "fuzz: generational worker retired %d towers in %d queries\n%!"
+    generations (W.queries ());
   Printf.printf
     "fuzz: abstract pre-solver decided %d unsat, %d sat\n%!"
     !total_presolve_unsat !total_presolve_sat;

@@ -98,9 +98,10 @@ let () =
       value & opt int 200_000
       & info [ "memo-cap" ]
           ~doc:
-            "Per-worker cap on memo entries across the solver tower; \
-             beyond it the worker clears every memo (cache-pressure \
-             relief).")
+            "Per-worker cap on the solver tower's memo entries plus \
+             its interned terms; beyond it the worker drops the whole \
+             tower (memos, intern and BDD tables, compiled engines) and \
+             starts a new one.")
   in
   let budget_t =
     Arg.(

@@ -54,17 +54,17 @@ module type S = sig
 
   val memo_entries : unit -> int
   (** Total entries across all memo tables, including the Tr
-      normalization memos (but not the never-evicted Tr intern table):
-      this layer's share of the tower's cache-pressure gauge
+      normalization memos (but not the never-evicted Tr intern table),
+      in O(1): this layer's share of the tower's cache-pressure gauge
       ([Sbd_service.Default.Make]). *)
 
   val clear : unit -> unit
   (** Drop every memo table, including the Tr normalization memos (the
-      Tr intern table survives; see tregex.mli).  The tables otherwise
-      grow without bound across queries, which is correct amortization
-      for a batch run but a memory leak in a persistent server; the
-      tower's owner calls this when its gauge exceeds the worker's cap.
-      Safe at any query boundary: subsequent queries just recompute. *)
+      Tr intern table survives; see tregex.mli).  Safe at any query
+      boundary: subsequent queries just recompute.  The service never
+      calls it -- a worker retires its whole tower instead
+      ([Sbd_service.Worker]) -- but benches, tests and the fuzzer that
+      reuse one tower do. *)
 
   val cache_stats : unit -> (string * float) list
   (** Current table sizes as (name, value) gauges for the [--stats]

@@ -12,9 +12,9 @@
     one solver worker (see the per-worker-instantiation invariant in
     tregex.mli). *)
 
-type 'a t = { mutable arr : 'a option array }
+type 'a t = { mutable arr : 'a option array; mutable count : int }
 
-let create n = { arr = Array.make (max n 1) None }
+let create n = { arr = Array.make (max n 1) None; count = 0 }
 
 (** [find m i]: the cached value for id [i], if any.  O(1); returns the
     [Some] cell written by {!set} (no allocation). *)
@@ -30,12 +30,17 @@ let set m i v =
     Array.blit m.arr 0 arr' 0 n;
     m.arr <- arr'
   end;
+  (match Array.unsafe_get m.arr i with
+  | None -> m.count <- m.count + 1
+  | Some _ -> ());
   Array.unsafe_set m.arr i (Some v)
 
-(** Number of cached entries (a linear scan: only used by the
-    cache-pressure gauges, never on the hot path). *)
-let count m =
-  Array.fold_left (fun n -> function Some _ -> n + 1 | None -> n) 0 m.arr
+(** Number of cached entries.  O(1): {!set} counts the cells it fills,
+    so the cache-pressure gauges that every service request reads cost
+    a constant, not a scan of the id space. *)
+let count m = m.count
 
 (** Drop every entry, keeping the backing store's capacity. *)
-let clear m = Array.fill m.arr 0 (Array.length m.arr) None
+let clear m =
+  Array.fill m.arr 0 (Array.length m.arr) None;
+  m.count <- 0

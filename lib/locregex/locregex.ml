@@ -142,6 +142,11 @@ module type S = sig
   val compare : t -> t -> int
   val hash : t -> int
   val size : t -> int
+
+  val intern_size : unit -> int
+  (** Nodes in this instantiation's hash-cons table, O(1); never
+      evicted, like {!Sbd_regex.Regex.S.intern_size}. *)
+
   val pp : Format.formatter -> t -> unit
   val to_string : t -> string
 end
@@ -256,6 +261,8 @@ module Make (R : Sbd_regex.Regex.S) : S with module R = R = struct
       incr next_id;
       Tbl.add table node t;
       t
+
+  let intern_size () = !next_id
 
   (* -- smart constructors ------------------------------------------- *)
 

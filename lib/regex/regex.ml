@@ -89,6 +89,10 @@ module type S = sig
 
   val preds : t -> A.pred list  (** Ψ_r: the distinct predicates occurring in [r] *)
 
+  val intern_size : unit -> int
+  (** Nodes in this instantiation's hash-cons table, O(1).  The table is
+      never evicted: only dropping the whole instantiation frees it. *)
+
   val in_re : t -> bool  (** is [r] a classical regex (no [&], [~])? *)
 
   val in_bre : t -> bool
@@ -190,6 +194,8 @@ module Make (A : Sbd_alphabet.Algebra.S) : S with module A = A = struct
       incr next_id;
       Tbl.add table node t;
       t
+
+  let intern_size () = !next_id
 
   (* -- smart constructors ------------------------------------------- *)
 

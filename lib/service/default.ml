@@ -4,8 +4,9 @@
     for the others, and {!Make.clear} reaches every memo.
 
     This module is [Make] over the process-global BDD algebra, shared by
-    the binaries and the harness.  Each service worker applies [Make]
-    over its own generative [Bdd.Make ()] instead ({!Worker.create}). *)
+    the binaries and the harness.  Each generation of a service worker
+    applies [Make] over its own generative [Bdd.Make ()] instead
+    ({!Worker.generation}). *)
 
 module Make (R : Sbd_regex.Regex.S) = struct
   module R = R
@@ -34,11 +35,16 @@ module Make (R : Sbd_regex.Regex.S) = struct
 
   (** Entries across every memo of the tower: derivatives and Tr
       normalizations, abstract summaries and verdicts, {!csession}'s
-      pairs, the analyzer's scans.  The [R] hash-cons, [Tregex] intern
-      and BDD tables are never counted and never dropped. *)
+      pairs, the analyzer's scans.  O(1): every memo keeps its count. *)
   let memo_entries () =
     D.memo_entries () + Ab.memo_entries () + C.memo_entries csession
     + An.memo_entries ()
+
+  (** Terms in the tower's intern tables: [R]'s hash-cons, the [Tr]
+      intern table and the located layer's.  O(1).  {!clear} keeps
+      them (held terms must keep their ids); only dropping the whole
+      tower frees them, with the BDD node tables ({!Worker}). *)
+  let interned () = R.intern_size () + D.Tr.intern_size () + LR.intern_size ()
 
   (** Drop every memo {!memo_entries} counts; safe between queries. *)
   let clear () =

@@ -17,7 +17,8 @@ type config = {
   queue_cap : int;
   cache_cap : int;
   cache_shards : int;  (** LRU shard count, rounded up to a power of two *)
-  memo_cap : int;  (** per-worker derivative-memo entry cap *)
+  memo_cap : int;
+      (** per-worker generation cap: memo entries plus interned terms *)
   default_budget : int;
   default_deadline : float option;
 }

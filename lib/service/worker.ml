@@ -1,29 +1,37 @@
-(** A solver worker: one freshly instantiated solver tower.
+(** A solver worker: a sequence of solver towers, one per generation.
 
-    The memo tables of the tower and the hash-cons / operation caches
-    of the BDD algebra are mutable state scoped to a functor
-    application, so parallel workers must not share them.  {!create}
-    applies {!Default.Make} over a generative [Sbd_alphabet.Bdd.Make ()]
-    per call and packs the result as a first-class module: each pool
-    domain calls [create] once and owns every piece of mutable solver
-    state it touches.  One [Deriv.Make] and one [Absdom.Make] serve
-    every op of the worker, and {!WORKER.relieve_pressure} clears all
-    their memos at once.
+    The memo tables of the tower, its hash-cons and intern tables, and
+    the hash-cons / operation caches of the BDD algebra are mutable
+    state scoped to a functor application, so parallel workers must not
+    share them.  A {e generation} ({!generation}) applies
+    {!Default.Make} over a generative [Sbd_alphabet.Bdd.Make ()] and
+    packs the result as a first-class module.  Each pool domain calls
+    {!create} once; the worker it gets forwards every op to its current
+    generation and owns every piece of mutable solver state it touches.
+
+    After every op the worker reads the generation's pressure gauge, in
+    O(1): memo entries plus the terms interned since the generation
+    began.  Past [memo_cap] it drops the whole tower — memos, intern
+    tables, BDD node tables, compiled engines — and starts the next
+    generation.  Only plain data (verdicts, witnesses, cache keys)
+    leaves a generation, so nothing the service holds refers to a
+    retired tower.
 
     Cache keys: queries are keyed by the digest of a {e canonical}
     rendering of the parsed (hash-consed, similarity-normalized) regex
     in which the children of [Or]/[And] are sorted lexicographically,
     so the key is independent of hash-cons id assignment and therefore
-    identical across workers — [a|b] and [b|a] share one cache line,
-    as do any two queries equal modulo the paper's similarity
-    relation. *)
+    identical across workers and generations — [a|b] and [b|a] share
+    one cache line, as do any two queries equal modulo the paper's
+    similarity relation. *)
 
 module Obs = Sbd_obs.Obs
 
 let c_queries = Obs.Counter.make "service.worker.queries"
 let c_memo_clears = Obs.Counter.make "service.worker.memo_clears"
 
-module type WORKER = sig
+(** The ops of one generation. *)
+module type GENERATION = sig
   val solve_pattern :
     ?deadline:float ->
     ?budget:int ->
@@ -136,23 +144,30 @@ module type WORKER = sig
       Exposed so tests can observe that hints steer worker behavior. *)
 
   val memo_entries : unit -> int
-  (** Cache-pressure gauge: entries across every memo of the tower
-      ({!Default.Make.memo_entries}). *)
-
-  val relieve_pressure : unit -> bool
-  (** Clear every memo of the tower if {!memo_entries} exceeds the
-      worker's cap; returns whether a clear happened. *)
-
-  val queries : unit -> int
+  (** Cache-pressure gauge, O(1): entries across every memo of the tower
+      ({!Default.Make.memo_entries}) plus the terms it interned
+      ({!Default.Make.interned}), both counted from the generation's
+      start. *)
 end
 
-let create ?(memo_cap = 200_000) () : (module WORKER) =
+module type WORKER = sig
+  include GENERATION
+
+  val relieve_pressure : unit -> bool
+  (** Retire the current generation and start the next one if
+      {!memo_entries} exceeds the worker's cap; returns whether it did.
+      Every op ends with this check. *)
+
+  val queries : unit -> int
+  (** Ops run, across generations. *)
+end
+
+let generation () : (module GENERATION) =
   let module B = Sbd_alphabet.Bdd.Make () in
   let module T = Default.Make (Sbd_regex.Regex.Make (B)) in
   let open T in
   (module struct
     let session = S.create_session ()
-    let nqueries = ref 0
 
     let parse pat =
       match P.parse pat with
@@ -224,23 +239,13 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
       | S.Unsat -> Protocol.Unsat
       | S.Unknown why -> Protocol.Unknown why
 
-    let memo_entries = T.memo_entries
-
-    let relieve_pressure () =
-      if T.memo_entries () > memo_cap then begin
-        T.clear ();
-        Obs.Counter.incr c_memo_clears;
-        true
-      end
-      else false
+    let pressure () = T.memo_entries () + T.interned ()
+    let born = pressure ()
+    let memo_entries () = pressure () - born
 
     let solve_regex ?deadline ?(budget = 1_000_000) r =
-      incr nqueries;
-      Obs.Counter.incr c_queries;
       let res = S.solve ~budget ?deadline session r in
-      let stats = S.session_stats session in
-      ignore (relieve_pressure ());
-      (verdict_of res, stats)
+      (verdict_of res, S.session_stats session)
 
     let solve_pattern ?deadline ?budget pat =
       Result.map (solve_regex ?deadline ?budget) (parse pat)
@@ -253,8 +258,6 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
       match (parse left, parse right) with
       | Error msg, _ | _, Error msg -> Error msg
       | Ok l, Ok r ->
-        incr nqueries;
-        Obs.Counter.incr c_queries;
         let deadline = Option.map Obs.Deadline.of_seconds deadline in
         let res =
           if equiv then C.equiv ~budget ?deadline T.csession l r
@@ -267,13 +270,9 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
             Protocol.Sat { witness = S.string_of_witness w; codepoints = w }
           | C.Unknown why -> Protocol.Unknown why
         in
-        let stats = C.session_stats T.csession in
-        ignore (relieve_pressure ());
-        Ok (verdict, stats)
+        Ok (verdict, C.session_stats T.csession)
 
     let run_smt2 ?deadline ?(budget = 1_000_000) script =
-      incr nqueries;
-      Obs.Counter.incr c_queries;
       match E.run ~budget ?deadline script with
       | result ->
         let answers =
@@ -285,7 +284,6 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
               | E.Unknown why -> ("unknown", Some why))
             result.E.outcomes
         in
-        ignore (relieve_pressure ());
         Ok (answers, result.E.output)
       | exception E.Unsupported what -> Error ("unsupported: " ^ what)
 
@@ -338,16 +336,12 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
       | None -> Result.map cap_for (parse pat)
 
     let analyze_pattern ?deadline ?budget pat =
-      incr nqueries;
-      Obs.Counter.incr c_queries;
       Result.map
         (fun t ->
           match LR.to_plain t with
           | Some r ->
             let deadline = Option.map Obs.Deadline.of_seconds deadline in
-            let report = An.analyze ~source:pat ?budget ?deadline r in
-            ignore (relieve_pressure ());
-            An.json_of_report report
+            An.json_of_report (An.analyze ~source:pat ?budget ?deadline r)
           | None -> LA.json_of_report (LA.analyze t))
         (parse_ext pat)
 
@@ -366,8 +360,6 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
           ] )
 
     let match_input ?deadline ~pattern ~input () =
-      incr nqueries;
-      Obs.Counter.incr c_queries;
       match parse_ext pattern with
       | Error msg -> Error msg
       | Ok t when LR.to_plain t = None ->
@@ -437,6 +429,77 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
         if List.length w <= ref_limit then Some (Ref.matches r w)
         else Some (S.D.matches r w)
       | Error _ -> None
+  end)
+
+let create ?(memo_cap = 200_000) () : (module WORKER) =
+  let current = ref (generation ()) in
+  let nqueries = ref 0 in
+  (module struct
+    let memo_entries () =
+      let (module G : GENERATION) = !current in
+      G.memo_entries ()
+
+    let relieve_pressure () =
+      memo_entries () > memo_cap
+      && begin
+           current := generation ();
+           Obs.Counter.incr c_memo_clears;
+           true
+         end
+
+    (* Every op runs on the current generation and ends with the
+       pressure check, so no op grows a generation unchecked. *)
+    let op f =
+      incr nqueries;
+      Obs.Counter.incr c_queries;
+      let res = f !current in
+      ignore (relieve_pressure ());
+      res
+
+    let solve_pattern ?deadline ?budget pat =
+      op (fun (module G : GENERATION) -> G.solve_pattern ?deadline ?budget pat)
+
+    let solve_conj ?deadline ?budget pats =
+      op (fun (module G : GENERATION) -> G.solve_conj ?deadline ?budget pats)
+
+    let run_smt2 ?deadline ?budget script =
+      op (fun (module G : GENERATION) -> G.run_smt2 ?deadline ?budget script)
+
+    let match_input ?deadline ~pattern ~input () =
+      op (fun (module G : GENERATION) ->
+          G.match_input ?deadline ~pattern ~input ())
+
+    let contain_pattern ?deadline ?budget ~equiv left right =
+      op (fun (module G : GENERATION) ->
+          G.contain_pattern ?deadline ?budget ~equiv left right)
+
+    let analyze_pattern ?deadline ?budget pat =
+      op (fun (module G : GENERATION) -> G.analyze_pattern ?deadline ?budget pat)
+
+    (* Lookups: no op runs, so no check either. *)
+    let match_ref ~pattern ~input =
+      let (module G : GENERATION) = !current in
+      G.match_ref ~pattern ~input
+
+    let cache_key pat =
+      let (module G : GENERATION) = !current in
+      G.cache_key pat
+
+    let conj_cache_key pats =
+      let (module G : GENERATION) = !current in
+      G.conj_cache_key pats
+
+    let contain_cache_key ~equiv left right =
+      let (module G : GENERATION) = !current in
+      G.contain_cache_key ~equiv left right
+
+    let check_witness ?ref_limit pat w =
+      let (module G : GENERATION) = !current in
+      G.check_witness ?ref_limit pat w
+
+    let engine_max_states pat =
+      let (module G : GENERATION) = !current in
+      G.engine_max_states pat
 
     let queries () = !nqueries
   end)

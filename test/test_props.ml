@@ -440,6 +440,46 @@ let t_rev_engine_backward =
            Ref.matches r' (word_of s' i j)
            && Ref.matches r (word_of s (n - j) (n - i))))
 
+(* -- Idmemo's O(1) count ------------------------------------------------ *)
+
+(* Random set / overwrite / grow / clear sequences over a table created
+   small, so ids past its capacity force the growth path.  After every
+   step the maintained count must equal a recount through [find] over
+   every id up to the largest one set. *)
+type idmemo_step = Set of int | Clear
+
+let t_idmemo_count =
+  let open QCheck2.Gen in
+  let step =
+    frequency
+      [ (6, map (fun i -> Set i) (int_bound 12));
+        (3, map (fun i -> Set i) (int_bound 200));
+        (1, return Clear) ]
+  in
+  prop "idmemo count equals a recount" (list_size (int_bound 60) step)
+    (fun steps ->
+      String.concat " "
+        (List.map (function Set i -> string_of_int i | Clear -> "clear") steps))
+    (fun steps ->
+      let m = Sbd_core.Idmemo.create 4 in
+      let top = ref 0 in
+      let recount () =
+        let n = ref 0 in
+        for i = 0 to !top do
+          if Sbd_core.Idmemo.find m i <> None then incr n
+        done;
+        !n
+      in
+      List.for_all
+        (fun st ->
+          (match st with
+          | Set i ->
+            top := max !top i;
+            Sbd_core.Idmemo.set m i i
+          | Clear -> Sbd_core.Idmemo.clear m);
+          Sbd_core.Idmemo.count m = recount ())
+        steps)
+
 let suite =
   ( "properties",
     List.map QCheck_alcotest.to_alcotest
@@ -451,4 +491,4 @@ let suite =
       ; t_contain_equiv_vs_solver; t_contain_equiv_counterexample
       ; t_matcher_vs_oracle; t_safa_vs_oracle
       ; t_rev_involution; t_rev_structural; t_rev_language
-      ; t_rev_engine_backward ] )
+      ; t_rev_engine_backward; t_idmemo_count ] )

@@ -998,6 +998,152 @@ let test_pool_agreement () =
       check ("cached repeat " ^ pat) true (Jsonin.bool_member "cached" r = Some true)
   done
 
+(* -- generational workers ------------------------------------------------- *)
+
+let memo_clears () =
+  Option.value ~default:0.0
+    (List.assoc_opt "service.worker.memo_clears" (Obs.snapshot ()))
+
+(* A fixed slice of the Fig. 4 suites and of the containment pairs: each
+   op brings first-seen patterns, so a small cap retires a generation
+   after every op. *)
+type gen_case = Solve of string | Contain of bool * string * string
+
+let generation_cases =
+  lazy
+    (let every k l = List.filteri (fun i _ -> i mod k = 0) l in
+     List.map
+       (fun (i : Sbd_benchgen.Instance.t) -> Solve i.Sbd_benchgen.Instance.pattern)
+       (every 40 (Sbd_benchgen.Standard.all ()))
+     @ List.map
+         (fun (p : Sbd_benchgen.Pairs.t) ->
+           Contain (p.Sbd_benchgen.Pairs.mode = Sbd_benchgen.Pairs.Equiv,
+                    p.Sbd_benchgen.Pairs.left, p.Sbd_benchgen.Pairs.right))
+         (every 6 (Sbd_benchgen.Pairs.all ())))
+
+let case_name = function
+  | Solve p -> p
+  | Contain (equiv, l, r) -> Printf.sprintf "%s %s %s" l (if equiv then "==" else "<=") r
+
+let run_case (module W : Worker.WORKER) = function
+  | Solve p -> W.solve_pattern ~budget:200_000 p
+  | Contain (equiv, l, r) -> W.contain_pattern ~equiv l r
+
+(* A refutation's word is in the left language and not the right one
+   (either way round for equiv); a solve witness matches the pattern. *)
+let witness_valid (module W : Worker.WORKER) case w =
+  match case with
+  | Solve p -> W.check_witness p w = Some true
+  | Contain (equiv, l, r) -> (
+    match (W.check_witness l w, W.check_witness r w) with
+    | Some a, Some b -> if equiv then a <> b else a && not b
+    | _ -> false)
+
+let status_of_verdict = function
+  | Protocol.Sat _ -> "sat"
+  | Protocol.Unsat -> "unsat"
+  | Protocol.Unknown _ -> "unknown"
+
+(* Same verdicts as a default-cap worker, every witness valid, the gauge
+   back under the cap after every op, a new generation after every op,
+   and the query count carried across generations. *)
+let test_worker_generations () =
+  let cap = 2 in
+  let (module Ref) = Worker.create () in
+  let (module W) = Worker.create ~memo_cap:cap () in
+  let cases = Lazy.force generation_cases in
+  let expected =
+    List.map
+      (fun c ->
+        match run_case (module Ref) c with
+        | Ok (v, _) -> status_of_verdict v
+        | Error msg -> Alcotest.fail msg)
+      cases
+  in
+  List.iteri
+    (fun i (c, want) ->
+      let before = memo_clears () in
+      (match run_case (module W) c with
+      | Ok (v, _) ->
+        check_str ("verdict " ^ case_name c) want (status_of_verdict v);
+        (match v with
+        | Protocol.Sat { codepoints; _ } ->
+          check ("witness " ^ case_name c) true
+            (witness_valid (module Ref) c codepoints)
+        | Protocol.Unsat | Protocol.Unknown _ -> ())
+      | Error msg -> Alcotest.fail msg);
+      check ("gauge under the cap after " ^ case_name c) true
+        (W.memo_entries () <= cap);
+      check ("new generation after " ^ case_name c) true (memo_clears () > before);
+      check_int "queries carried across generations" (i + 1) (W.queries ()))
+    (List.combine cases expected);
+  (* the same list through a server session, inline and pooled *)
+  List.iter
+    (fun workers ->
+      let cfg = { small_cfg with workers; memo_cap = cap; default_deadline = None } in
+      let before = memo_clears () in
+      with_session cfg (fun ~send ~recv ->
+          List.iteri
+            (fun i (c, want) ->
+              let fields =
+                match c with
+                | Solve p -> [ ("op", J.Str "solve"); ("re", J.Str p); ("budget", J.Int 200_000) ]
+                | Contain (equiv, l, r) ->
+                  [ ("op", J.Str (if equiv then "equiv" else "subset"));
+                    ("re", J.Str l); ("re2", J.Str r) ]
+              in
+              send (J.to_string (J.Obj (("id", J.Int i) :: fields)));
+              let r = recv () in
+              let got =
+                match status r with
+                | Some ("sat" | "refuted") -> "sat"
+                | Some ("unsat" | "proved") -> "unsat"
+                | Some s -> s
+                | None -> Alcotest.fail ("no status for " ^ case_name c)
+              in
+              check_str
+                (Printf.sprintf "%d-worker verdict %s" workers (case_name c))
+                want got;
+              match Jsonin.str_member "witness" r with
+              | Some w ->
+                check ("server witness " ^ case_name c) true
+                  (witness_valid (module Ref) c (decode_witness w))
+              | None -> ())
+            (List.combine cases expected);
+          send {|{"id": 0, "op": "shutdown"}|};
+          ignore (recv ()));
+      check (Printf.sprintf "%d-worker session retired generations" workers) true
+        (memo_clears () > before))
+    [ 1; 2 ]
+
+(* Match-only traffic grows a generation too: Dfa rows intern
+   derivatives over the tower's [R], located patterns intern [LR]
+   terms.  The post-op check retires it, and answers stay right. *)
+let test_match_generations () =
+  let cap = 64 in
+  let (module Ref) = Worker.create () in
+  let (module W) = Worker.create ~memo_cap:cap () in
+  let before = memo_clears () in
+  for i = 1 to 40 do
+    let plain = Printf.sprintf "(ab|c{%d})*d" i
+    and located = Printf.sprintf "^a{%d}(?=b)" (1 + (i mod 7))
+    and input = String.concat "" [ "xx"; String.make (1 + (i mod 7)) 'a'; "bcd" ] in
+    (match (W.match_input ~pattern:plain ~input (), W.match_ref ~pattern:plain ~input) with
+    | Ok (Protocol.Matched { full; span; _ }, _), Some (full', span') ->
+      check ("full " ^ plain) full' full;
+      check ("span " ^ plain) true (span = span')
+    | _ -> Alcotest.fail ("no match verdict for " ^ plain));
+    (match
+       (W.match_input ~pattern:located ~input (),
+        Ref.match_input ~pattern:located ~input ())
+     with
+    | Ok (v, _), Ok (v', _) -> check ("located " ^ located) true (v = v')
+    | _ -> Alcotest.fail ("no match verdict for " ^ located));
+    check "gauge under the cap" true (W.memo_entries () <= cap)
+  done;
+  check "match-only worker retired generations" true (memo_clears () > before);
+  check_int "queries carried across generations" 80 (W.queries ())
+
 let suite =
   ( "service",
     [
@@ -1028,4 +1174,6 @@ let suite =
         test_pool_agreement
     ; Alcotest.test_case "one derivative tower" `Quick test_one_tower
     ; Alcotest.test_case "worker memo cap" `Quick test_worker_memo_cap
+    ; Alcotest.test_case "worker generations" `Quick test_worker_generations
+    ; Alcotest.test_case "match-only generations" `Quick test_match_generations
     ] )
