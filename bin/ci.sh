@@ -1,7 +1,8 @@
 #!/bin/sh
-# CI entry point: build (with lib/ warnings-as-errors), run the full
-# test suite, fuzz the match engine against the other matchers and the
-# DP oracle (each round also cross-checks the static analyzer's
+# CI entry point, and the only one: the workflow installs the toolchain
+# and runs this script.  Build (with lib/ warnings-as-errors), run the
+# full test suite, fuzz the match engine against the classic lazy DFA
+# and the DP oracle (each round also cross-checks the static analyzer's
 # Proved/Refuted verdicts against the solver), lint the whole benchmark
 # corpus through the analyzer, then drive every benchmark workload
 # through a real sbdserve and check every reply (verdict/span agreement
@@ -29,8 +30,9 @@ echo "== tests (GC-perturbed interleavings) =="
 OCAMLRUNPARAM='s=4k' dune runtest --force
 
 echo "== engine + analyzer fuzz smoke =="
-# cross-checks engine vs matcher vs the DP oracle (verdicts, find
-# spans, prefix counts, chunked streaming, UTF-8 decoding), forces the
+# cross-checks the byte engine vs the classic lazy DFA's scans vs the
+# DP oracle (verdicts, find spans, prefix counts, chunked streaming,
+# UTF-8 decoding), forces the
 # max_states cache-reset path, and checks analyzer Proved verdicts
 # against the solver; exits non-zero on any disagreement
 dune exec bin/fuzz.exe -- --rounds 300 --seed 42
@@ -46,6 +48,16 @@ echo "== analyzer corpus lint =="
 # replacement suggestion fails the solver equivalence check, 2 on a
 # parse failure
 dune exec bin/sbdsolve.exe -- --lint --corpus all --json > /dev/null
+
+echo "== analyzer smoke =="
+# single-pattern JSON reports, plain and located (a located pattern's
+# emptiness is undecided: exit 3), then analyzer throughput and the
+# difficulty-vs-solver-effort correlations; exits non-zero on any
+# verdict contradiction
+dune exec bin/sbdsolve.exe -- --lint '~(.*a{8,16}.*)&.*b.*' --json
+rc=0; dune exec bin/sbdsolve.exe -- --lint '^a(?=b*)c$' --json || rc=$?
+[ "$rc" -eq 3 ] || { echo "expected located lint exit 3, got $rc"; exit 1; }
+dune exec bin/experiments.exe -- analyze-bench --no-bench
 
 echo "== lint exit codes =="
 # uniform scheme, same as --subset/--equiv: 0 = semantic verdict
@@ -74,6 +86,8 @@ echo "== containment smoke =="
 # three so scripts can rely on the scheme
 dune exec bin/sbdsolve.exe -- --subset 'a{2,3}' 'a{1,4}' > /dev/null
 dune exec bin/sbdsolve.exe -- --equiv --witness '(ab)*a' 'a(ba)*' > /dev/null
+dune exec bin/sbdsolve.exe -- --subset 'a{2,3}' 'a{1,4}' --json
+dune exec bin/sbdsolve.exe -- --equiv --witness '(ab)*a' 'a(ba)*' --json
 rc=0; dune exec bin/sbdsolve.exe -- --subset 'a(' 'a' > /dev/null 2>&1 || rc=$?
 [ "$rc" -eq 2 ] || { echo "expected exit 2 on parse error, got $rc"; exit 1; }
 rc=0; dune exec bin/sbdsolve.exe -- --budget 17 --subset \
@@ -106,9 +120,17 @@ echo "== abstract pre-solver gates =="
 # the password-family wall-clock A/B on shared runners
 dune exec bin/experiments.exe -- absdom-bench --no-bench --check
 
+echo "== match smoke =="
+# JSON replies of the byte engine (plain patterns) and the located
+# engine (anchors, lookarounds)
+dune exec bin/sbdsolve.exe -- --match 'ab*c' --input 'xxabbbcyy' --json
+dune exec bin/sbdsolve.exe -- --match '\d{4}-[a-zA-Z]{3}-\d{2}' --input 'shipped on 2026-Aug-06, delayed' --json
+dune exec bin/sbdsolve.exe -- --match '^(?=.*\d)\w{4,8}$' --input 'ab12cd' --json
+
 echo "== engine throughput matrix gates =="
 # steady-state (hot) MB/s floors per pattern class (literal / class /
-# boolean / counter) plus engine-vs-scan span agreement; floors are
+# boolean / counter) plus span agreement between the engine and the
+# classic lazy DFA's per-position scan; floors are
 # conservative so shared runners pass — the gate catches
 # order-of-magnitude regressions (a lost prefilter, a de-flattened
 # transition table), not noise

@@ -5,12 +5,12 @@
      - derivative matching (Sbd_core.Deriv)
      - classical Brzozowski matching (Sbd_classic.Brzozowski)
      - SBFA acceptance (Sbd_core.Sbfa)
-     - SRM-style matcher (Sbd_matcher)
+     - SRM-style lazy DFA (Sbd_classic.Brzozowski.Dfa)
      - the byte-level match engine (Sbd_engine): full-match verdicts in
        Byte and Utf8 modes, linear find spans and prefix counts vs the
-       matcher's historical per-position scans and a brute-force
-       reference, chunk-split streaming, and a max_states=2 engine that
-       forces the DFA cache-reset path on every non-trivial pattern
+       lazy DFA's per-position scans and a brute-force reference,
+       chunk-split streaming, and a max_states=2 engine that forces the
+       DFA cache-reset path on every non-trivial pattern
      - solver verdicts + witnesses (Sbd_solver, dz3)
      - minterm baseline verdicts (Sbd_classic.Minterm_solver)
      - coinductive equivalence vs complement-based equivalence
@@ -37,7 +37,6 @@ module Simp = Sbd_service.Default.Simp
 module Sbfa = Sbd_core.Sbfa.Make (R)
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module MSolve = Sbd_classic.Minterm_solver.Make (R)
-module Matcher = Sbd_matcher.Matcher.Make (R)
 module An = Sbd_service.Default.An
 module Ab = Sbd_service.Default.Ab
 module C = Sbd_service.Default.C
@@ -268,20 +267,19 @@ let run ~rounds ~seed ~size ~counters =
     (* matching engines *)
     if D.matches r w <> expected then fail_at round "derivative matcher" r;
     if Brz.matches r w <> expected then fail_at round "brzozowski matcher" r;
-    let m = Matcher.create r in
-    if Matcher.matches m w <> expected then fail_at round "SRM matcher" r;
+    let m = Brz.Dfa.create r in
+    if Brz.Dfa.matches m w <> expected then fail_at round "SRM matcher" r;
     (* byte-level engine: verdicts, spans, counts, streaming, resets *)
     let s = string_of_word w in
     let eng = Eng.create ~mode:Sbd_engine.Byteclass.Byte r in
     if Eng.matches eng s <> expected then fail_at ~word:w round "engine matches" r;
     let rspan = ref_find r w in
     if Eng.find eng s <> rspan then fail_at ~word:w round "engine find span" r;
-    if Matcher.find_scan m s <> rspan then fail_at ~word:w round "matcher find_scan" r;
-    if Matcher.find m s <> rspan then fail_at ~word:w round "matcher find (engine)" r;
+    if Brz.Dfa.find_scan m s <> rspan then fail_at ~word:w round "matcher find_scan" r;
     let rcount = ref_count r w in
-    if Matcher.count_matching_prefixes m s <> rcount then
+    if Eng.count_matching_prefixes eng s <> rcount then
       fail_at ~word:w round "engine prefix count" r;
-    if Matcher.count_matching_prefixes_scan m s <> rcount then
+    if Brz.Dfa.count_matching_prefixes_scan m s <> rcount then
       fail_at ~word:w round "matcher prefix-count scan" r;
     (* a 2-state cap forces cache resets on any non-trivial pattern;
        verdicts must be unaffected (graceful degradation) *)
@@ -302,8 +300,6 @@ let run ~rounds ~seed ~size ~counters =
     let expected8 = Ref.matches r w8 in
     let eng8 = Eng.create ~mode:Sbd_engine.Byteclass.Utf8 r in
     if Eng.matches eng8 s8 <> expected8 then fail_at ~word:w8 round "engine utf8" r;
-    if Matcher.matches_utf8 m s8 <> expected8 then
-      fail_at ~word:w8 round "matcher matches_utf8" r;
     let st8 = stream_random_chunks rand eng8 s8 in
     if st8.EngStream.full <> expected8 then
       fail_at ~word:w8 round "stream utf8 (chunk-split scalars)" r;
@@ -355,10 +351,10 @@ let run ~rounds ~seed ~size ~counters =
     in
     let sl = string_of_word wl in
     let engl = Eng.create ~mode:Sbd_engine.Byteclass.Byte rl in
-    let ml = Matcher.create rl in
+    let ml = Brz.Dfa.create rl in
     let rspanl = ref_find rl wl in
     if Eng.find engl sl <> rspanl then fail_at ~word:wl round "literal find span" r;
-    if Matcher.find_scan ml sl <> rspanl then
+    if Brz.Dfa.find_scan ml sl <> rspanl then
       fail_at ~word:wl round "literal find_scan" r;
     if Eng.contains engl sl <> ref_earliest_end rl wl then
       fail_at ~word:wl round "literal earliest end" r;

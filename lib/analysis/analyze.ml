@@ -10,8 +10,7 @@
       classification (plain [RE], [B(RE)] with its linear state bound, or
       general ERE), and a rule-based linter with stable rule identifiers.
     - {b Layer 2 (semantic, budgeted)}: bounded exploration of the
-      derivative graph, reusing the incremental SCC structure of
-      {!Sbd_solver.Graph_scc} to issue {e sound} emptiness/universality
+      derivative graph to issue {e sound} emptiness/universality
       verdicts.  Verdicts are [Proved]/[Refuted]/[Unknown]: [Proved] and
       [Refuted] are theorems (frontier exhaustion per Theorem 5.2,
       resp. an accepting path whose witness is reconstructed), [Unknown]
@@ -20,7 +19,7 @@
 
     The result is a {!report}: findings, metrics, semantic verdicts and a
     {!hints} record (suggested engine [max_states], memo cap, byte-mode
-    safety, routing) consumed by {!Sbd_matcher} and the service worker.
+    safety, routing) consumed by the service worker.
 
     Lint rules (stable IDs; severities are error/warning/info):
     - [SBD101] (error) pattern is syntactically ⊥;
@@ -83,12 +82,6 @@ module Make (C : Sbd_contain.Contain.S) = struct
   module Mt = Sbd_alphabet.Minterm.Make (A)
   module Obs = Sbd_obs.Obs
   module J = Obs.Json
-
-  module G = Sbd_solver.Graph_scc.Make (struct
-    type t = R.t
-
-    let id (r : R.t) = r.R.id
-  end)
 
   let c_runs = Obs.Counter.make "analysis.runs"
   let c_expansions = Obs.Counter.make "analysis.expansions"
@@ -520,14 +513,13 @@ module Make (C : Sbd_contain.Contain.S) = struct
 
   exception Found of int list
 
-  (** Bounded BFS over the derivative graph.  Builds the graph in the
-      incremental-SCC structure; on frontier exhaustion the verdict is
-      read back from [G.is_dead] (dead ⟺ the fully-closed downward
-      closure contains no accepting vertex — Theorem 5.2's argument at
-      component granularity).  [budget] bounds the number of state
-      expansions; the [deadline] aborts a single pathological DNF. *)
+  (** Bounded BFS over the derivative graph.  The first nullable state
+      popped is a witness.  If the frontier empties within [budget] and
+      [deadline], every reachable state has been expanded and none is
+      final, so [r0] is dead (Theorem 5.2): [E*(r0) ⊆ C \ Alive].
+      [budget] bounds the number of state expansions; the [deadline]
+      aborts a single pathological DNF. *)
   let explore ~budget ~deadline (r0 : R.t) : outcome * int =
-    let g = G.create () in
     (* parent pointers for witness reconstruction: id -> (parent, guard) *)
     let parent : (int, R.t option * A.pred option) Hashtbl.t =
       Hashtbl.create 64
@@ -564,28 +556,23 @@ module Make (C : Sbd_contain.Contain.S) = struct
             incr expansions;
             match D.transitions ~deadline r with
             | ts ->
-              let live =
-                List.filter
-                  (fun (phi, tgt) ->
-                    not (A.is_bot phi || R.is_empty tgt))
-                  ts
-              in
-              G.close g r ~final:false
-                ~targets:
-                  (List.map (fun (_, tgt) -> (tgt, R.nullable tgt)) live);
               List.iter
                 (fun (phi, tgt) ->
-                  if not (Hashtbl.mem parent tgt.R.id) then begin
+                  if
+                    not
+                      (A.is_bot phi || R.is_empty tgt
+                      || Hashtbl.mem parent tgt.R.id)
+                  then begin
                     Hashtbl.add parent tgt.R.id (Some r, Some phi);
                     Queue.push tgt q
                   end)
-                live
+                ts
             | exception Obs.Deadline_exceeded _ ->
               complete := false;
               Queue.clear q
           end
         done;
-        if !complete && G.is_dead g r0 then O_empty else O_unknown
+        if !complete then O_empty else O_unknown
       with Found w -> O_witness w
     in
     Obs.Counter.add c_expansions !expansions;

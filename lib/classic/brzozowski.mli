@@ -8,4 +8,27 @@ module Make (R : Sbd_regex.Regex.S) : sig
 
   val matches : R.t -> int list -> bool
   val matches_string : R.t -> string -> bool
+
+  (** SRM-style lazy DFA (Section 8.5) over the pattern's minterm
+      alphabet, with Brzozowski-derivative states; full ERE including
+      intersection and complement.  The independent reference for the
+      byte engine and the baseline of engine-bench's scan column. *)
+  module Dfa : sig
+    type t
+
+    val create : R.t -> t
+    (** Compute the pattern's minterms and the character classifier;
+        transitions are filled lazily. *)
+
+    val matches : t -> int list -> bool
+    (** Full match of a word of code points. *)
+
+    val find_scan : t -> string -> (int * int) option
+    (** Leftmost-earliest match span ([stop] exclusive), if any, by an
+        O(n·m) per-position scan. *)
+
+    val count_matching_prefixes_scan : t -> string -> int
+    (** Number of positions from which some prefix matches, by an
+        O(n·m) per-position scan. *)
+  end
 end

@@ -573,8 +573,9 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
   (** Leftmost-earliest match span [(i, j)] with [i] the minimal start
       of any match and [j] the minimal end of a match starting at [i]
       (byte offsets, [s.[i..j)] is the matched substring).  Agrees with
-      the historical [Matcher.find] scan but runs in at most two linear
-      passes instead of O(n·m) restarts: the backward scan reports hits
+      the classic lazy DFA's per-position scan
+      ({!Sbd_classic.Brzozowski.Make.Dfa.find_scan}) but runs in at most
+      two linear passes instead of O(n·m) restarts: the backward scan reports hits
       in decreasing position order, so the last one is the minimal
       start. *)
   let find ?deadline (t : t) (s : string) : (int * int) option =
@@ -597,8 +598,8 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
 
   (** Number of positions [i < n] (byte offsets of scalar starts) such
       that some match starts at [i] — the count of nonempty-input
-      "matching prefixes" used by the matcher API.  One backward
-      pass. *)
+      "matching prefixes" the classic lazy DFA's per-position scan
+      counts.  One backward pass. *)
   let count_matching_prefixes ?deadline (t : t) (s : string) : int =
     if String.length s < t.abs_min_bytes then 0
     else if (not (R.nullable t.pattern)) && prefilter_rules_out ?deadline t s
@@ -612,7 +613,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
 
   (** The state cap this engine was created with (per DFA: forward,
       unanchored and backward each get their own budget).  Exposed so
-      hint consumers ({!Sbd_matcher}, the service worker) can be tested
+      hint consumers (the service worker) can be tested
       against the cap they actually installed. *)
   let max_states (t : t) : int = t.max_states
 

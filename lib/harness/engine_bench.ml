@@ -1,6 +1,7 @@
 (** Throughput matrix of the byte-level streaming match engine
     ({!Sbd_engine}) across pattern classes, cross-checked against the
-    two pre-existing match paths.
+    classic lazy DFA's per-position scan
+    ({!Sbd_classic.Brzozowski.Make.Dfa}) and the DP oracle.
 
     Rows are grouped into four {e pattern classes} that exercise
     different engine paths (DESIGN.md §13):
@@ -18,9 +19,9 @@
     Each row reports two rates: [cold_mb_s] — a fresh engine's first
     pass, paying lazy DFA construction — and [hot_mb_s] — best of
     several passes on the warmed engine, the steady-state figure the
-    per-class CI floors gate ({!check}).  The historical per-position
-    scan and the DP oracle run on much smaller inputs for the speedup
-    and agreement columns, as before; the report is appended to the
+    per-class CI floors gate ({!check}).  The classic lazy DFA's
+    per-position scan and the DP oracle run on much smaller inputs for
+    the speedup and agreement columns; the report is appended to the
     [BENCH_<date>.json] trajectory as an ["engine"] run. *)
 
 module R = Harness.R
@@ -28,7 +29,7 @@ module P = Harness.P
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
 module Eng = Sbd_service.Default.Eng
-module Matcher = Sbd_matcher.Matcher.Make (R)
+module Brz = Sbd_classic.Brzozowski.Make (R)
 module Ref = Sbd_classic.Refmatch.Make (R)
 
 (* -- corpora -------------------------------------------------------------- *)
@@ -162,12 +163,12 @@ let bench_pattern ~big ~small ~planted_mid ~tiny (label, pattern, klass, live) :
     time_mb_s ~reps:3 ~bytes:(String.length big) (fun () ->
         ignore (Eng.contains eng big : int option))
   in
-  (* historical per-position scan: quadratic on live patterns, so the
-     input is three orders of magnitude smaller *)
-  let m = Matcher.create r in
+  (* the classic lazy DFA's per-position scan: quadratic on live
+     patterns, so the input is three orders of magnitude smaller *)
+  let m = Brz.Dfa.create r in
   let scan_mb_s =
     time_mb_s ~reps:1 ~bytes:(String.length small) (fun () ->
-        ignore (Matcher.find_scan m small : (int * int) option))
+        ignore (Brz.Dfa.find_scan m small : (int * int) option))
   in
   (* DP oracle: full match only, tiny input *)
   let refmatch_mb_s =
@@ -175,11 +176,11 @@ let bench_pattern ~big ~small ~planted_mid ~tiny (label, pattern, klass, live) :
         ignore (Ref.matches_string r tiny : bool))
   in
   (* span agreement: engine vs scan on a no-match and a planted corpus *)
-  let agree_on s = Eng.find eng s = Matcher.find_scan m s in
+  let agree_on s = Eng.find eng s = Brz.Dfa.find_scan m s in
   let agree =
     agree_on small && agree_on planted_mid
     && Eng.count_matching_prefixes eng small
-       = Matcher.count_matching_prefixes_scan m small
+       = Brz.Dfa.count_matching_prefixes_scan m small
   in
   let span = Eng.find eng planted_mid in
   let st = Eng.stats eng in

@@ -140,8 +140,11 @@ module type GENERATION = sig
 
   val engine_max_states : string -> (int, string) result
   (** The analyzer-chosen engine state cap for the pattern — the cap
-      {!match_input}'s cached engine is (or will be) created with.
-      Exposed so tests can observe that hints steer worker behavior. *)
+      {!match_input}'s cached engine is (or will be) created with.  The
+      pattern is read with the extended grammar, as {!match_input}
+      reads it; a located pattern is an [Error] (the located engine has
+      no cap).  Exposed so tests can observe that hints steer worker
+      behavior. *)
 
   val memo_entries : unit -> int
   (** Cache-pressure gauge, O(1): entries across every memo of the tower
@@ -315,25 +318,27 @@ let generation () : (module GENERATION) =
        shapes where a reset would thrash. *)
     let cap_for r = (An.hints_of (An.metrics_of r)).An.max_states
 
-    let engine_for pat : (Eng.t, string) result =
+    (* [r] is [pat]'s zero-width-free term under the extended grammar,
+       the one parse {!match_input} already made. *)
+    let engine_for pat (r : R.t) : Eng.t =
       match Hashtbl.find_opt engines pat with
-      | Some e -> Ok e
+      | Some e -> e
       | None ->
-        Result.map
-          (fun r ->
-            if Hashtbl.length engines >= engine_cap then Hashtbl.reset engines;
-            let e =
-              Eng.create ~max_states:(cap_for r)
-                ~mode:Sbd_engine.Byteclass.Utf8 r
-            in
-            Hashtbl.add engines pat e;
-            e)
-          (parse pat)
+        if Hashtbl.length engines >= engine_cap then Hashtbl.reset engines;
+        let e =
+          Eng.create ~max_states:(cap_for r) ~mode:Sbd_engine.Byteclass.Utf8 r
+        in
+        Hashtbl.add engines pat e;
+        e
 
     let engine_max_states pat =
       match Hashtbl.find_opt engines pat with
       | Some e -> Ok (Eng.max_states e)
-      | None -> Result.map cap_for (parse pat)
+      | None ->
+        Result.bind (parse_ext pat) (fun t ->
+            match LR.to_plain t with
+            | Some r -> Ok (cap_for r)
+            | None -> Error "located pattern: no byte-engine state cap")
 
     let analyze_pattern ?deadline ?budget pat =
       Result.map
@@ -362,12 +367,11 @@ let generation () : (module GENERATION) =
     let match_input ?deadline ~pattern ~input () =
       match parse_ext pattern with
       | Error msg -> Error msg
-      | Ok t when LR.to_plain t = None ->
-        loc_match_input ~pattern ~input t
-      | Ok _ ->
-      match engine_for pattern with
-      | Error msg -> Error msg
-      | Ok e ->
+      | Ok t ->
+      match LR.to_plain t with
+      | None -> loc_match_input ~pattern ~input t
+      | Some r ->
+        let e = engine_for pattern r in
         let dl = Option.map Obs.Deadline.of_seconds deadline in
         let verdict =
           try

@@ -1,8 +1,8 @@
 (** The persistent derivative graph [G = (V, E, F, C)] of Section 5 with
     the derived Alive and Dead vertex sets.  Alive is maintained by
     back-propagation over reverse edges; Dead by a demand-driven DFS with
-    sound caching.  {!Graph_scc} implements the same interface over an
-    SCC condensation; the two are differentially tested. *)
+    sound caching.  Tests difference both sets against a from-scratch
+    reachability oracle. *)
 
 module Make (N : sig
   type t

@@ -1,7 +1,7 @@
 (* Tests for the static analyzer (lib/analysis): Layer-1 metrics and
    fragment classification, lint rules with stable IDs, Layer-2 bounded
    semantic verdicts (which must be sound: Proved/Refuted are theorems),
-   the tuning hints and their consumers (matcher/engine), and the
+   the tuning hints and their consumer (the service worker), and the
    stability of the JSON report shape. *)
 
 module A = Sbd_alphabet.Bdd
@@ -10,7 +10,6 @@ module P = Sbd_regex.Parser.Make (R)
 module T = Sbd_service.Default.Make (R)
 module An = T.An
 module Ref = Sbd_classic.Refmatch.Make (R)
-module Matcher = Sbd_matcher.Matcher.Make (R)
 module J = Sbd_obs.Obs.Json
 
 let re = P.parse_exn
@@ -203,25 +202,20 @@ let test_hints () =
   let unicode = hints "h\\u{4E2D}llo" in
   check "non-ascii is not byte-safe" false unicode.An.byte_mode_ok
 
-(* The hints must demonstrably change consumer behavior: the matcher
-   picks its engine state cap from the analyzer, so an easy literal and
-   a blowup-prone pattern get different caps. *)
+(* The hints must demonstrably change consumer behavior: the service
+   worker picks its engine state cap from the analyzer, so an easy
+   literal and a blowup-prone pattern get different caps. *)
 let test_hint_consumer () =
-  let cap s = Matcher.engine_max_states (Matcher.create (re s)) in
+  let (module W) = Sbd_service.Worker.create () in
+  let cap s =
+    match W.engine_max_states s with Ok n -> n | Error msg -> Alcotest.fail msg
+  in
   let easy = cap "ab*c" and hard = cap "~(.*a{8,16}.*)&.*b{8,16}.*" in
   check "easy pattern capped below default" true
     (easy < Sbd_engine.Dfa.default_max_states);
   check "hard pattern capped above default" true
     (hard > Sbd_engine.Dfa.default_max_states);
-  check "hints change consumer behavior" true (easy <> hard);
-  (* and the worker agrees with the matcher-side decision *)
-  let (module W) = Sbd_service.Worker.create () in
-  (match W.engine_max_states "ab*c" with
-  | Ok n -> check "worker easy cap" true (n < Sbd_engine.Dfa.default_max_states)
-  | Error msg -> Alcotest.fail msg);
-  match W.engine_max_states "~(.*a{8,16}.*)&.*b{8,16}.*" with
-  | Ok n -> check "worker hard cap" true (n > Sbd_engine.Dfa.default_max_states)
-  | Error msg -> Alcotest.fail msg
+  check "hints change consumer behavior" true (easy <> hard)
 
 (* -- machine-readable report ------------------------------------------ *)
 

@@ -1,7 +1,7 @@
 (* Tests for the byte-level streaming match engine (lib/engine,
    DESIGN.md §10): byte-class table vs code-point classification,
    anchored verdicts vs the DP oracle, linear find/count vs brute force
-   and vs the matcher's per-position scans, the max_states cache-reset
+   and vs the classic lazy DFA's per-position scans, the max_states cache-reset
    path, UTF-8 decoding (multi-byte, malformed, chunk-split scalars),
    stream/batch equivalence, and the linear-time regression that
    motivated the subsystem. *)
@@ -13,7 +13,8 @@ module Ref = Sbd_service.Default.Ref
 module Bc = Sbd_engine.Byteclass.Make (R)
 module Eng = Sbd_service.Default.Eng
 module EngStream = Sbd_engine.Stream.Make (Sbd_service.Default.Ab)
-module Matcher = Sbd_matcher.Matcher.Make (R)
+module An = Sbd_service.Default.An
+module Brz = Sbd_classic.Brzozowski.Make (R)
 module Obs = Sbd_obs.Obs
 module U = Sbd_alphabet.Utf8
 
@@ -27,6 +28,10 @@ let re s =
     Alcotest.fail (Printf.sprintf "parse %S: %d: %s" s pos msg)
 
 let span = Alcotest.(option (pair int int))
+
+(* An engine with the state cap the analyzer picks for the pattern, as
+   the service worker builds it. *)
+let hinted r = Eng.create ~max_states:(An.hints_of (An.metrics_of r)).An.max_states r
 
 (* -- byte classification -------------------------------------------------- *)
 
@@ -114,24 +119,25 @@ let test_find_vs_brute () =
     (fun pat ->
       let r = re pat in
       let eng = Eng.create r in
-      let m = Matcher.create r in
+      let eng_h = hinted r in
+      let m = Brz.Dfa.create r in
       List.iter
         (fun s ->
           let expected = brute_find r s in
           Alcotest.check span
             (Printf.sprintf "find %s on %S" pat s)
             expected (Eng.find eng s);
-          (* the rerouted matcher API and its historical scan agree *)
+          (* the analyzer-capped engine and the classic scan agree *)
           Alcotest.check span
             (Printf.sprintf "matcher find %s on %S" pat s)
-            expected (Matcher.find m s);
+            expected (Eng.find eng_h s);
           Alcotest.check span
             (Printf.sprintf "find_scan %s on %S" pat s)
-            expected (Matcher.find_scan m s);
+            expected (Brz.Dfa.find_scan m s);
           check_int
             (Printf.sprintf "count %s on %S" pat s)
-            (Matcher.count_matching_prefixes_scan m s)
-            (Matcher.count_matching_prefixes m s))
+            (Brz.Dfa.count_matching_prefixes_scan m s)
+            (Eng.count_matching_prefixes eng_h s))
         inputs)
     boolean_patterns
 
@@ -317,7 +323,7 @@ let test_nullable_leftmost_earliest () =
     (fun pat ->
       let r = re pat in
       let eng = Eng.create r in
-      let m = Matcher.create r in
+      let m = Brz.Dfa.create r in
       List.iter
         (fun s ->
           let expected = brute_find r s in
@@ -326,10 +332,10 @@ let test_nullable_leftmost_earliest () =
             expected (Eng.find eng s);
           Alcotest.check span
             (Printf.sprintf "find_scan %s on %S" pat s)
-            expected (Matcher.find_scan m s);
+            expected (Brz.Dfa.find_scan m s);
           check_int
             (Printf.sprintf "count %s on %S" pat s)
-            (Matcher.count_matching_prefixes_scan m s)
+            (Brz.Dfa.count_matching_prefixes_scan m s)
             (Eng.count_matching_prefixes eng s))
         inputs)
     nullable_patterns
@@ -340,8 +346,8 @@ let test_nullable_leftmost_earliest () =
    which made the per-position scan re-read the whole tail from every
    start position (quadratic, minutes at this size).  The engine's
    backward pass must do it in one linear sweep, comfortably inside a
-   short wall-clock deadline — and the public [Matcher.find] now routes
-   there. *)
+   short wall-clock deadline, with the default cap and with the one the
+   analyzer picks. *)
 let test_linear_find_within_deadline () =
   let n = 300_000 in
   let s = String.make n 'a' in
@@ -353,8 +359,8 @@ let test_linear_find_within_deadline () =
   | Some _ -> Alcotest.fail "a*b cannot match in aaaa...");
   check_int "count under deadline" 0
     (Eng.count_matching_prefixes ~deadline eng s);
-  let m = Matcher.create r in
-  Alcotest.check span "matcher.find is linear now" None (Matcher.find m s);
+  Alcotest.check span "analyzer-capped find is linear" None
+    (Eng.find ~deadline (hinted r) s);
   (* with a match present, the span comes back leftmost-earliest *)
   let s' = s ^ "b" ^ String.make 10 'a' in
   Alcotest.check span "planted match" (Some (0, n + 1)) (Eng.find ~deadline eng s');

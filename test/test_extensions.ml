@@ -1,5 +1,6 @@
 (* Tests for the extension modules: GraphViz rendering, coinductive
-   language equivalence, the deep simplifier, and the SRM-style matcher. *)
+   language equivalence, the deep simplifier, the SRM-style lazy DFA of
+   the classic layer, and the byte engine's find/scan/DFA reuse. *)
 
 module A = Sbd_alphabet.Bdd
 module R = Sbd_regex.Regex.Make (A)
@@ -11,7 +12,8 @@ module Sbfa = Sbd_core.Sbfa.Make (R)
 module C = T.C
 module Simp = Sbd_regex.Simplify.Make (R)
 module Ref = Sbd_classic.Refmatch.Make (R)
-module Matcher = Sbd_matcher.Matcher.Make (R)
+module Brz = Sbd_classic.Brzozowski.Make (R)
+module Eng = T.Eng
 module S = T.S
 module Safa = Sbd_core.Safa.Make (R)
 
@@ -168,10 +170,10 @@ let test_matcher_basic () =
   in
   List.iter
     (fun (pat, words) ->
-      let m = Matcher.create (re pat) in
+      let m = Brz.Dfa.create (re pat) in
       List.iter
         (fun (s, expected) ->
-          check (Printf.sprintf "%s on %S" pat s) expected (Matcher.matches_string m s))
+          check (Printf.sprintf "%s on %S" pat s) expected (Brz.Dfa.matches m (word s)))
         words)
     cases
 
@@ -189,44 +191,44 @@ let test_matcher_agrees_with_oracle () =
   List.iter
     (fun pat ->
       let r = re pat in
-      let m = Matcher.create r in
+      let m = Brz.Dfa.create r in
       List.iter
-        (fun w -> check ("matcher " ^ pat) (Ref.matches r w) (Matcher.matches m w))
+        (fun w -> check ("matcher " ^ pat) (Ref.matches r w) (Brz.Dfa.matches m w))
         (words 5))
     patterns
 
 let test_matcher_dfa_reuse () =
-  let m = Matcher.create (re ".*\\d.*") in
-  ignore (Matcher.matches_string m "abc123");
-  let states_after_first = Matcher.state_count m in
-  ignore (Matcher.matches_string m "xyz789");
-  check "no new states on repeat input" true
-    (Matcher.state_count m = states_after_first);
-  (* the pattern has 1 predicate -> 2 minterms *)
-  Alcotest.(check int) "alphabet size" 2 (Matcher.alphabet_size m);
-  check "few states" true (Matcher.state_count m <= 3)
+  let e = Eng.create (re ".*\\d.*") in
+  let states () = (Eng.stats e).Eng.fwd_states in
+  ignore (Eng.matches e "abc123");
+  let states_after_first = states () in
+  ignore (Eng.matches e "xyz789");
+  check "no new states on repeat input" true (states () = states_after_first);
+  (* the pattern has 1 predicate -> 2 byte classes *)
+  Alcotest.(check int) "alphabet size" 2 (Eng.stats e).Eng.num_classes;
+  check "few states" true (states () <= 3)
 
 let test_matcher_scan () =
-  let m = Matcher.create (re "ab") in
+  let e = Eng.create (re "ab") in
   (* positions with a prefix matching "ab": indices of 'a' followed by 'b' *)
-  Alcotest.(check int) "prefix matches" 2 (Matcher.count_matching_prefixes m "abxab")
+  Alcotest.(check int) "prefix matches" 2 (Eng.count_matching_prefixes e "abxab")
 
 let test_matcher_find () =
-  let m = Matcher.create (re "ab+") in
+  let m = Eng.create (re "ab+") in
   (* leftmost-earliest semantics: the shortest match at position 2 *)
-  (match Matcher.find m "xxabbby" with
+  (match Eng.find m "xxabbby" with
   | Some (2, 4) -> ()
   | Some (i, j) -> Alcotest.failf "expected (2,4), got (%d,%d)" i j
   | None -> Alcotest.fail "expected a match");
-  check "no match" true (Matcher.find m "xxay" = None);
+  check "no match" true (Eng.find m "xxay" = None);
   (* leftmost-earliest: shortest match at the first viable position *)
-  (match Matcher.find (Matcher.create (re "a+")) "baaa" with
+  (match Eng.find (Eng.create (re "a+")) "baaa" with
   | Some (1, 2) -> ()
   | other ->
     Alcotest.failf "expected (1,2), got %s"
       (match other with Some (i, j) -> Printf.sprintf "(%d,%d)" i j | None -> "none"));
   (* nullable pattern matches at position 0 *)
-  match Matcher.find (Matcher.create (re "a*")) "bbb" with
+  match Eng.find (Eng.create (re "a*")) "bbb" with
   | Some (0, 0) -> ()
   | _ -> Alcotest.fail "nullable pattern should match empty at 0"
 
@@ -245,9 +247,9 @@ let test_coinductive_subset () =
     cases
 
 let test_matcher_unicode () =
-  let m = Matcher.create (re "\\w+") in
-  check "CJK word chars" true (Matcher.matches m [ 0x4E2D; 0x6587 ]);
-  check "punctuation is not a word char" false (Matcher.matches m [ Char.code '!' ])
+  let m = Brz.Dfa.create (re "\\w+") in
+  check "CJK word chars" true (Brz.Dfa.matches m [ 0x4E2D; 0x6587 ]);
+  check "punctuation is not a word char" false (Brz.Dfa.matches m [ Char.code '!' ])
 
 (* -- SAFA (Section 8.3) --------------------------------------------------- *)
 

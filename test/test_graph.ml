@@ -1,63 +1,11 @@
-(* Tests for the derivative-graph machinery: the incremental SCC
-   structure, and differential testing of the two graph implementations
-   (demand-driven DFS vs SCC-condensation dead/alive detection) against
-   random update sequences. *)
-
-module Scc = Sbd_solver.Scc
+(* Tests for the derivative graph [G = (V, E, F, C)] of Section 5:
+   differential testing of {!Sbd_solver.Graph}'s incremental Alive/Dead
+   sets against a from-scratch reachability oracle on random update
+   sequences, and the dead-cycle and alive-propagation cases. *)
 
 let check = Alcotest.(check bool)
-let check_int = Alcotest.(check int)
 
-(* -- SCC structure ------------------------------------------------------ *)
-
-let test_scc_basic () =
-  let t = Scc.create () in
-  List.iter (Scc.add_vertex t) [ 0; 1; 2; 3 ];
-  ignore (Scc.add_edge t 0 1);
-  ignore (Scc.add_edge t 1 2);
-  check "acyclic: distinct components" false (Scc.same_scc t 0 2);
-  check_int "four components" 4 (Scc.num_components t);
-  (* close the cycle 0 -> 1 -> 2 -> 0 *)
-  let merged = Scc.add_edge t 2 0 in
-  check "merge happened" true merged;
-  check "cycle merged" true (Scc.same_scc t 0 2);
-  check "1 in the same component" true (Scc.same_scc t 0 1);
-  check "3 unaffected" false (Scc.same_scc t 0 3);
-  check_int "two components" 2 (Scc.num_components t)
-
-let test_scc_nested_merge () =
-  let t = Scc.create () in
-  (* two separate cycles joined by a bridge, then a back edge merges all *)
-  ignore (Scc.add_edge t 0 1);
-  ignore (Scc.add_edge t 1 0);
-  ignore (Scc.add_edge t 2 3);
-  ignore (Scc.add_edge t 3 2);
-  ignore (Scc.add_edge t 1 2);
-  check "two cycles, not merged" false (Scc.same_scc t 0 3);
-  ignore (Scc.add_edge t 3 0);
-  check "all merged" true (Scc.same_scc t 0 3 && Scc.same_scc t 1 2);
-  check_int "one component" 1 (Scc.num_components t)
-
-let test_scc_succ_components () =
-  let t = Scc.create () in
-  ignore (Scc.add_edge t 0 1);
-  ignore (Scc.add_edge t 1 2);
-  ignore (Scc.add_edge t 2 1);
-  (* 1 and 2 merge; successors of 0's component = the {1,2} component *)
-  (match Scc.succ_components t 0 with
-  | [ r ] -> check "succ is the merged component" true (r = Scc.find t 1)
-  | other -> Alcotest.failf "expected one successor, got %d" (List.length other));
-  check "merged component has no external successors" true
-    (Scc.succ_components t 1 = [])
-
-let test_scc_self_edge () =
-  let t = Scc.create () in
-  Scc.add_vertex t 0;
-  let merged = Scc.add_edge t 0 0 in
-  check "self edge merges nothing" false merged;
-  check_int "one component" 1 (Scc.num_components t)
-
-(* -- differential test of the two graph implementations ------------------ *)
+(* -- differential test against a from-scratch oracle ----------------------- *)
 
 module Node = struct
   type t = int
@@ -65,21 +13,41 @@ module Node = struct
   let id x = x
 end
 
-module G1 = Sbd_solver.Graph.Make (Node)
-module G2 = Sbd_solver.Graph_scc.Make (Node)
+module G = Sbd_solver.Graph.Make (Node)
+
+(* The oracle recomputes both sets from the edge lists alone: [v] is
+   alive iff a final vertex is reachable from it, and dead iff every
+   vertex reachable from it is closed and not alive. *)
+let reachable succs v =
+  let seen = Hashtbl.create 16 in
+  let rec go u =
+    if not (Hashtbl.mem seen u) then begin
+      Hashtbl.add seen u ();
+      List.iter go succs.(u)
+    end
+  in
+  go v;
+  Hashtbl.fold (fun u () acc -> u :: acc) seen []
+
+let oracle_alive ~final succs v = List.exists final (reachable succs v)
+
+let oracle_dead ~final ~closed succs v =
+  List.for_all
+    (fun u -> closed.(u) && not (oracle_alive ~final succs u))
+    (reachable succs v)
 
 (* Random update sequences: add_vertex/close with random targets, then
-   compare is_alive / is_dead on all vertices. *)
+   compare is_alive / is_dead on all vertices with the oracle. *)
 let test_differential () =
   let rand = Random.State.make [| 2026 |] in
   for _round = 1 to 50 do
-    let g1 = G1.create () and g2 = G2.create () in
+    let g = G.create () in
     let n = 3 + Random.State.int rand 12 in
     let final v = v mod 5 = 0 in
+    let succs = Array.make n [] and closed = Array.make n false in
     (* add all vertices *)
     for v = 0 to n - 1 do
-      ignore (G1.add_vertex g1 v ~final:(final v));
-      ignore (G2.add_vertex g2 v ~final:(final v))
+      ignore (G.add_vertex g v ~final:(final v))
     done;
     (* close a random subset with random targets *)
     for v = 0 to n - 1 do
@@ -90,57 +58,56 @@ let test_differential () =
               let t = Random.State.int rand n in
               (t, final t))
         in
-        G1.close g1 v ~final:(final v) ~targets;
-        G2.close g2 v ~final:(final v) ~targets
+        G.close g v ~final:(final v) ~targets;
+        succs.(v) <- List.sort_uniq Int.compare (List.map fst targets);
+        closed.(v) <- true
       end
     done;
-    (* the two implementations agree on every vertex *)
+    (* the graph agrees with the oracle on every vertex *)
     for v = 0 to n - 1 do
-      check "closed agree" (G1.is_closed g1 v) (G2.is_closed g2 v);
-      check "alive agree" (G1.is_alive g1 v) (G2.is_alive g2 v);
-      check "dead agree" (G1.is_dead g1 v) (G2.is_dead g2 v);
+      check "closed agree" closed.(v) (G.is_closed g v);
+      check "alive agree" (oracle_alive ~final succs v) (G.is_alive g v);
+      check "dead agree" (oracle_dead ~final ~closed succs v) (G.is_dead g v);
       (* sanity: alive and dead are mutually exclusive *)
-      check "not both" false (G1.is_alive g1 v && G1.is_dead g1 v)
+      check "not both" false (G.is_alive g v && G.is_dead g v)
     done;
-    check "edge counts agree" (G1.num_edges g1 = G2.num_edges g2) true;
-    check "closed counts agree" (G1.num_closed g1 = G2.num_closed g2) true
+    check "edge counts agree" true
+      (G.num_edges g = Array.fold_left (fun acc l -> acc + List.length l) 0 succs);
+    check "closed counts agree" true
+      (G.num_closed g = Array.fold_left (fun acc c -> if c then acc + 1 else acc) 0 closed)
   done
 
 (* dead-end semantics: a closed cycle with no finals is dead; adding a
    final escape revives nothing retroactively but keeps others alive *)
-let test_graph_scc_dead_cycle () =
-  let g = G2.create () in
+let test_graph_dead_cycle () =
+  let g = G.create () in
   (* cycle 0 -> 1 -> 0, both closed, no finals: dead *)
-  G2.close g 0 ~final:false ~targets:[ (1, false) ];
-  G2.close g 1 ~final:false ~targets:[ (0, false) ];
-  check "cycle is dead" true (G2.is_dead g 0);
-  check "cycle is dead (other member)" true (G2.is_dead g 1);
+  G.close g 0 ~final:false ~targets:[ (1, false) ];
+  G.close g 1 ~final:false ~targets:[ (0, false) ];
+  check "cycle is dead" true (G.is_dead g 0);
+  check "cycle is dead (other member)" true (G.is_dead g 1);
   (* a separate vertex leading into the dead cycle is dead once closed *)
-  G2.close g 2 ~final:false ~targets:[ (0, false) ];
-  check "feeder is dead" true (G2.is_dead g 2);
+  G.close g 2 ~final:false ~targets:[ (0, false) ];
+  check "feeder is dead" true (G.is_dead g 2);
   (* a vertex with a final target is alive, never dead *)
-  G2.close g 3 ~final:false ~targets:[ (0, false); (4, true) ];
-  check "escape is alive" true (G2.is_alive g 3);
-  check "escape is not dead" false (G2.is_dead g 3)
+  G.close g 3 ~final:false ~targets:[ (0, false); (4, true) ];
+  check "escape is alive" true (G.is_alive g 3);
+  check "escape is not dead" false (G.is_dead g 3)
 
-let test_graph_scc_alive_propagation () =
-  let g = G2.create () in
-  G2.close g 0 ~final:false ~targets:[ (1, false) ];
-  G2.close g 1 ~final:false ~targets:[ (2, false) ];
-  check "not alive yet" false (G2.is_alive g 0);
+let test_graph_alive_propagation () =
+  let g = G.create () in
+  G.close g 0 ~final:false ~targets:[ (1, false) ];
+  G.close g 1 ~final:false ~targets:[ (2, false) ];
+  check "not alive yet" false (G.is_alive g 0);
   (* closing 2 with a final target propagates aliveness back *)
-  G2.close g 2 ~final:false ~targets:[ (3, true) ];
-  check "2 alive" true (G2.is_alive g 2);
-  check "1 alive" true (G2.is_alive g 1);
-  check "0 alive" true (G2.is_alive g 0)
+  G.close g 2 ~final:false ~targets:[ (3, true) ];
+  check "2 alive" true (G.is_alive g 2);
+  check "1 alive" true (G.is_alive g 1);
+  check "0 alive" true (G.is_alive g 0)
 
 let suite =
   ( "graph",
-    [ Alcotest.test_case "scc basics" `Quick test_scc_basic
-    ; Alcotest.test_case "scc nested merge" `Quick test_scc_nested_merge
-    ; Alcotest.test_case "scc successor components" `Quick test_scc_succ_components
-    ; Alcotest.test_case "scc self edge" `Quick test_scc_self_edge
-    ; Alcotest.test_case "graph implementations agree" `Quick test_differential
-    ; Alcotest.test_case "scc graph: dead cycle" `Quick test_graph_scc_dead_cycle
-    ; Alcotest.test_case "scc graph: alive propagation" `Quick test_graph_scc_alive_propagation
+    [ Alcotest.test_case "graph implementations agree" `Quick test_differential
+    ; Alcotest.test_case "scc graph: dead cycle" `Quick test_graph_dead_cycle
+    ; Alcotest.test_case "scc graph: alive propagation" `Quick test_graph_alive_propagation
     ] )

@@ -25,7 +25,6 @@ module Brz = Sbd_classic.Brzozowski.Make (R)
 module MSolve = Sbd_classic.Minterm_solver.Make (R)
 module Simp = Sbd_regex.Simplify.Make (R)
 module C = T.C
-module Matcher = Sbd_matcher.Matcher.Make (R)
 module Safa = Sbd_core.Safa.Make (R)
 
 let ca = Char.code 'a'
@@ -338,8 +337,8 @@ let t_matcher_vs_oracle =
     QCheck2.Gen.(pair (gen_regex ~boolean:true) gen_word)
     print_regex_word
     (fun (r, w) ->
-      let m = Matcher.create r in
-      Matcher.matches m w = Ref.matches r w)
+      let m = Brz.Dfa.create r in
+      Brz.Dfa.matches m w = Ref.matches r w)
 
 (* -- printer/parser ------------------------------------------------------ *)
 

@@ -16,7 +16,6 @@ module C = T.C
 module S = T.S
 module Ref = Sbd_classic.Refmatch.Make (R)
 module Brz = Sbd_classic.Brzozowski.Make (R)
-module Matcher = Sbd_matcher.Matcher.Make (R)
 module Simp = Sbd_regex.Simplify.Make (R)
 
 let re = P.parse_exn
@@ -73,13 +72,13 @@ let test_engines_agree () =
   List.iter
     (fun pat ->
       let r = re pat in
-      let m = Matcher.create r in
+      let m = Brz.Dfa.create r in
       List.iter
         (fun w ->
           let expected = Ref.matches r w in
           check "deriv" expected (D.matches r w);
           check "brz" expected (Brz.matches r w);
-          check "matcher" expected (Matcher.matches m w))
+          check "matcher" expected (Brz.Dfa.matches m w))
         (words 4))
     patterns
 

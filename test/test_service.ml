@@ -632,6 +632,18 @@ let test_session_roundtrip () =
       let r = recv () in
       check "utf8 full match" true (Jsonin.bool_member "full" r = Some true);
       check "match stats present" true (Jsonin.member "stats" r <> None);
+      (* zero-width parts that simplify away leave a plain pattern: it
+         is matched as [a] and [x], not re-read by the plain grammar *)
+      send {|{"id": "m3", "op": "match", "re": "(?=b){0}a", "input": "a"}|};
+      let r = recv () in
+      check "(?=b){0}a full" true (Jsonin.bool_member "full" r = Some true);
+      check "(?=b){0}a span [0,1)" true
+        (Jsonin.member "span" r = Some (J.Arr [ J.Int 0; J.Int 1 ]));
+      send {|{"id": "m4", "op": "match", "re": "x(?<=q){0}", "input": "yxz"}|};
+      let r = recv () in
+      check "x(?<=q){0} not full" true (Jsonin.bool_member "full" r = Some false);
+      check "x(?<=q){0} span [1,2)" true
+        (Jsonin.member "span" r = Some (J.Arr [ J.Int 1; J.Int 2 ]));
       send {|{"id": 8, "op": "stats"}|};
       let r = recv () in
       check "stats ok" true (status r = Some "ok");
