@@ -127,6 +127,22 @@ dune exec bin/sbdsolve.exe -- --match 'ab*c' --input 'xxabbbcyy' --json
 dune exec bin/sbdsolve.exe -- --match '\d{4}-[a-zA-Z]{3}-\d{2}' --input 'shipped on 2026-Aug-06, delayed' --json
 dune exec bin/sbdsolve.exe -- --match '^(?=.*\d)\w{4,8}$' --input 'ab12cd' --json
 
+echo "== long located match line =="
+# one 16 MB located match request through sbdserve: the line reader,
+# the JSON string decoder and the located engine must each stay linear
+# (the reader was quadratic in the line length once), so the whole
+# session fits well inside the timeout
+n=$((16 << 20))
+out=$(python3 -c '
+import json, sys
+n = int(sys.argv[1])
+print(json.dumps({"id": 1, "op": "match", "re": "needle(?=\\d)", "input": "x" * n + "needle7"}))
+print(json.dumps({"id": 2, "op": "shutdown"}))' "$n" \
+  | timeout 120 dune exec bin/sbdserve.exe) \
+  || { echo "16 MB located match: server failed or timed out"; exit 1; }
+echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"found_end\":$((n + 6))," \
+  || { echo "16 MB located match: wrong or missing found_end"; exit 1; }
+
 echo "== engine throughput matrix gates =="
 # steady-state (hot) MB/s floors per pattern class (literal / class /
 # boolean / counter) plus span agreement between the engine and the

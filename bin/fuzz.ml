@@ -22,7 +22,11 @@
        lookaround patterns vs the all-splits oracle (Locref): full
        verdicts and earliest match ends in Byte and Utf8 modes,
        chunk-split streaming for lookahead-free patterns, and the
-       anchor-elimination translation (lower) vs the plain oracle
+       anchor-elimination translation (lower) vs the plain oracle;
+       a lossy Utf8 round on raw bytes (malformed sequences included)
+       vs the oracle over Utf8.decode_lossy, on the round's pattern
+       and on one around a lookahead, with a max_states=1 engine that
+       forces the located table-reset path
 
    Usage: fuzz [--rounds N] [--seed S] [--size K]
    Exits non-zero and prints the offending regex on the first mismatch,
@@ -128,6 +132,20 @@ let gen_word rand =
 let gen_word_u rand =
   List.init (Random.State.int rand 7) (fun _ ->
       List.nth alphabet_u (Random.State.int rand (List.length alphabet_u)))
+
+(* Raw bytes for the lossy-UTF-8 rounds: ASCII and well-formed scalars
+   mixed with stray continuations, truncated, overlong, surrogate and
+   4-byte sequences (the engine is BMP-only, so the last are malformed
+   too). *)
+let lossy_pieces =
+  [| "a"; "b"; "0"; "1"; "x"; "\xc3\xa9"; "\xe4\xb8\xad"; "\x80"; "\xbf"
+   ; "\xe4\xb8"; "\xc3"; "\xc0\xaf"; "\xe0\x80\xaf"; "\xed\xa0\x80"
+   ; "\xf0\x9f\x98\x80"; "\xff" |]
+
+let gen_lossy_bytes rand =
+  String.concat ""
+    (List.init (Random.State.int rand 9) (fun _ ->
+         lossy_pieces.(Random.State.int rand (Array.length lossy_pieces))))
 
 let string_of_word (w : int list) : string =
   String.init (List.length w) (fun i -> Char.chr (List.nth w i))
@@ -257,6 +275,7 @@ let run ~rounds ~seed ~size ~counters =
   let total_prefilter = ref 0 and total_accel = ref 0 in
   let total_loc_anchor = ref 0 and total_loc_look = ref 0 in
   let total_loc_stream = ref 0 and total_loc_lower = ref 0 in
+  let total_loc_lossy = ref 0 and total_loc_resets = ref 0 in
   let total_presolve_unsat = ref 0 and total_presolve_sat = ref 0 in
   let (module W) = Sbd_service.Worker.create ~memo_cap:0 () in
   let generations0 = Sbd_obs.Obs.Counter.value Sbd_service.Worker.c_memo_clears in
@@ -549,7 +568,58 @@ let run ~rounds ~seed ~size ~counters =
         let st8 = loc_stream_random_chunks rand leng8 ls8 in
         if st8.LM.full <> res8.LM.full || st8.LM.found_end <> res8.LM.found_end
         then fail_at_loc ~word:lw8 round "located stream utf8 (chunk splits)" lr
-      end
+      end;
+      (* lossy Utf8: raw bytes, decoded like Utf8.decode_lossy; the
+         oracle's scalar ends map through the engine's own boundaries.
+         A second engine at the smallest state cap resets its tables
+         mid-walk and must agree. *)
+      let lb = gen_lossy_bytes rand in
+      let n = String.length lb in
+      let rec seg pos cps bnd =
+        if pos >= n then (List.rev cps, Array.of_list (List.rev bnd))
+        else
+          let cp, pos' = Sbd_engine.Byteclass.scalar_forward lb pos n in
+          seg pos' (cp :: cps) (pos' :: bnd)
+      in
+      let lcps, lbnd = seg 0 [] [ 0 ] in
+      if lcps <> U.decode_lossy lb then
+        fail_at_loc ~word:lcps round "engine segmentation vs decode_lossy" lr;
+      (* [lr] itself, and a pattern around a lookahead, whose backward
+         pre-pass must segment exactly as the forward walk *)
+      let ahead =
+        LR.concat_list
+          [ gen_loc_regex rand (size / 2);
+            LR.look ~behind:false ~neg:(Random.State.bool rand)
+              (gen_regex rand 3);
+            gen_loc_regex rand (size / 2) ]
+      in
+      List.iter
+        (fun lr ->
+          let ol = LRef.make lr (Array.of_list lcps) in
+          let want_end =
+            Option.map (fun j -> lbnd.(j)) (LRef.earliest_end ol)
+          in
+          let eng = LM.create ~mode:Sbd_engine.Byteclass.Utf8 lr in
+          let tiny = LM.create ~mode:Sbd_engine.Byteclass.Utf8 ~max_states:1 lr in
+          List.iter
+            (fun (name, eng) ->
+              let r = LM.run eng lb in
+              if r.LM.full <> LRef.full ol then
+                fail_at_loc ~word:lcps round ("located lossy full" ^ name) lr;
+              if r.LM.found_end <> want_end then
+                fail_at_loc ~word:lcps round
+                  ("located lossy earliest end" ^ name) lr)
+            [ ("", eng); (" (max_states=1)", tiny) ];
+          if not (LM.has_lookahead eng) then begin
+            let st = loc_stream_random_chunks rand eng lb in
+            if st.LM.full <> LRef.full ol || st.LM.found_end <> want_end then
+              fail_at_loc ~word:lcps round "located lossy stream (chunk splits)"
+                lr
+          end;
+          total_loc_resets := !total_loc_resets + LM.resets tiny)
+        (if List.length (LR.atoms ahead) <= LM.max_atoms then [ lr; ahead ]
+         else [ lr ]);
+      incr total_loc_lossy
     end;
     if round mod 500 = 0 then Printf.printf "... %d rounds ok\n%!" round
   done;
@@ -569,6 +639,8 @@ let run ~rounds ~seed ~size ~counters =
     raise (Mismatch "located streaming path was never exercised");
   if rounds >= 100 && !total_loc_lower = 0 then
     raise (Mismatch "located lower translation was never exercised");
+  if rounds >= 100 && !total_loc_resets = 0 then
+    raise (Mismatch "located table reset path was never exercised");
   if rounds >= 100 && !total_presolve_unsat = 0 then
     raise (Mismatch "abstract pre-solver unsat path was never exercised");
   if rounds >= 100 && !total_presolve_sat = 0 then
@@ -587,8 +659,10 @@ let run ~rounds ~seed ~size ~counters =
     "fuzz: engine cache resets exercised %d times, prefilter %d, skip loop %d\n%!"
     !total_resets !total_prefilter !total_accel;
   Printf.printf
-    "fuzz: located rounds — anchors %d, lookarounds %d, streamed %d, lowered %d\n%!"
+    "fuzz: located rounds — anchors %d, lookarounds %d, streamed %d, lowered \
+     %d, lossy %d (table resets %d)\n%!"
     !total_loc_anchor !total_loc_look !total_loc_stream !total_loc_lower
+    !total_loc_lossy !total_loc_resets
 
 open Cmdliner
 

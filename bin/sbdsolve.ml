@@ -453,10 +453,14 @@ let run_lint_corpus ~budget ~deadline ~json name =
    location-aware engine (valuation-indexed derivatives + obligation
    automata).  It reports the earliest match end rather than a span —
    located search has no backward start-recovery pass yet. *)
-let run_loc_match ~stats ~json ~input pattern (t : L.t) =
+let run_loc_match ~deadline ~stats ~json ~input pattern (t : L.t) =
   let eng = LM.create ~mode:Sbd_engine.Byteclass.Utf8 t in
+  let deadline = Option.map Obs.Deadline.of_seconds deadline in
   let t0 = Obs.now () in
-  let res = LM.run eng input in
+  let outcome =
+    try Ok (LM.run ?deadline eng input)
+    with Obs.Deadline_exceeded what -> Error what
+  in
   let wall = Obs.now () -. t0 in
   let engine_stats =
     [
@@ -467,15 +471,25 @@ let run_loc_match ~stats ~json ~input pattern (t : L.t) =
     @ [ ("query.wall_time_s", wall) ]
   in
   if json then begin
+    let base =
+      match outcome with
+      | Ok res ->
+        [
+          ("result", Obs.Json.Str "ok");
+          ("matched", Obs.Json.Bool (res.LM.found_end <> None));
+          ("full", Obs.Json.Bool res.LM.full);
+        ]
+        @ (match res.LM.found_end with
+          | Some j -> [ ("found_end", Obs.Json.Int j) ]
+          | None -> [])
+      | Error what ->
+        [
+          ("result", Obs.Json.Str "unknown");
+          ("reason", Obs.Json.Str ("deadline:" ^ what));
+        ]
+    in
     let doc =
-      [
-        ("result", Obs.Json.Str "ok");
-        ("matched", Obs.Json.Bool (res.LM.found_end <> None));
-        ("full", Obs.Json.Bool res.LM.full);
-      ]
-      @ (match res.LM.found_end with
-        | Some j -> [ ("found_end", Obs.Json.Int j) ]
-        | None -> [])
+      base
       @ [
           ("pattern", Obs.Json.Str pattern);
           ("input_bytes", Obs.Json.Int (String.length input));
@@ -486,18 +500,21 @@ let run_loc_match ~stats ~json ~input pattern (t : L.t) =
     print_endline (Obs.Json.to_string (Obs.Json.Obj doc))
   end
   else begin
-    (match res.LM.found_end with
-    | None -> Printf.printf "no-match full=%b\n" res.LM.full
-    | Some j -> Printf.printf "match end=%d full=%b\n" j res.LM.full);
+    (match outcome with
+    | Ok { LM.found_end = None; full; _ } ->
+      Printf.printf "no-match full=%b\n" full
+    | Ok { LM.found_end = Some j; full; _ } ->
+      Printf.printf "match end=%d full=%b\n" j full
+    | Error what -> Printf.printf "unknown (deadline:%s)\n" what);
     if stats then print_stats_text engine_stats
   end;
-  0
+  match outcome with Ok _ -> 0 | Error _ -> 3
 
 let run_match ~deadline ~stats ~json ~input pattern =
   match LP.parse pattern with
   | Error (pos, msg) -> print_parse_error ~json pos msg
   | Ok t when L.to_plain t = None ->
-    run_loc_match ~stats ~json ~input pattern t
+    run_loc_match ~deadline ~stats ~json ~input pattern t
   | Ok t ->
     let r = Option.get (L.to_plain t) in
     let eng = Eng.create ~mode:Sbd_engine.Byteclass.Utf8 r in

@@ -22,7 +22,12 @@
     per-class CI floors gate ({!check}).  The classic lazy DFA's
     per-position scan and the DP oracle run on much smaller inputs for
     the speedup and agreement columns; the report is appended to the
-    [BENCH_<date>.json] trajectory as an ["engine"] run. *)
+    [BENCH_<date>.json] trajectory as an ["engine"] run.
+
+    A separate {e located} class ([located_rows]) runs the located
+    engine on a lookahead, a lookbehind, a [^] and a [$] shape, each
+    gated against the plain pattern of the same shape and checked
+    against the located oracle on short inputs. *)
 
 module R = Harness.R
 module P = Harness.P
@@ -31,6 +36,9 @@ module J = Obs.Json
 module Eng = Sbd_service.Default.Eng
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module Ref = Sbd_classic.Refmatch.Make (R)
+module LP = Sbd_service.Default.LP
+module LM = Sbd_service.Default.LM
+module LRef = Sbd_service.Default.LRef
 
 (* -- corpora -------------------------------------------------------------- *)
 
@@ -203,6 +211,93 @@ let bench_pattern ~big ~small ~planted_mid ~tiny (label, pattern, klass, live) :
     factor_len = st.Eng.factor_len;
   }
 
+(* -- located rows ---------------------------------------------------------- *)
+
+(* The located engine ({!Sbd_engine.Locmatch}) on one shape per kind of
+   zero-width atom, each against the plain pattern of the same shape
+   with the atom made consuming (or dropped): the located run's
+   [hot_mb_s] is gated at [located_ratio_floor] of its plain partner's.
+   The shapes are class-heavy on purpose: a literal would let the plain
+   engine's prefilter skip the input, and the ratio would then measure
+   the prefilter, not the walk. *)
+let located_patterns =
+  [
+    ("lookahead", "[a-zA-Z]{3}(?=[-/]\\d{2})", "[a-zA-Z]{3}[-/]\\d{2}");
+    ("lookbehind", "(?<=\\d{4}[-/])[a-zA-Z]{3}", "\\d{4}[-/][a-zA-Z]{3}");
+    ("begin", "(^|[^a-z])[c-h]{8}", "[^a-z][c-h]{8}");
+    ("end", "[c-h]{8}([^a-z]|$)", "[c-h]{8}[^a-z]");
+  ]
+
+let located_ratio_floor = 0.25
+
+type located_row = {
+  llabel : string;
+  lpattern : string;
+  plain : string;
+  lhot_mb_s : float;  (** located run, warm tables: the gated figure *)
+  plain_hot_mb_s : float;  (** the plain partner's [hot_mb_s] *)
+  found_end : int option;  (** located earliest end on the planted corpus *)
+  lagree : bool;  (** located engine vs {!Sbd_locregex.Locref} *)
+}
+
+let bench_located ~big ~planted_mid ~shorts (llabel, lpattern, plain) :
+    located_row =
+  let t =
+    match LP.parse lpattern with
+    | Ok t -> t
+    | Error (pos, msg) ->
+      failwith
+        (Printf.sprintf "engine_bench: parse %S: %d: %s" lpattern pos msg)
+  in
+  let leng = LM.create ~mode:Sbd_engine.Byteclass.Byte t in
+  let run s = LM.run leng s in
+  let eng = Eng.create ~mode:Sbd_engine.Byteclass.Byte (parse_exn plain) in
+  ignore (run big : LM.result);
+  ignore (Eng.find eng big : (int * int) option);
+  (* the two engines take turns, so a slow spell of a shared machine
+     hits both sides of the ratio alike *)
+  let lbest = ref 0.0 and pbest = ref 0.0 in
+  for _ = 1 to 15 do
+    let bytes = String.length big in
+    lbest :=
+      Float.max !lbest
+        (time_mb_s ~reps:1 ~bytes (fun () -> ignore (run big : LM.result)));
+    pbest :=
+      Float.max !pbest
+        (time_mb_s ~reps:1 ~bytes (fun () ->
+             ignore (Eng.find eng big : (int * int) option)))
+  done;
+  let lhot_mb_s = !lbest and plain_hot_mb_s = !pbest in
+  (* Byte mode: byte offsets are scalar indices *)
+  let agree_on s =
+    let o = LRef.make t (Array.init (String.length s) (fun i -> Char.code s.[i])) in
+    let r = run s in
+    r.LM.full = LRef.full o && r.LM.found_end = LRef.earliest_end o
+  in
+  {
+    llabel;
+    lpattern;
+    plain;
+    lhot_mb_s;
+    plain_hot_mb_s;
+    found_end = (run planted_mid).LM.found_end;
+    lagree = List.for_all agree_on shorts;
+  }
+
+let json_of_located (r : located_row) : J.t =
+  J.Obj
+    [
+      ("label", J.Str r.llabel);
+      ("pattern", J.Str r.lpattern);
+      ("plain_pattern", J.Str r.plain);
+      ("hot_mb_s", J.Float r.lhot_mb_s);
+      ("plain_hot_mb_s", J.Float r.plain_hot_mb_s);
+      ("ratio", J.Float (r.lhot_mb_s /. Float.max r.plain_hot_mb_s 1e-9));
+      ( "planted_found_end",
+        match r.found_end with Some j -> J.Int j | None -> J.Null );
+      ("agree", J.Bool r.lagree);
+    ]
+
 let json_of_row (r : row) : J.t =
   J.Obj
     [
@@ -229,6 +324,7 @@ let json_of_row (r : row) : J.t =
 
 type report = {
   rows : row list;
+  located : located_row list;
   json : J.t;
   min_speedup : float;
   all_agree : bool;
@@ -253,6 +349,14 @@ let run ?(engine_bytes = 1 lsl 20) ?(scan_bytes = 8_192) ?(ref_bytes = 160) ()
   let planted_mid = planted scan_bytes in
   let tiny = filler ref_bytes in
   let rows = List.map (bench_pattern ~big ~small ~planted_mid ~tiny) patterns in
+  (* the oracle splits every span: short inputs only *)
+  let shorts =
+    [ ""; tiny; String.sub (planted 96) 24 48; "2026-Jan-15"; "x2026-Jan-15";
+      "cdefghcd"; " cdefghcd."; "Jan-15" ]
+  in
+  let located =
+    List.map (bench_located ~big ~planted_mid ~shorts) located_patterns
+  in
   (* the acceptance bar is over the scan-quadratic patterns *)
   let min_speedup =
     List.fold_left
@@ -274,9 +378,10 @@ let run ?(engine_bytes = 1 lsl 20) ?(scan_bytes = 8_192) ?(ref_bytes = 160) ()
                (class_matrix rows)) );
         ("min_speedup_vs_scan", J.Float min_speedup);
         ("all_spans_agree", J.Bool all_agree);
+        ("located_rows", J.Arr (List.map json_of_located located));
       ]
   in
-  { rows; json; min_speedup; all_agree }
+  { rows; located; json; min_speedup; all_agree }
 
 (** Gate the per-class steady-state floors: one message per pattern
     class whose worst [hot_mb_s] is below {!floor_mb_s}, plus one per
@@ -300,7 +405,23 @@ let check (r : report) : string list =
         else Some (Printf.sprintf "%s: engine and scan spans disagree" row.label))
       r.rows
   in
-  floor_failures @ agree_failures
+  let located_failures =
+    List.concat_map
+      (fun l ->
+        (if l.lhot_mb_s < located_ratio_floor *. l.plain_hot_mb_s then
+           [
+             Printf.sprintf
+               "located %s hot rate %.1f MB/s below %.2f of its plain \
+                partner's %.1f"
+               l.llabel l.lhot_mb_s located_ratio_floor l.plain_hot_mb_s;
+           ]
+         else [])
+        @
+        if l.lagree then []
+        else [ Printf.sprintf "located %s: engine and oracle disagree" l.llabel ])
+      r.located
+  in
+  floor_failures @ agree_failures @ located_failures
 
 let pp fmt (r : report) =
   Format.fprintf fmt
@@ -322,7 +443,16 @@ let pp fmt (r : report) =
     (class_matrix r.rows);
   Format.fprintf fmt "  min speedup %.0fx on scan-quadratic patterns, spans %s@."
     r.min_speedup
-    (if r.all_agree then "agree" else "DISAGREE")
+    (if r.all_agree then "agree" else "DISAGREE");
+  Format.fprintf fmt "  %-15s %-26s %9s %9s %7s@." "located" "pattern" "hot"
+    "plain" "ratio";
+  List.iter
+    (fun l ->
+      Format.fprintf fmt "  %-15s %-26s %9.1f %9.1f %7.2f%s@." l.llabel
+        l.lpattern l.lhot_mb_s l.plain_hot_mb_s
+        (l.lhot_mb_s /. Float.max l.plain_hot_mb_s 1e-9)
+        (if l.lagree then "" else "  ORACLE MISMATCH"))
+    r.located
 
 (** Run the matrix and append it to the ["engine"] section of the
     trajectory file (default [BENCH_<date>.json]). Returns the report;

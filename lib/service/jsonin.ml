@@ -75,53 +75,78 @@ let add_utf8 buf cp =
     Buffer.add_char buf (Char.chr (0x80 lor (cp land 0x3F)))
   end
 
+(* A string body is copied a maximal run at a time: the bytes up to the
+   next ['"'] or ['\\'] go out with one substring copy, and a string
+   with no escape at all is a single [String.sub] of the source. *)
 let parse_string st =
   expect st '"';
-  let buf = Buffer.create 16 in
-  let rec go () =
-    if st.pos >= String.length st.src then fail st "unterminated string";
-    let c = st.src.[st.pos] in
-    st.pos <- st.pos + 1;
-    match c with
-    | '"' -> Buffer.contents buf
-    | '\\' -> (
-      if st.pos >= String.length st.src then fail st "truncated escape";
-      let e = st.src.[st.pos] in
-      st.pos <- st.pos + 1;
-      match e with
-      | '"' | '\\' | '/' ->
-        Buffer.add_char buf e;
-        go ()
-      | 'b' -> Buffer.add_char buf '\b'; go ()
-      | 'f' -> Buffer.add_char buf '\012'; go ()
-      | 'n' -> Buffer.add_char buf '\n'; go ()
-      | 'r' -> Buffer.add_char buf '\r'; go ()
-      | 't' -> Buffer.add_char buf '\t'; go ()
-      | 'u' ->
-        let cp = hex4 st in
-        let cp =
-          (* High surrogate: look for the mandatory low half. *)
-          if cp >= 0xD800 && cp <= 0xDBFF
-             && st.pos + 6 <= String.length st.src
-             && st.src.[st.pos] = '\\'
-             && st.src.[st.pos + 1] = 'u'
-          then begin
-            st.pos <- st.pos + 2;
-            let lo = hex4 st in
-            if lo >= 0xDC00 && lo <= 0xDFFF then
-              0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
-            else fail st "invalid surrogate pair"
-          end
-          else cp
-        in
-        add_utf8 buf cp;
-        go ()
-      | _ -> fail st "invalid escape")
-    | c ->
-      Buffer.add_char buf c;
-      go ()
+  let src = st.src in
+  let n = String.length src in
+  let rec run_end i =
+    if i < n then
+      match String.unsafe_get src i with
+      | '"' | '\\' -> i
+      | _ -> run_end (i + 1)
+    else i
   in
-  go ()
+  let start = st.pos in
+  let stop = run_end start in
+  if stop < n && src.[stop] = '"' then begin
+    st.pos <- stop + 1;
+    String.sub src start (stop - start)
+  end
+  else begin
+    let buf = Buffer.create (stop - start + 16) in
+    Buffer.add_substring buf src start (stop - start);
+    st.pos <- stop;
+    (* [st.pos] is where a run stopped: end of input, '"' or '\\' *)
+    let rec go () =
+      if st.pos >= n then fail st "unterminated string";
+      let c = src.[st.pos] in
+      st.pos <- st.pos + 1;
+      if c = '"' then Buffer.contents buf
+      else begin
+        if st.pos >= n then fail st "truncated escape";
+        let e = src.[st.pos] in
+        st.pos <- st.pos + 1;
+        match e with
+        | '"' | '\\' | '/' ->
+          Buffer.add_char buf e;
+          next_run ()
+        | 'b' -> Buffer.add_char buf '\b'; next_run ()
+        | 'f' -> Buffer.add_char buf '\012'; next_run ()
+        | 'n' -> Buffer.add_char buf '\n'; next_run ()
+        | 'r' -> Buffer.add_char buf '\r'; next_run ()
+        | 't' -> Buffer.add_char buf '\t'; next_run ()
+        | 'u' ->
+          let cp = hex4 st in
+          let cp =
+            (* High surrogate: look for the mandatory low half. *)
+            if cp >= 0xD800 && cp <= 0xDBFF
+               && st.pos + 6 <= n
+               && src.[st.pos] = '\\'
+               && src.[st.pos + 1] = 'u'
+            then begin
+              st.pos <- st.pos + 2;
+              let lo = hex4 st in
+              if lo >= 0xDC00 && lo <= 0xDFFF then
+                0x10000 + ((cp - 0xD800) lsl 10) + (lo - 0xDC00)
+              else fail st "invalid surrogate pair"
+            end
+            else cp
+          in
+          add_utf8 buf cp;
+          next_run ()
+        | _ -> fail st "invalid escape"
+      end
+    and next_run () =
+      let stop = run_end st.pos in
+      Buffer.add_substring buf src st.pos (stop - st.pos);
+      st.pos <- stop;
+      go ()
+    in
+    go ()
+  end
 
 let parse_number st =
   let start = st.pos in
@@ -255,27 +280,72 @@ let bool_member key j =
     instead of one per line (DESIGN.md §17).  The trailing fragment of
     an incomplete line is kept for the next read; at EOF a non-empty
     fragment is delivered as a final unterminated line (matching
-    [input_line] semantics). *)
+    [input_line] semantics).  Lines keep any ['\r'] and may be empty.
+
+    Linear in the input: the newline scan resumes where the last one
+    stopped, and each line is copied out exactly once.  The buffer is
+    one chunk; a line longer than that hands each full chunk over to a
+    spill list (no copy) and is assembled once, at its newline, so the
+    reader is back at one chunk as soon as the long line is delivered. *)
 module Lines = struct
   type t = {
     ic : in_channel;
-    buf : Bytes.t;
-    pending : Buffer.t;  (** bytes read but not yet terminated by '\n' *)
+    mutable buf : Bytes.t;  (** one chunk; pending bytes at [\[0, len)] *)
+    mutable len : int;
+    mutable scanned : int;  (** [buf.\[0, scanned)] holds no ['\n'] *)
+    mutable spill : Bytes.t list;
+        (** full chunks of the pending line's head, newest first *)
+    mutable spilled : int;  (** their total length *)
     mutable eof : bool;
   }
 
   let chunk = 65536
-  let create ic = { ic; buf = Bytes.create chunk; pending = Buffer.create 256; eof = false }
 
-  (* Split [pending] into complete lines, keeping the remainder. *)
-  let split_pending t =
-    let s = Buffer.contents t.pending in
-    match String.rindex_opt s '\n' with
-    | None -> []
-    | Some last ->
-      Buffer.clear t.pending;
-      Buffer.add_substring t.pending s (last + 1) (String.length s - last - 1);
-      String.split_on_char '\n' (String.sub s 0 last)
+  let create ic =
+    {
+      ic;
+      buf = Bytes.create chunk;
+      len = 0;
+      scanned = 0;
+      spill = [];
+      spilled = 0;
+      eof = false;
+    }
+
+  (* The pending line: the spill, then [buf.[start, stop)]. *)
+  let take t start stop =
+    match t.spill with
+    | [] -> Bytes.sub_string t.buf start (stop - start)
+    | pieces ->
+      let line = Bytes.create (t.spilled + stop - start) in
+      ignore
+        (List.fold_left
+           (fun off p ->
+             let off = off - Bytes.length p in
+             Bytes.blit p 0 line off (Bytes.length p);
+             off)
+           t.spilled pieces
+          : int);
+      Bytes.blit t.buf start line t.spilled (stop - start);
+      t.spill <- [];
+      t.spilled <- 0;
+      Bytes.unsafe_to_string line
+
+  (* Cut the complete lines out of the unscanned bytes and move the
+     remainder to the front. *)
+  let split t =
+    let lines = ref [] and start = ref 0 in
+    for i = t.scanned to t.len - 1 do
+      if Bytes.unsafe_get t.buf i = '\n' then begin
+        lines := take t !start i :: !lines;
+        start := i + 1
+      end
+    done;
+    let rest = t.len - !start in
+    if !start > 0 then Bytes.blit t.buf !start t.buf 0 rest;
+    t.len <- rest;
+    t.scanned <- rest;
+    List.rev !lines
 
   (** All complete lines available after one blocking read; [None] at
       EOF once every buffered byte has been delivered.  Never returns
@@ -283,21 +353,30 @@ module Lines = struct
       arrives. *)
   let rec read t : string list option =
     if t.eof then
-      if Buffer.length t.pending > 0 then begin
-        let s = Buffer.contents t.pending in
-        Buffer.clear t.pending;
-        Some [ s ]
+      if t.len > 0 || t.spill <> [] then begin
+        let line = take t 0 t.len in
+        t.len <- 0;
+        t.scanned <- 0;
+        Some [ line ]
       end
       else None
     else begin
-      let n = input t.ic t.buf 0 chunk in
+      if t.len = chunk then begin
+        (* a full buffer with no newline is one line's head *)
+        t.spill <- t.buf :: t.spill;
+        t.spilled <- t.spilled + chunk;
+        t.buf <- Bytes.create chunk;
+        t.len <- 0;
+        t.scanned <- 0
+      end;
+      let n = input t.ic t.buf t.len (chunk - t.len) in
       if n = 0 then begin
         t.eof <- true;
         read t
       end
       else begin
-        Buffer.add_subbytes t.pending t.buf 0 n;
-        match split_pending t with [] -> read t | lines -> Some lines
+        t.len <- t.len + n;
+        match split t with [] -> read t | lines -> Some lines
       end
     end
 end

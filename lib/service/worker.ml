@@ -66,7 +66,8 @@ module type GENERATION = sig
       with the byte-level engine ({!Sbd_engine}): full-match flag plus
       leftmost-earliest span in byte offsets.  Engines are cached per
       pattern within the worker.  A deadline expiry yields
-      [Ok (Match_unknown "deadline", _)]; [Error] is a parse error.
+      [Ok (Match_unknown "deadline", _)] on either engine; [Error] is a
+      parse error.
       The stats list reports engine state/reset gauges.
 
       The pattern grammar is the {e extended} one
@@ -350,33 +351,39 @@ let generation () : (module GENERATION) =
           | None -> LA.json_of_report (LA.analyze t))
         (parse_ext pat)
 
-    let loc_match_input ~pattern ~input (t : LR.t) =
+    let loc_match_input ?deadline ~pattern ~input (t : LR.t) =
       let e = loc_engine_for pattern t in
-      let res = LM.run e input in
       let f = float_of_int in
+      let verdict, found =
+        match LM.run ?deadline e input with
+        | res ->
+          ( Protocol.Matched
+              { full = res.LM.full; span = None; found_end = res.LM.found_end },
+            match res.LM.found_end with None -> -1.0 | Some j -> f j )
+        | exception Obs.Deadline_exceeded _ ->
+          (Protocol.Match_unknown "deadline", -1.0)
+      in
       Ok
-        ( Protocol.Matched
-            { full = res.LM.full; span = None; found_end = res.LM.found_end },
+        ( verdict,
           [
             ("locmatch.atoms", f (LM.num_atoms e));
             ("locmatch.memo_entries", f (LM.memo_entries e));
-            ( "locmatch.found_end",
-              match res.LM.found_end with None -> -1.0 | Some j -> f j );
+            ("locmatch.found_end", found);
           ] )
 
     let match_input ?deadline ~pattern ~input () =
+      let deadline = Option.map Obs.Deadline.of_seconds deadline in
       match parse_ext pattern with
       | Error msg -> Error msg
       | Ok t ->
       match LR.to_plain t with
-      | None -> loc_match_input ~pattern ~input t
+      | None -> loc_match_input ?deadline ~pattern ~input t
       | Some r ->
         let e = engine_for pattern r in
-        let dl = Option.map Obs.Deadline.of_seconds deadline in
         let verdict =
           try
-            let full = Eng.matches ?deadline:dl e input in
-            let span = Eng.find ?deadline:dl e input in
+            let full = Eng.matches ?deadline e input in
+            let span = Eng.find ?deadline e input in
             Protocol.Matched { full; span; found_end = None }
           with Obs.Deadline_exceeded _ -> Protocol.Match_unknown "deadline"
         in

@@ -1156,6 +1156,201 @@ let test_match_generations () =
   check "match-only worker retired generations" true (memo_clears () > before);
   check_int "queries carried across generations" 80 (W.queries ())
 
+(* -- line reader: chunk boundaries, long lines, allocation ---------------- *)
+
+(* Every burst [Lines.read] returns for the bytes of [data], until EOF. *)
+let read_all_lines data =
+  let path = Filename.temp_file "sbd_lines" ".txt" in
+  let oc = open_out_bin path in
+  output_string oc data;
+  close_out oc;
+  let ic = open_in_bin path in
+  let t = Jsonin.Lines.create ic in
+  let rec go acc =
+    match Jsonin.Lines.read t with
+    | Some lines -> go (List.rev_append lines acc)
+    | None -> List.rev acc
+  in
+  let lines = Fun.protect ~finally:(fun () -> close_in ic) (fun () -> go []) in
+  Sys.remove path;
+  lines
+
+let test_lines_chunks () =
+  let chunk = Jsonin.Lines.chunk in
+  let lines = Alcotest.(list string) in
+  (* a 1 MB line spans many chunks, with short lines either side *)
+  let big = String.init (1 lsl 20) (fun i -> Char.chr (97 + (i mod 26))) in
+  Alcotest.check lines "1 MB line" [ "a"; big; "b" ]
+    (read_all_lines ("a\n" ^ big ^ "\nb\n"));
+  (* several lines arrive in one chunk *)
+  Alcotest.check lines "many lines in one chunk"
+    (List.init 100 string_of_int)
+    (read_all_lines
+       (String.concat "" (List.init 100 (fun i -> string_of_int i ^ "\n"))));
+  (* the newline is the last byte of a chunk, then the first of the
+     next *)
+  let edge = String.make (chunk - 1) 'x' in
+  Alcotest.check lines "newline ends a chunk" [ edge; "y" ]
+    (read_all_lines (edge ^ "\ny\n"));
+  let full = String.make chunk 'x' in
+  Alcotest.check lines "newline starts a chunk" [ full; "y" ]
+    (read_all_lines (full ^ "\ny"));
+  Alcotest.check lines "line of exactly two chunks" [ full ^ full ]
+    (read_all_lines (full ^ full ^ "\n"));
+  (* empty lines and '\r' are kept; the unterminated tail arrives at
+     EOF *)
+  Alcotest.check lines "empty lines, CRLF, tail"
+    [ ""; "a\r"; ""; "b\r"; "tail" ]
+    (read_all_lines "\na\r\n\nb\r\ntail");
+  Alcotest.check lines "empty input" [] (read_all_lines "");
+  Alcotest.check lines "lone newline" [ "" ] (read_all_lines "\n");
+  (* a long unterminated tail *)
+  Alcotest.check lines "long tail" [ "x"; big ] (read_all_lines ("x\n" ^ big))
+
+(* Reading one 4 MB line allocates a small multiple of its size, not
+   one copy of the pending bytes per chunk read. *)
+let test_lines_allocation () =
+  let size = 4 lsl 20 in
+  let path = Filename.temp_file "sbd_lines" ".txt" in
+  let oc = open_out_bin path in
+  output_string oc (String.make size 'q');
+  output_char oc '\n';
+  close_out oc;
+  let ic = open_in_bin path in
+  let t = Jsonin.Lines.create ic in
+  let before = Gc.allocated_bytes () in
+  let got = Jsonin.Lines.read t in
+  let allocated = Gc.allocated_bytes () -. before in
+  check "eof" true (Jsonin.Lines.read t = None);
+  close_in ic;
+  Sys.remove path;
+  (match got with
+  | Some [ line ] -> check_int "line length" size (String.length line)
+  | _ -> Alcotest.fail "expected one line");
+  check
+    (Printf.sprintf "allocated %.0f bytes for a %d-byte line" allocated size)
+    true
+    (allocated < 4.0 *. float_of_int size)
+
+(* -- JSON strings: round trip and pinned errors -------------------------- *)
+
+let test_json_strings () =
+  let rand = Random.State.make [| 19 |] in
+  let parse_str text =
+    match Jsonin.parse text with
+    | Ok (J.Str s) -> s
+    | Ok _ -> Alcotest.fail ("not a string: " ^ text)
+    | Error msg -> Alcotest.fail (Printf.sprintf "%S: %s" text msg)
+  in
+  (* whatever bytes the builder escapes, the reader restores *)
+  let interesting = "\"\\/\b\012\n\r\t\000\031\127 az\xc3\xa9\xe4\xb8\xad\xf0\x9f\x98\x80\xff" in
+  for _ = 1 to 2000 do
+    let n = Random.State.int rand 40 in
+    let s =
+      String.init n (fun _ ->
+          if Random.State.bool rand then
+            interesting.[Random.State.int rand (String.length interesting)]
+          else Char.chr (Random.State.int rand 256))
+    in
+    check_str (Printf.sprintf "round trip %S" s) s
+      (parse_str (J.to_string (J.Str s)))
+  done;
+  (* every escape form, against the UTF-8 it must decode to *)
+  let utf8 cp =
+    let b = Buffer.create 4 in
+    Buffer.add_utf_8_uchar b (Uchar.of_int cp);
+    Buffer.contents b
+  in
+  for _ = 1 to 2000 do
+    let text = Buffer.create 64 and want = Buffer.create 64 in
+    for _ = 1 to Random.State.int rand 12 do
+      match Random.State.int rand 6 with
+      | 0 ->
+        let e, c =
+          [| ("\\\"", "\""); ("\\\\", "\\"); ("\\/", "/"); ("\\b", "\b");
+             ("\\f", "\012"); ("\\n", "\n"); ("\\r", "\r"); ("\\t", "\t") |].(
+            Random.State.int rand 8)
+        in
+        Buffer.add_string text e;
+        Buffer.add_string want c
+      | 1 ->
+        (* a BMP \u escape outside the surrogate block *)
+        let cp = Random.State.int rand 0xF800 in
+        let cp = if cp >= 0xD800 then cp + 0x800 else cp in
+        Buffer.add_string text (Printf.sprintf "\\u%04x" cp);
+        Buffer.add_string want (utf8 cp)
+      | 2 ->
+        (* an astral code point as a surrogate pair *)
+        let cp = 0x10000 + Random.State.int rand 0x100000 in
+        let v = cp - 0x10000 in
+        Buffer.add_string text
+          (Printf.sprintf "\\u%04X\\u%04X" (0xD800 + (v lsr 10))
+             (0xDC00 + (v land 0x3FF)));
+        Buffer.add_string want (utf8 cp)
+      | 3 ->
+        (* raw control bytes are accepted verbatim *)
+        let c = String.make 1 (Char.chr (Random.State.int rand 0x20)) in
+        Buffer.add_string text c;
+        Buffer.add_string want c
+      | 4 ->
+        let c = utf8 (0x80 + Random.State.int rand 0xD000) in
+        Buffer.add_string text c;
+        Buffer.add_string want c
+      | _ ->
+        let c = String.make (1 + Random.State.int rand 5) 'k' in
+        Buffer.add_string text c;
+        Buffer.add_string want c
+    done;
+    let text = "\"" ^ Buffer.contents text ^ "\"" in
+    check_str (Printf.sprintf "escapes %S" text) (Buffer.contents want)
+      (parse_str text)
+  done;
+  (* error messages and offsets, pinned *)
+  List.iter
+    (fun (text, want) ->
+      match Jsonin.parse text with
+      | Ok _ -> Alcotest.fail (Printf.sprintf "%S accepted" text)
+      | Error msg -> check_str (Printf.sprintf "error for %S" text) want msg)
+    [
+      ({|{"a": "abc|}, "unterminated string at offset 10");
+      ({|"ab\|}, "truncated escape at offset 4");
+      ({|"ab\q"|}, "invalid escape at offset 5");
+      ({|"\u12G4"|}, "invalid hex digit in \\u escape at offset 3");
+      ({|"\u12"|}, "truncated \\u escape at offset 3");
+      ({|"\uD800\u0041"|}, "invalid surrogate pair at offset 13");
+      ({|["x", "y\|}, "truncated escape at offset 9");
+    ]
+
+(* -- located match under a deadline --------------------------------------- *)
+
+let test_located_deadline () =
+  let input = String.make (4 lsl 20) 'x' ^ "needle7" in
+  with_session small_cfg (fun ~send ~recv ->
+      List.iter
+        (fun (id, re) ->
+          send
+            (J.to_string
+               (J.Obj
+                  [ ("id", J.Str id); ("op", J.Str "match"); ("re", J.Str re);
+                    ("input", J.Str input); ("deadline_s", J.Float 1e-6) ]));
+          let r = recv () in
+          check (id ^ " is unknown") true (status r = Some "unknown");
+          check_str (id ^ " reason") "deadline"
+            (Option.value (Jsonin.str_member "reason" r) ~default:"<none>"))
+        [ ("plain", "needle\\d"); ("located", "needle(?=\\d)") ];
+      (* without a deadline the same request answers *)
+      send
+        (J.to_string
+           (J.Obj
+              [ ("id", J.Int 3); ("op", J.Str "match");
+                ("re", J.Str "needle(?=\\d)"); ("input", J.Str input) ]));
+      let r = recv () in
+      check "located ok" true (status r = Some "ok");
+      check "located found_end" true
+        (Jsonin.int_member "found_end" r = Some (String.length input - 1));
+      send {|{"id": 0, "op": "shutdown"}|};
+      ignore (recv ()))
+
 let suite =
   ( "service",
     [
@@ -1188,4 +1383,8 @@ let suite =
     ; Alcotest.test_case "worker memo cap" `Quick test_worker_memo_cap
     ; Alcotest.test_case "worker generations" `Quick test_worker_generations
     ; Alcotest.test_case "match-only generations" `Quick test_match_generations
+    ; Alcotest.test_case "line reader chunk edges" `Quick test_lines_chunks
+    ; Alcotest.test_case "line reader allocation" `Quick test_lines_allocation
+    ; Alcotest.test_case "json strings" `Quick test_json_strings
+    ; Alcotest.test_case "located match deadline" `Quick test_located_deadline
     ] )
