@@ -143,6 +143,25 @@ print(json.dumps({"id": 2, "op": "shutdown"}))' "$n" \
 echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"found_end\":$((n + 6))," \
   || { echo "16 MB located match: wrong or missing found_end"; exit 1; }
 
+echo "== long plain match lines =="
+# two 16 MB plain match requests for a bounded pattern, the fragment at
+# the front and at the very end: the required-factor search locates it,
+# and find's DFA passes read only the bytes around it (the forward pass
+# from just before the factor, the backward pass over the window around
+# the earliest match end)
+out=$(python3 -c '
+import json, sys
+n = int(sys.argv[1])
+print(json.dumps({"id": 1, "op": "match", "re": "needle\\d{2}", "input": "needle42" + "x" * n}))
+print(json.dumps({"id": 2, "op": "match", "re": "needle\\d{2}", "input": "x" * n + "needle42"}))
+print(json.dumps({"id": 3, "op": "shutdown"}))' "$n" \
+  | timeout 120 dune exec bin/sbdserve.exe) \
+  || { echo "16 MB plain match: server failed or timed out"; exit 1; }
+echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"span\":\[0,8\]," \
+  || { echo "16 MB plain match (front): wrong or missing span"; exit 1; }
+echo "$out" | grep -q "\"id\":2,\"status\":\"ok\",.*\"span\":\[$n,$((n + 8))\]," \
+  || { echo "16 MB plain match (end): wrong or missing span"; exit 1; }
+
 echo "== engine throughput matrix gates =="
 # steady-state (hot) MB/s floors per pattern class (literal / class /
 # boolean / counter) plus span agreement between the engine and the

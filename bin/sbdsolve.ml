@@ -539,6 +539,7 @@ let run_match ~deadline ~stats ~json ~input pattern =
         ("engine.accel_bytes", float_of_int st.Eng.accel_bytes);
         ("engine.back_accel_bytes", float_of_int st.Eng.back_accel_bytes);
         ("engine.factor_len", float_of_int st.Eng.factor_len);
+        ("engine.scan_bytes", float_of_int st.Eng.scan_bytes);
       ]
       @ active_counters ()
       @ [ ("query.wall_time_s", wall) ]

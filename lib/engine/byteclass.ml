@@ -96,6 +96,28 @@ let scalar_backward (s : string) (pos : int) (lo : int) : int * int =
       | _ -> (replacement, pos - 1)
   end
 
+(** The last scalar start at or before [x] ([0 <= x <= length s]) in
+    the lossy segmentation of all of [s]; [x] itself when it is one.
+    Every non-continuation byte starts a scalar (a scalar is a lead plus
+    at most two continuation bytes, or one malformed byte), so only a
+    lead one or two bytes below [x] can cover it. *)
+let scalar_floor (s : string) (x : int) : int =
+  let n = String.length s in
+  let cont i = is_cont (Char.code (String.unsafe_get s i)) in
+  if x >= n || not (cont x) then x
+  else
+    let q =
+      if x >= 1 && not (cont (x - 1)) then x - 1
+      else if x >= 2 && not (cont (x - 2)) then x - 2
+      else x
+    in
+    if q < x && snd (scalar_forward s q n) > x then q else x
+
+(** The first scalar start at or after [x]. *)
+let scalar_ceil (s : string) (x : int) : int =
+  let q = scalar_floor s x in
+  if q = x then x else snd (scalar_forward s q (String.length s))
+
 (* -- the compiled classifier --------------------------------------------- *)
 
 type mode =

@@ -76,19 +76,14 @@ let add_utf8 buf cp =
   end
 
 (* A string body is copied a maximal run at a time: the bytes up to the
-   next ['"'] or ['\\'] go out with one substring copy, and a string
-   with no escape at all is a single [String.sub] of the source. *)
+   next ['"'] or ['\\'] (found a word at a time, {!Sbd_alphabet.Bytescan})
+   go out with one substring copy, and a string with no escape at all is
+   a single [String.sub] of the source. *)
 let parse_string st =
   expect st '"';
   let src = st.src in
   let n = String.length src in
-  let rec run_end i =
-    if i < n then
-      match String.unsafe_get src i with
-      | '"' | '\\' -> i
-      | _ -> run_end (i + 1)
-    else i
-  in
+  let run_end i = Sbd_alphabet.Bytescan.forward src i n '"' '\\' '\\' in
   let start = st.pos in
   let stop = run_end start in
   if stop < n && src.[stop] = '"' then begin
@@ -283,7 +278,8 @@ let bool_member key j =
     [input_line] semantics).  Lines keep any ['\r'] and may be empty.
 
     Linear in the input: the newline scan resumes where the last one
-    stopped, and each line is copied out exactly once.  The buffer is
+    stopped and reads a word at a time ({!Sbd_alphabet.Bytescan}), and
+    each line is copied out exactly once.  The buffer is
     one chunk; a line longer than that hands each full chunk over to a
     spill list (no copy) and is assembled once, at its newline, so the
     reader is back at one chunk as soon as the long line is delivered. *)
@@ -335,11 +331,14 @@ module Lines = struct
      remainder to the front. *)
   let split t =
     let lines = ref [] and start = ref 0 in
-    for i = t.scanned to t.len - 1 do
-      if Bytes.unsafe_get t.buf i = '\n' then begin
-        lines := take t !start i :: !lines;
-        start := i + 1
-      end
+    (* the scan only reads [buf], so it may see it as a string *)
+    let buf = Bytes.unsafe_to_string t.buf in
+    let nl i = Sbd_alphabet.Bytescan.forward buf i t.len '\n' '\n' '\n' in
+    let i = ref (nl t.scanned) in
+    while !i < t.len do
+      lines := take t !start !i :: !lines;
+      start := !i + 1;
+      i := nl !start
     done;
     let rest = t.len - !start in
     if !start > 0 then Bytes.blit t.buf !start t.buf 0 rest;

@@ -249,6 +249,107 @@ let test_charclass_wellformed () =
     Charclass.
       [ Digit; Word; Space; Lower; Upper; Alpha; Alnum; Ascii; Printable; Any ]
 
+(* -- word-at-a-time byte search ------------------------------------------ *)
+
+(* Byte-loop references for [Bytescan.forward] and [Bytescan.backward]. *)
+let forward_ref s pos limit c1 c2 c3 =
+  let i = ref pos in
+  let hit c = c = c1 || c = c2 || c = c3 in
+  while !i < limit && not (hit s.[!i]) do
+    incr i
+  done;
+  !i
+
+let backward_ref s lo hi c1 c2 c3 =
+  let i = ref hi in
+  let hit c = c = c1 || c = c2 || c = c3 in
+  while !i > lo && not (hit s.[!i - 1]) do
+    decr i
+  done;
+  !i
+
+(* Every start and stop alignment from 0 to 16 in a 64-byte window,
+   with one target at each position (and none), a second target
+   elsewhere so first and last differ, and the rest of the window drawn
+   from bytes next to the targets: the lanes where a borrow out of a
+   zero lane of the has-zero test could flag its neighbour. *)
+let test_bytescan_vs_byte_loop () =
+  let sets =
+    [ ('\000', '\000', '\000'); ('\001', '\001', '\001'); ('\127', '\127', '\127')
+    ; ('\128', '\128', '\128'); ('\255', '\255', '\255'); ('\n', '\n', '\n')
+    ; ('"', '\\', '\\'); ('\000', '\001', '\001'); ('\128', '\128', '\129')
+    ; ('a', 'a', 'b'); ('\000', '\128', '\255'); ('\001', '\127', '\129')
+    ; ('a', 'b', 'a'); ('x', '\255', '\254') ]
+  in
+  let rand = Random.State.make [| 2407 |] in
+  List.iter
+    (fun (c1, c2, c3) ->
+      let targets = [| c1; c2; c3 |] in
+      let near =
+        List.concat_map
+          (fun c ->
+            let b = Char.code c in
+            [ b; b lxor 1; (b + 1) land 255; (b + 255) land 255; b lxor 0x80 ])
+          [ c1; c2; c3 ]
+        @ [ 0x00; 0x01; 0x7F; 0x80; 0x81; 0xFF ]
+      in
+      let pool =
+        Array.of_list
+          (List.filter_map
+             (fun b ->
+               let c = Char.chr b in
+               if List.mem c [ c1; c2; c3 ] then None else Some c)
+             near)
+      in
+      for fill = 0 to 3 do
+        let base =
+          Bytes.init 64 (fun _ -> pool.(Random.State.int rand (Array.length pool)))
+        in
+        for t = -1 to 63 do
+          let b = Bytes.copy base in
+          if t >= 0 then begin
+            Bytes.set b t targets.((t + fill) mod 3);
+            Bytes.set b ((t * 7 + 13) mod 64) targets.(fill mod 3)
+          end;
+          let s = Bytes.to_string b in
+          for pos = 0 to 16 do
+            for stop = 0 to 16 do
+              let limit = 64 - stop in
+              let agree what want got =
+                if want <> got then
+                  Alcotest.failf "%s %C%C%C on %S pos=%d limit=%d: %d, want %d"
+                    what c1 c2 c3 s pos limit got want
+              in
+              agree "forward"
+                (forward_ref s pos limit c1 c2 c3)
+                (Bytescan.forward s pos limit c1 c2 c3);
+              agree "backward"
+                (backward_ref s pos limit c1 c2 c3)
+                (Bytescan.backward s pos limit c1 c2 c3)
+            done
+          done
+        done
+      done)
+    sets
+
+(* The kernel keeps its words unboxed: a 1 MB scan allocates nothing
+   in native code. *)
+let test_bytescan_allocates_nothing () =
+  let n = 1 lsl 20 in
+  let s = String.make n 'z' in
+  let w0 = Gc.minor_words () in
+  let f1 = Bytescan.forward s 0 n 'a' 'a' 'a' in
+  let f3 = Bytescan.forward s 0 n 'a' 'b' 'c' in
+  let b1 = Bytescan.backward s 0 n 'a' 'a' 'a' in
+  let b3 = Bytescan.backward s 0 n 'a' 'b' 'c' in
+  let w1 = Gc.minor_words () in
+  check_int "forward miss" n f1;
+  check_int "forward miss (3)" n f3;
+  check_int "backward miss" 0 b1;
+  check_int "backward miss (3)" 0 b3;
+  if Sys.backend_type = Sys.Native then
+    Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0)
+
 let suite =
   ( "alphabet",
     [ Alcotest.test_case "normalize_ranges" `Quick test_normalize
@@ -264,4 +365,8 @@ let suite =
       ; Alcotest.test_case "bdd edge cases" `Quick test_bdd_edges
       ; Alcotest.test_case "utf8 boundaries" `Quick test_utf8_boundaries
       ; Alcotest.test_case "charclass well-formed" `Quick
-          test_charclass_wellformed ] )
+          test_charclass_wellformed
+      ; Alcotest.test_case "bytescan vs byte loop" `Quick
+          test_bytescan_vs_byte_loop
+      ; Alcotest.test_case "bytescan allocates nothing" `Quick
+          test_bytescan_allocates_nothing ] )
