@@ -87,9 +87,10 @@ let truncated_tail (s : string) (i : int) : bool =
     conts (i + 1)
 
 (** Decode, replacing malformed sequences with U+FFFD and continuing at
-    the next byte (lossy, total).  A truncated sequence at end of input
-    is its own maximal subpart and reads as exactly one U+FFFD. *)
-let decode_lossy (s : string) : int list =
+    the next byte (lossy, total), each scalar paired with the byte
+    offset where it starts.  A truncated sequence at end of input is its
+    own maximal subpart and reads as exactly one U+FFFD. *)
+let decode_lossy_indexed (s : string) : (int * int) list =
   let n = String.length s in
   let rec go i acc =
     if i >= n then List.rev acc
@@ -110,9 +111,12 @@ let decode_lossy (s : string) : int list =
         else None
       in
       match attempt with
-      | Some (len, cp) -> go (i + len) (cp :: acc)
+      | Some (len, cp) -> go (i + len) ((i, cp) :: acc)
       | None ->
-        if truncated_tail s i then List.rev (0xFFFD :: acc)
-        else go (i + 1) (0xFFFD :: acc)
+        if truncated_tail s i then List.rev ((i, 0xFFFD) :: acc)
+        else go (i + 1) ((i, 0xFFFD) :: acc)
   in
   go 0 []
+
+(** {!decode_lossy_indexed} without the offsets. *)
+let decode_lossy (s : string) : int list = List.map snd (decode_lossy_indexed s)

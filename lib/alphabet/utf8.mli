@@ -14,3 +14,7 @@ val encode : int list -> string
 
 val decode_lossy : string -> int list
 (** Total decoding: malformed bytes become U+FFFD. *)
+
+val decode_lossy_indexed : string -> (int * int) list
+(** {!decode_lossy}, each scalar as [(offset, cp)]: the byte offset where
+    it starts, and its code point. *)

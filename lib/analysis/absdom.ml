@@ -62,15 +62,37 @@ module Body (D : Sbd_core.Deriv.S) = struct
 
   let feasible l = match l.lmax with Some m -> l.lmin <= m | None -> true
 
+  (* Lengths past [len_cap] are not tracked: a counter bound can be any
+     int, and products of such bounds would wrap.  A least length that
+     reaches the cap becomes [sat_len] (every length from the cap on, no
+     residue), an upper bound past it becomes unbounded.  Both only
+     lose precision, and they keep every sum of two lengths, and four
+     times a length (its UTF-8 byte bound), below [max_int]. *)
+  let len_cap = max_int / 4
+  let sat_len = { lmin = len_cap; lmax = None; stride = 1 }
+
+  let clamp l =
+    if not (feasible l) then l
+    else if l.lmin >= len_cap then sat_len
+    else
+      match l.lmax with
+      | Some m when m > len_cap -> { l with lmax = None }
+      | Some _ | None -> l
+
+  (* [x * y] for lengths [x, y >= 0], or [len_cap + 1] once it passes
+     the cap. *)
+  let mul_len x y = if y <> 0 && x > len_cap / y then len_cap + 1 else x * y
+
   let add_opt a b =
     match (a, b) with Some x, Some y -> Some (x + y) | _ -> None
 
   let concat_len a b =
     if not (feasible a && feasible b) then bot_len
     else
-      { lmin = a.lmin + b.lmin
-      ; lmax = add_opt a.lmax b.lmax
-      ; stride = gcd a.stride b.stride }
+      clamp
+        { lmin = a.lmin + b.lmin
+        ; lmax = add_opt a.lmax b.lmax
+        ; stride = gcd a.stride b.stride }
 
   let union_len a b =
     if not (feasible a) then b
@@ -92,15 +114,16 @@ module Body (D : Sbd_core.Deriv.S) = struct
     else if not (feasible a) then if m = 0 then eps_len else bot_len
     else if a.lmax = Some 0 then eps_len
     else
-      { lmin = m * a.lmin
-      ; lmax =
-          (match (n, a.lmax) with
-          | Some n', Some am -> Some (n' * am)
-          | _ -> None)
-      ; stride =
-          (match n with
-          | Some n' when n' = m -> a.stride
-          | _ -> gcd a.lmin a.stride) }
+      clamp
+        { lmin = mul_len m a.lmin
+        ; lmax =
+            (match (n, a.lmax) with
+            | Some n', Some am -> Some (mul_len n' am)
+            | _ -> None)
+        ; stride =
+            (match n with
+            | Some n' when n' = m -> a.stride
+            | _ -> gcd a.lmin a.stride) }
 
   (* x mod m as a representative in [0, m). *)
   let posmod x m = ((x mod m) + m) mod m
@@ -116,7 +139,7 @@ module Body (D : Sbd_core.Deriv.S) = struct
      i.e. the language is empty -- reported as the infeasible
      [bot_len].  Combined strides above [stride_cap] fall back to the
      gcd progression (a superset, hence sound). *)
-  let inter_len a b =
+  let inter_len_raw a b =
     if not (feasible a && feasible b) then bot_len
     else
       let lmin0 = max a.lmin b.lmin in
@@ -166,6 +189,8 @@ module Body (D : Sbd_core.Deriv.S) = struct
               { lmin = !x; lmax = lmax0; stride = lcm }
             else bot_len
           end
+
+  let inter_len a b = clamp (inter_len_raw a b)
 
   (* -- character lattice -------------------------------------------------- *)
 

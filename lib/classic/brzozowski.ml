@@ -151,5 +151,26 @@ module Make (R : Sbd_regex.Regex.S) = struct
         incr i
       done;
       !result
+
+    (** {!find_scan} over the lossy UTF-8 scalars of [s]
+        ({!Sbd_alphabet.Utf8.decode_lossy}), trying ends up to [kmax]
+        scalars past each start; the span is in byte offsets.  The
+        reference for a byte-level engine's UTF-8 spans on patterns
+        whose matches are at most [kmax] code points long. *)
+    let find_scan_lossy (m : t) ~(kmax : int) (s : string) : (int * int) option =
+      let scalars = Array.of_list (Sbd_alphabet.Utf8.decode_lossy_indexed s) in
+      let k = Array.length scalars in
+      let off j = if j < k then fst scalars.(j) else String.length s in
+      let rec from i =
+        if i > k then None
+        else
+          let rec ends state j =
+            if R.nullable state then Some (off i, off j)
+            else if j >= min k (i + kmax) || R.is_empty state then None
+            else ends (step m state (snd scalars.(j))) (j + 1)
+          in
+          match ends m.pattern i with Some sp -> Some sp | None -> from (i + 1)
+      in
+      from 0
   end
 end

@@ -27,6 +27,10 @@ module Make (R : Sbd_regex.Regex.S) : sig
     (** Leftmost-earliest match span ([stop] exclusive), if any, by an
         O(n·m) per-position scan. *)
 
+    val find_scan_lossy : t -> kmax:int -> string -> (int * int) option
+    (** {!find_scan} over the lossy UTF-8 scalars of the input, trying
+        ends up to [kmax] scalars past each start; byte-offset span. *)
+
     val count_matching_prefixes_scan : t -> string -> int
     (** Number of positions from which some prefix matches, by an
         O(n·m) per-position scan. *)

@@ -355,6 +355,27 @@ let test_absdom_lengths () =
   check_int "concat lmin" 3 c.Ab.lmin;
   check_int "concat stride" 2 c.Ab.stride
 
+(* Counter bounds are any int: products and sums of lengths saturate
+   (least length capped, upper bound dropped) instead of wrapping. *)
+let test_absdom_lengths_saturate () =
+  let len pat = (Ab.summarize (re pat)).Ab.len in
+  let big = "4611686018427387903" (* max_int *) in
+  (* 4 · 2^61 + 1 wraps to 1 in 63-bit ints *)
+  let w = len "(a|c{2305843009213693952}){4}x" in
+  check_int "wrapping product lmin" 5 w.Ab.lmin;
+  check "wrapping product unbounded" true (w.Ab.lmax = None);
+  let p = len ("(a|c{" ^ big ^ "}){2}") in
+  check_int "doubled max_int lmin" 2 p.Ab.lmin;
+  check "doubled max_int unbounded" true (p.Ab.lmax = None);
+  List.iter
+    (fun pat ->
+      let l = len pat in
+      check (pat ^ " lmin saturates") true (l.Ab.lmin >= max_int / 4);
+      check (pat ^ " unbounded") true (l.Ab.lmax = None);
+      check_int (pat ^ " no residue") 1 l.Ab.stride)
+    [ "(a{" ^ big ^ "}){4}"; "a{" ^ big ^ "}a{" ^ big ^ "}"
+    ; "(a{" ^ big ^ "}){3}&(a{" ^ big ^ "})*" ]
+
 (* Emptiness verdicts from each abstraction, and their absence when the
    constraints are feasible. *)
 let test_absdom_emptiness () =
@@ -418,5 +439,7 @@ let suite =
     ; Alcotest.test_case "forced literals" `Quick test_literals
     ; Alcotest.test_case "corpus soundness" `Quick test_corpus_soundness
     ; Alcotest.test_case "absdom lengths" `Quick test_absdom_lengths
+    ; Alcotest.test_case "absdom lengths saturate" `Quick
+        test_absdom_lengths_saturate
     ; Alcotest.test_case "absdom emptiness" `Quick test_absdom_emptiness
     ; Alcotest.test_case "absdom presolve" `Quick test_absdom_presolve ] )
