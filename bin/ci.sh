@@ -31,7 +31,7 @@ OCAMLRUNPARAM='s=4k' dune runtest --force
 
 echo "== engine + analyzer fuzz smoke =="
 # cross-checks the byte engine vs the classic lazy DFA's scans vs the
-# DP oracle (verdicts, find spans, prefix counts, chunked streaming,
+# DP oracle (verdicts, find spans, earliest match ends, prefix counts,
 # UTF-8 decoding), forces the
 # max_states cache-reset path, and checks analyzer Proved verdicts
 # against the solver; exits non-zero on any disagreement
@@ -75,8 +75,8 @@ rc=0; dune exec bin/sbdsolve.exe -- --lint '(?=a)b' > /dev/null 2>&1 || rc=$?
 
 echo "== lookaround corpus gates =="
 # located engine vs the all-splits oracle vs hand labels on the
-# anchored/lookaround corpus, plus byte-at-a-time streaming replay and
-# solver cross-checks of the anchor-elimination translation; exits
+# anchored/lookaround corpus, plus solver cross-checks of the
+# anchor-elimination translation; exits
 # non-zero on any mismatch (2 on a parse failure)
 dune exec bin/sbdsolve.exe -- --lint --corpus lookaround > /dev/null
 dune exec bin/experiments.exe -- lookaround-bench --no-bench --check

@@ -455,7 +455,7 @@ let lookaround_bench_cmd =
           & info [ "check" ]
               ~doc:
                 "Enforce the pinned gates (zero parse failures, zero \
-                 engine/oracle/label/stream mismatches); non-zero exit on \
+                 engine/oracle/label/sat mismatches); non-zero exit on \
                  violation."))
 
 let absdom_bench no_bench out label gate =

@@ -7,9 +7,9 @@
      - SBFA acceptance (Sbd_core.Sbfa)
      - SRM-style lazy DFA (Sbd_classic.Brzozowski.Dfa)
      - the byte-level match engine (Sbd_engine): full-match verdicts in
-       Byte and Utf8 modes, linear find spans and prefix counts vs the
-       lazy DFA's per-position scans and a brute-force reference,
-       chunk-split streaming, a max_states=2 engine that forces the
+       Byte and Utf8 modes, linear find spans, earliest match ends and
+       prefix counts vs the lazy DFA's per-position scans and a
+       brute-force reference, a max_states=2 engine that forces the
        DFA cache-reset path on every non-trivial pattern, and
        bounded-length find on 4 KB inputs (the window path) vs the
        per-position scans
@@ -22,8 +22,7 @@
        every query) vs Default's solver, with witness validation
      - located engine (Sbd_engine.Locmatch) on random anchored /
        lookaround patterns vs the all-splits oracle (Locref): full
-       verdicts and earliest match ends in Byte and Utf8 modes,
-       chunk-split streaming for lookahead-free patterns, and the
+       verdicts and earliest match ends in Byte and Utf8 modes, and the
        anchor-elimination translation (lower) vs the plain oracle;
        a lossy Utf8 round on raw bytes (malformed sequences included)
        vs the oracle over Utf8.decode_lossy, on the round's pattern
@@ -47,7 +46,6 @@ module An = Sbd_service.Default.An
 module Ab = Sbd_service.Default.Ab
 module C = Sbd_service.Default.C
 module Eng = Sbd_service.Default.Eng
-module EngStream = Sbd_engine.Stream.Make (Ab)
 module U = Sbd_alphabet.Utf8
 module LR = Sbd_service.Default.LR
 module LRef = Sbd_service.Default.LRef
@@ -206,31 +204,6 @@ let ref_earliest_end r (w : int list) : int option =
    with Exit -> ());
   !res
 
-(* Feed [s] to a fresh stream in random chunks. *)
-let stream_random_chunks rand (eng : Eng.t) (s : string) : EngStream.result =
-  let st = EngStream.create eng in
-  let n = String.length s in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = 1 + Random.State.int rand (n - !pos) in
-    EngStream.feed ~off:!pos ~len st s;
-    pos := !pos + len
-  done;
-  EngStream.finish st
-
-(* Feed [s] to a fresh located stream in random chunks (including
-   splits inside multi-byte scalars in Utf8 mode). *)
-let loc_stream_random_chunks rand (leng : LM.t) (s : string) : LM.result =
-  let st = LM.Stream.create leng in
-  let n = String.length s in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = 1 + Random.State.int rand (n - !pos) in
-    LM.Stream.feed ~off:!pos ~len st s;
-    pos := !pos + len
-  done;
-  LM.Stream.finish st
-
 let words_upto n =
   let rec go n =
     if n = 0 then [ [] ]
@@ -277,7 +250,7 @@ let run ~rounds ~seed ~size ~counters =
   let total_prefilter = ref 0 and total_accel = ref 0 in
   let total_window = ref 0 and total_window_inside = ref 0 in
   let total_loc_anchor = ref 0 and total_loc_look = ref 0 in
-  let total_loc_stream = ref 0 and total_loc_lower = ref 0 in
+  let total_loc_lower = ref 0 in
   let total_loc_lossy = ref 0 and total_loc_resets = ref 0 in
   let total_presolve_unsat = ref 0 and total_presolve_sat = ref 0 in
   let (module W) = Sbd_service.Worker.create ~memo_cap:0 () in
@@ -291,7 +264,7 @@ let run ~rounds ~seed ~size ~counters =
     if Brz.matches r w <> expected then fail_at round "brzozowski matcher" r;
     let m = Brz.Dfa.create r in
     if Brz.Dfa.matches m w <> expected then fail_at round "SRM matcher" r;
-    (* byte-level engine: verdicts, spans, counts, streaming, resets *)
+    (* byte-level engine: verdicts, spans, earliest ends, counts, resets *)
     let s = string_of_word w in
     let eng = Eng.create ~mode:Sbd_engine.Byteclass.Byte r in
     if Eng.matches eng s <> expected then fail_at ~word:w round "engine matches" r;
@@ -311,20 +284,14 @@ let run ~rounds ~seed ~size ~counters =
     if Eng.find eng2 s <> rspan then
       fail_at ~word:w round "engine (max_states=2) find span" r;
     total_resets := !total_resets + (Eng.stats eng2).Eng.resets;
-    (* chunk-split streaming must be invisible *)
-    let st = stream_random_chunks rand eng s in
-    if st.EngStream.full <> expected then fail_at ~word:w round "stream full match" r;
-    if st.EngStream.found_end <> Eng.contains eng s then
-      fail_at ~word:w round "stream earliest match end" r;
+    if Eng.contains eng s <> ref_earliest_end r w then
+      fail_at ~word:w round "engine earliest end" r;
     (* UTF-8 mode: multi-byte scalars, engine vs the code-point oracle *)
     let w8 = gen_word_u rand in
     let s8 = U.encode w8 in
     let expected8 = Ref.matches r w8 in
     let eng8 = Eng.create ~mode:Sbd_engine.Byteclass.Utf8 r in
     if Eng.matches eng8 s8 <> expected8 then fail_at ~word:w8 round "engine utf8" r;
-    let st8 = stream_random_chunks rand eng8 s8 in
-    if st8.EngStream.full <> expected8 then
-      fail_at ~word:w8 round "stream utf8 (chunk-split scalars)" r;
     (* Utf8 spans and counts are byte offsets over scalar boundaries:
        map the scalar-indexed brute force through the width table *)
     let offs8 = Array.make (List.length w8 + 1) 0 in
@@ -425,7 +392,6 @@ let run ~rounds ~seed ~size ~counters =
               [ c - 1; e - l; e + l ];
             Bytes.blit_string plant 0 b c (String.length plant);
             let sb = Bytes.to_string b in
-            let windows0 = Sbd_obs.Obs.Counter.value Sbd_engine.Search.c_windows in
             let got = Eng.find engb sb in
             let want =
               match mode with
@@ -433,7 +399,7 @@ let run ~rounds ~seed ~size ~counters =
               | Sbd_engine.Byteclass.Utf8 -> Brz.Dfa.find_scan_lossy mb ~kmax:k sb
             in
             if got <> want then fail_at ~word:wb round "bounded find window span" rb;
-            if Sbd_obs.Obs.Counter.value Sbd_engine.Search.c_windows > windows0 then begin
+            if (Eng.stats engb).Eng.windows > 0 then begin
               incr total_window;
               match got with
               | Some (_, j) when j - l > 0 && j + l < n -> incr total_window_inside
@@ -607,12 +573,6 @@ let run ~rounds ~seed ~size ~counters =
         if Ref.matches p lw <> res.LM.full then
           fail_at_loc ~word:lw round "located lower vs plain oracle" lr
       | None -> ());
-      if not (LM.has_lookahead leng) then begin
-        incr total_loc_stream;
-        let st = loc_stream_random_chunks rand leng ls in
-        if st.LM.full <> res.LM.full || st.LM.found_end <> res.LM.found_end
-        then fail_at_loc ~word:lw round "located stream (chunk splits)" lr
-      end;
       (* Utf8 mode: multi-byte scalars under anchors and obligations *)
       let lw8 = gen_word_u rand in
       let ls8 = U.encode lw8 in
@@ -627,11 +587,6 @@ let run ~rounds ~seed ~size ~counters =
         lw8;
       if res8.LM.found_end <> Option.map (fun j -> offs8.(j)) (LRef.earliest_end o8)
       then fail_at_loc ~word:lw8 round "located engine utf8 earliest end" lr;
-      if not (LM.has_lookahead leng8) then begin
-        let st8 = loc_stream_random_chunks rand leng8 ls8 in
-        if st8.LM.full <> res8.LM.full || st8.LM.found_end <> res8.LM.found_end
-        then fail_at_loc ~word:lw8 round "located stream utf8 (chunk splits)" lr
-      end;
       (* lossy Utf8: raw bytes, decoded like Utf8.decode_lossy; the
          oracle's scalar ends map through the engine's own boundaries.
          A second engine at the smallest state cap resets its tables
@@ -673,12 +628,6 @@ let run ~rounds ~seed ~size ~counters =
                 fail_at_loc ~word:lcps round
                   ("located lossy earliest end" ^ name) lr)
             [ ("", eng); (" (max_states=1)", tiny) ];
-          if not (LM.has_lookahead eng) then begin
-            let st = loc_stream_random_chunks rand eng lb in
-            if st.LM.full <> LRef.full ol || st.LM.found_end <> want_end then
-              fail_at_loc ~word:lcps round "located lossy stream (chunk splits)"
-                lr
-          end;
           total_loc_resets := !total_loc_resets + LM.resets tiny)
         (if List.length (LR.atoms ahead) <= LM.max_atoms then [ lr; ahead ]
          else [ lr ]);
@@ -700,8 +649,6 @@ let run ~rounds ~seed ~size ~counters =
     raise (Mismatch "located anchor patterns were never exercised");
   if rounds >= 100 && !total_loc_look = 0 then
     raise (Mismatch "located lookaround patterns were never exercised");
-  if rounds >= 100 && !total_loc_stream = 0 then
-    raise (Mismatch "located streaming path was never exercised");
   if rounds >= 100 && !total_loc_lower = 0 then
     raise (Mismatch "located lower translation was never exercised");
   if rounds >= 100 && !total_loc_resets = 0 then
@@ -728,9 +675,9 @@ let run ~rounds ~seed ~size ~counters =
      the input)\n%!"
     !total_window !total_window_inside;
   Printf.printf
-    "fuzz: located rounds — anchors %d, lookarounds %d, streamed %d, lowered \
-     %d, lossy %d (table resets %d)\n%!"
-    !total_loc_anchor !total_loc_look !total_loc_stream !total_loc_lower
+    "fuzz: located rounds — anchors %d, lookarounds %d, lowered %d, lossy \
+     %d (table resets %d)\n%!"
+    !total_loc_anchor !total_loc_look !total_loc_lower
     !total_loc_lossy !total_loc_resets
 
 open Cmdliner

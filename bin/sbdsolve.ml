@@ -12,7 +12,7 @@
 
    A third mode matches instead of solving: `sbdsolve --match PATTERN
    --input TEXT` (or --input-file FILE, or stdin) runs the byte-level
-   streaming match engine over the UTF-8 input and reports the
+   match engine over the UTF-8 input and reports the
    full-match verdict and the leftmost-earliest match span.
 
    Containment modes: `sbdsolve --subset R S` decides L(R) ⊆ L(S) with
@@ -227,7 +227,7 @@ let corpus_instances = function
 
 (* The lookaround corpus has match labels rather than solver labels:
    the soundness sweep is engine vs all-splits oracle vs hand labels
-   (plus lowered-satisfiability and streaming/batch agreement), reusing
+   (plus lowered-satisfiability agreement), reusing
    the harness phase.  Same exit contract as the solver corpora: 1 on
    unsoundness, 2 on a corpus pattern that fails to parse. *)
 let run_lint_lookaround ~json () =
@@ -540,6 +540,7 @@ let run_match ~deadline ~stats ~json ~input pattern =
         ("engine.back_accel_bytes", float_of_int st.Eng.back_accel_bytes);
         ("engine.factor_len", float_of_int st.Eng.factor_len);
         ("engine.scan_bytes", float_of_int st.Eng.scan_bytes);
+        ("engine.find_windows", float_of_int st.Eng.windows);
       ]
       @ active_counters ()
       @ [ ("query.wall_time_s", wall) ]

@@ -16,8 +16,7 @@
     input is one maximal subpart, hence one U+FFFD), so the engine is
     total on arbitrary byte strings.  The scalar codec here
     additionally supports {e backward} iteration (for the reverse pass
-    of the linear search) and truncation detection (for chunked
-    streaming). *)
+    of the linear search). *)
 
 (* -- UTF-8 scalar codec (BMP, 1-3 bytes, strict + lossy-total) ----------- *)
 
@@ -27,9 +26,8 @@ let is_cont b = b land 0xC0 = 0x80
 
 (** Classify the scalar starting at [pos] in [s], looking no further
     than [limit] (exclusive).  [`Truncated] means the bytes so far are a
-    proper prefix of a well-formed sequence cut off by [limit] — at a
-    chunk boundary the caller carries them; at end of input they are
-    malformed. *)
+    proper prefix of a well-formed sequence cut off by [limit]: one
+    maximal subpart, which the lossy steps below read as one U+FFFD. *)
 let classify_scalar (s : string) (pos : int) (limit : int) :
     [ `Cp of int * int | `Malformed | `Truncated ] =
   let b0 = Char.code s.[pos] in
@@ -64,8 +62,7 @@ let classify_scalar (s : string) (pos : int) (limit : int) :
 (** Lossy forward step: the scalar at [pos] and the position after it.
     A malformed byte decodes as one U+FFFD; a sequence truncated by
     [limit] is a maximal subpart and decodes as one U+FFFD {e consuming
-    the whole tail} (callers that instead carry truncated bytes across
-    chunk boundaries use {!classify_scalar} directly). *)
+    the whole tail}. *)
 let scalar_forward (s : string) (pos : int) (limit : int) : int * int =
   match classify_scalar s pos limit with
   | `Cp (cp, len) -> (cp, pos + len)

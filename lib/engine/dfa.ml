@@ -10,20 +10,18 @@
     lookup.
 
     The single-array layout (RE#'s choice, arXiv 2407.20479) exists for
-    the scan loops in {!Search}/{!Stream}: the hot path is one
+    the scan loops in {!Search}: the hot path is one
     multiply-add index into one array the CPU can keep streaming from,
     instead of chasing a per-state row pointer.  Two further
-    invariants let those loops hoist work out of the per-byte path:
+    invariants keep the per-byte path short:
 
     - {e dead} (⊥) and {e full} ([.*]) states have their whole row
       pre-filled with a self-loop at creation.  This is exact — the
       derivative of ⊥ (resp. [.*]) by any character is itself — so a
-      scan never takes the slow path through such a state, and the
-      dead/full early-exit checks can run once per {e block} rather
-      than once per byte.
-    - per-state flags (nullable / dead / full) are packed into one byte
-      of {!flags}, so the post-step nullability test is a single byte
-      load and mask.
+      scan never takes the slow path through such a state.
+    - per-state flags (nullable / dead / full / start) are packed into
+      one byte of {!flags}, so every test a scan makes after a step is
+      a single byte load and mask.
 
     Unbounded state growth (complement/intersection blowups) is bounded
     by a hard [max_states] cap: exceeding it {e resets} the cache —
@@ -45,6 +43,10 @@ let default_max_states = 10_000
 let f_nullable = 1
 let f_dead = 2
 let f_full = 4
+
+(* the start state, which is always state 0: a scan loop that skips
+   input while parked there must leave its block on re-entering it *)
+let f_start = 8
 
 module Make (R : Sbd_regex.Regex.S) = struct
   module Brz = Sbd_classic.Brzozowski.Make (R)
@@ -69,7 +71,7 @@ module Make (R : Sbd_regex.Regex.S) = struct
             invalidated by a cache reset: scan loops that cache this
             array locally must refetch it after any slow-path
             {!step}. *)
-    mutable flags : Bytes.t;  (** per-state [f_nullable]/[f_dead]/[f_full] *)
+    mutable flags : Bytes.t;  (** per-state [f_nullable]/[f_dead]/[f_full]/[f_start] *)
     mutable n : int;  (** number of materialized states *)
     mutable resets : int;
   }
@@ -107,7 +109,8 @@ module Make (R : Sbd_regex.Regex.S) = struct
     let f =
       (if R.nullable r then f_nullable else 0)
       lor (if dead then f_dead else 0)
-      lor if full then f_full else 0
+      lor (if full then f_full else 0)
+      lor if id = 0 then f_start else 0
     in
     Bytes.set t.flags id (Char.chr f);
     Sbd_obs.Obs.Counter.incr c_states;

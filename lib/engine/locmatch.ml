@@ -17,17 +17,14 @@
       a step the position provably has a next character);
     - a lookbehind body [b] holds at position [i] iff some suffix of
       [w[0..i)] is in [L(b)]: the forward DFA of [⊤*·b] is nullable
-      there — streamable, one int of state;
+      there — one int of state;
     - a lookahead body [b] holds at [i] iff some prefix of [w[i..)] is
       in [L(b)]: the DFA of [⊤*·rev b] over the {e reversed} input is
       nullable — computed by one backward pre-pass that records its
       truth per byte offset.  The pre-pass segments scalars with
       {!Byteclass.scalar_backward}, which mirrors the forward lossy
       segmentation exactly (malformed UTF-8 included), so the forward
-      walk finds a recorded truth at each of its own boundaries.  This
-      is why lookaheads are rejected by {!Stream} (they need the
-      future); anchors and lookbehinds stream fine and are
-      chunk-split-invariant.
+      walk finds a recorded truth at each of its own boundaries.
 
     With [k] distinct atoms the whole match is [O((k+1)·n)] — each
     obligation automaton plus the main walk see each scalar once.
@@ -129,8 +126,8 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
     mutable last_mask : int;  (** one-entry cache of {!valuation} *)
     mutable last_v : int;
     mutable wp : int;
-        (** the pattern walk's state while a run or feed is in flight,
-            else -1; a reset re-interns it *)
+        (** the pattern walk's state while a run is in flight, else
+            -1; a reset re-interns it *)
     mutable ws : int;  (** the search walk's, likewise *)
   }
 
@@ -139,7 +136,6 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
     found_end : int option;
         (** earliest byte offset at which some match ends, the start
             ranging over all positions (absolute anchor semantics) *)
-    bytes : int;
   }
 
   (* -- the tables --------------------------------------------------------- *)
@@ -404,7 +400,6 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
     t
 
   let num_atoms t = Array.length t.atoms
-  let has_lookahead t = Array.length t.aheads > 0
 
   (** Transition and ν cells derived since the last reset. *)
   let memo_entries t = t.filled
@@ -588,7 +583,7 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
       done
     done;
     let full = if !verdict >= 0 then !verdict = 1 else nullable t t.wp !v in
-    { full; found_end = (if !found >= 0 then Some !found else None); bytes = n }
+    { full; found_end = (if !found >= 0 then Some !found else None) }
 
   (** Match [s] whole ([full]) and find the earliest end of any match
       ([found_end]) in one forward pass (plus one backward pre-pass per
@@ -600,189 +595,4 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
         t.wp <- -1;
         t.ws <- -1)
       (fun () -> walk ~deadline t s)
-
-
-  (** Constant-memory streaming over chunked input, chunk-split
-      invariant: any split of the input yields the same verdict and
-      offsets as feeding it whole (or as {!run}).  Rejects patterns
-      with lookaheads — their truth depends on input that has not
-      arrived; anchors and lookbehinds only ever reference the consumed
-      prefix (plus the one end-of-input bit, resolved at {!finish}).
-      A stream steps the matcher's shared tables; between feeds it
-      holds its walks as terms, so a reset by another run on the same
-      matcher cannot strand it.
-
-      End-of-input subtlety: while feeding, the frontier boundary may
-      still turn out to be final, so a ν-success there (under [$] =
-      false) is held {e tentative} and committed only when the next
-      scalar proves the boundary interior; {!finish} re-checks the
-      final boundary under [$] = true. *)
-  module Stream = struct
-    type matcher = t
-
-    type nonrec t = {
-      m : matcher;
-      mutable cur : L.t;
-      mutable curs : L.t;
-      bq : int array;
-      mutable scalars : int;
-      mutable found : int option;
-      mutable tentative : int option;
-      mutable bytes : int;
-      carry : Bytes.t;  (** truncated UTF-8 prefix awaiting more input *)
-      mutable carry_len : int;
-      mutable finished : bool;
-    }
-
-    let cur_mask st at_end =
-      let m = st.m in
-      with_behinds m st.bq 0
-        ((if st.scalars = 0 then m.begin_bit else 0)
-        lor if at_end then m.end_bit else 0)
-
-    (* Run [f] with the stream's walks in flight on the shared tables. *)
-    let with_walks st f =
-      let m = st.m in
-      Fun.protect
-        ~finally:(fun () ->
-          if m.wp >= 0 then st.cur <- m.terms.(m.wp);
-          if m.ws >= 0 then st.curs <- m.terms.(m.ws);
-          m.wp <- -1;
-          m.ws <- -1)
-        (fun () ->
-          m.wp <- intern m st.cur;
-          m.ws <- intern m st.curs;
-          f ())
-
-    (* ν of the pattern or the search walk at the frontier *)
-    let nul_now st which at_end =
-      let m = st.m in
-      with_walks st (fun () ->
-          let q = match which with `Pattern -> m.wp | `Search -> m.ws in
-          nullable m q (valuation m (cur_mask st at_end)))
-
-    let create (m : matcher) =
-      if has_lookahead m then
-        invalid_arg
-          "Locmatch.Stream.create: lookahead obligations are not streamable";
-      let st =
-        {
-          m;
-          cur = m.pattern;
-          curs = m.search;
-          bq = Array.map (fun _ -> Dfa.start_id) m.behinds;
-          scalars = 0;
-          found = None;
-          tentative = None;
-          bytes = 0;
-          carry = Bytes.create 3;
-          carry_len = 0;
-          finished = false;
-        }
-      in
-      if nul_now st `Search false then st.tentative <- Some 0;
-      st
-
-    (* one scalar, walks in flight *)
-    let step_cp st cp width =
-      let m = st.m in
-      (* a scalar arrived: the previous frontier boundary is interior *)
-      if st.found = None then st.found <- st.tentative;
-      st.tentative <- None;
-      let vc = column m (valuation m (cur_mask st false)) in
-      let c = Bc.classify_cp m.bc cp in
-      m.wp <- step m m.wp vc c;
-      m.ws <- step m m.ws vc c;
-      Array.iteri (fun j dfa -> st.bq.(j) <- Dfa.step dfa st.bq.(j) c) m.behinds;
-      st.scalars <- st.scalars + 1;
-      st.bytes <- st.bytes + width;
-      if st.found = None && nullable m m.ws (valuation m (cur_mask st false))
-      then st.tentative <- Some st.bytes
-
-    (** Feed the next chunk (or a slice of it).  Raises
-        [Invalid_argument] after {!finish}. *)
-    let feed ?(off = 0) ?len st (chunk : string) : unit =
-      if st.finished then
-        invalid_arg "Locmatch.Stream.feed: stream finished";
-      let len =
-        match len with Some l -> l | None -> String.length chunk - off
-      in
-      if off < 0 || len < 0 || off + len > String.length chunk then
-        invalid_arg "Locmatch.Stream.feed: bad slice";
-      with_walks st @@ fun () ->
-      match st.m.mode with
-      | Byteclass.Byte ->
-        for i = off to off + len - 1 do
-          step_cp st (Char.code chunk.[i]) 1
-        done
-      | Byteclass.Utf8 ->
-        let chunk_limit = off + len in
-        let chunk_pos = ref off in
-        if st.carry_len > 0 then begin
-          (* splice the carry with ≤ 6 chunk bytes; see Stream.feed for
-             why 6 settles every scalar starting inside the carry *)
-          let take = min 6 len in
-          let cl = st.carry_len in
-          let head = Bytes.create (cl + take) in
-          Bytes.blit st.carry 0 head 0 cl;
-          Bytes.blit_string chunk off head cl take;
-          let head = Bytes.unsafe_to_string head in
-          let hlimit = cl + take in
-          let p = ref 0 in
-          let truncated = ref false in
-          while (not !truncated) && !p < cl do
-            match Byteclass.classify_scalar head !p hlimit with
-            | `Cp (cp, w) ->
-              step_cp st cp w;
-              p := !p + w
-            | `Malformed ->
-              step_cp st Byteclass.replacement 1;
-              incr p
-            | `Truncated -> truncated := true
-          done;
-          if !truncated then begin
-            let rest = hlimit - !p in
-            Bytes.blit_string head !p st.carry 0 rest;
-            st.carry_len <- rest;
-            chunk_pos := chunk_limit
-          end
-          else begin
-            st.carry_len <- 0;
-            chunk_pos := off + (!p - cl)
-          end
-        end;
-        let p = ref !chunk_pos in
-        let trunc = ref (-1) in
-        while !trunc < 0 && !p < chunk_limit do
-          match Byteclass.classify_scalar chunk !p chunk_limit with
-          | `Cp (cp, w) ->
-            step_cp st cp w;
-            p := !p + w
-          | `Malformed ->
-            step_cp st Byteclass.replacement 1;
-            incr p
-          | `Truncated -> trunc := !p
-        done;
-        if !trunc >= 0 then begin
-          let rest = chunk_limit - !trunc in
-          Bytes.blit_string chunk !trunc st.carry 0 rest;
-          st.carry_len <- rest
-        end
-
-    (** End of stream: flush a dangling carry as one U+FFFD, resolve the
-        final boundary under [$] = true, return the verdict.
-        Idempotent. *)
-    let finish st : result =
-      if not st.finished then begin
-        if st.carry_len > 0 then begin
-          with_walks st (fun () ->
-              step_cp st Byteclass.replacement st.carry_len);
-          st.carry_len <- 0
-        end;
-        st.finished <- true;
-        if st.found = None && nul_now st `Search true then
-          st.found <- Some st.bytes
-      end;
-      { full = nul_now st `Pattern true; found_end = st.found; bytes = st.bytes }
-  end
 end

@@ -5,8 +5,7 @@
     - {!matches}: anchored full match, one forward pass;
     - {!contains}: unanchored containment via the forward DFA of
       [⊤*·r] — nullability at position [j] says some match ends at [j],
-      so the scan can stop at the {e earliest match end} (the streaming
-      observable; {!Stream} builds on it);
+      so the scan can stop at the {e earliest match end};
     - {!find}: leftmost-earliest span — the same semantics as the
       matcher's quadratic per-position scan — in linear time.  The
       trick is language reversal: running the DFA of [⊤*·rev(r)]
@@ -29,14 +28,17 @@
 
     {2 The hot path (DESIGN.md §13)}
 
-    The scan loops are block-structured: the per-byte path is one
-    byte→class table read plus one flat-table hit
+    There are two scan loops, one forward ({!scan_fwd}, behind
+    {!matches}, {!contains} and [find]'s earliest end) and one backward
+    ({!backward_scan}, behind [find]'s least start and
+    {!count_matching_prefixes}).  Both are block-structured: the
+    per-byte path is one byte→class table read plus one flat-table hit
     ([trans.(q * num_classes + cls)], {!Dfa}) plus a one-byte flags
-    load, with deadline polling and dead/full short-circuits hoisted to
-    block boundaries (dead and full states self-loop by construction,
-    so deferring their detection by up to a block is sound).  Two
-    sublinear prefilters sit in front, in the style of RE#
-    (arXiv 2407.20479):
+    load, with deadline polling hoisted to block boundaries.  The
+    forward loop ends on the first state whose flags meet its stop
+    mask — nullable or dead for a search, dead or full for a verdict —
+    so that test costs the flags load it already makes.  Two sublinear
+    prefilters sit in front, in the style of RE# (arXiv 2407.20479):
 
     - {e start-state acceleration}: while the unanchored (or backward)
       DFA is parked in its start state, a word-at-a-time search
@@ -53,18 +55,20 @@
       where a match can start. *)
 
 let c_compiles = Sbd_obs.Obs.Counter.make "engine.compiles"
-
-(** Calls of {!Make.find} that took the bounded-length window path. *)
-let c_windows = Sbd_obs.Obs.Counter.make "engine.find_windows"
-
 let default_max_states = Dfa.default_max_states
+
+(* Stop masks of {!Make.scan_fwd}, over {!Dfa}'s flag bits: a search
+   stops at the first match end or once no match can follow, a
+   full-match verdict once the state settles it. *)
+let stop_match = Dfa.f_nullable lor Dfa.f_dead
+let stop_verdict = Dfa.f_dead lor Dfa.f_full
+let f_start = Dfa.f_start
 
 module Obs = Sbd_obs.Obs
 
-(** Bytes per inner-loop block: the spacing of deadline polls and
-    dead/full-state checks.  Small enough that a deadline overrun is
-    bounded by microseconds, large enough that the checks vanish from
-    the per-byte path. *)
+(** Bytes per inner-loop block: the spacing of deadline polls.  Small
+    enough that a deadline overrun is bounded by microseconds, large
+    enough that the polls vanish from the per-byte path. *)
 let block = 4096
 
 (* -- substring search (the factor prefilter's engine) -------------------- *)
@@ -164,6 +168,8 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     mutable scan_bytes : int;
         (** bytes stepped by the DFA scan loops over this engine's
             life (skip loops and the prefilter excluded) *)
+    mutable windows : int;
+        (** calls of [find] that took the bounded-length window path *)
   }
 
   let prefilter_of ~(mode : Byteclass.mode) (fac : int list) : prefilter =
@@ -214,6 +220,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       abs_min_bytes;
       abs_max_bytes;
       scan_bytes = 0;
+      windows = 0;
     }
 
   (** Candidate start bytes for skip-scanning while [dfa] is parked in
@@ -332,118 +339,94 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
 
   (* -- scan loops -------------------------------------------------------- *)
 
-  (* Every loop below is block-structured.  Within a block the fast
+  (* Both loops below are block-structured.  Within a block the fast
      path is fully inlined — byte→class table read, flat-table hit,
      flags byte — with [String.unsafe_get]/[Array.unsafe_get]
      throughout (indices are bounded by the loop guards; state ids come
      from the table itself).  [Dfa.step] can grow or reset the
      transition array, so any slow-path step ends the current block:
      the locally-cached [trans] is refetched at the block boundary.
-     Deadline polling and dead/full short-circuits also live at block
-     boundaries; dead and full states self-loop (prefilled rows), so
-     deferring their detection costs at most one block of table hits
-     and never changes an answer. *)
+     Deadline polling lives at block boundaries; the test that ends a
+     scan is one flags-byte mask per step. *)
 
-  (** Run the anchored DFA over [s.[pos..limit)]; full-match verdict.
-      Early exit on dead (no extension matches) and full (every
-      extension matches) states. *)
-  let run_anchored ?(deadline = Obs.Deadline.none) (t : t) (s : string)
-      (pos : int) (limit : int) : bool =
-    let dfa = t.fwd in
+  (** The forward pass: step [dfa] from its start state over
+      [s.[pos..limit)] until it enters a state whose {!Dfa} flags meet
+      the mask [stop], or reaches [limit].  Returns that state and the
+      offset after the scalar that entered it (or [limit]).  The start
+      state itself is tested first.  [accel] is [dfa]'s start-state skip
+      ({!No_accel} for the anchored DFA). *)
+  let scan_fwd ?(deadline = Obs.Deadline.none) (t : t) (dfa : Dfa.t)
+      (accel : accel) ~(stop : int) (s : string) (pos : int) (limit : int) :
+      int * int =
     let table = t.bc.Bc.table in
     let nc = dfa.Dfa.num_classes in
+    (* a flagged state ends the block: one that meets [stop] also ends
+       the scan, the start state hops back out to the skip loop *)
+    let leave = if accel = No_accel then stop else stop lor f_start in
     let poll = not (Obs.Deadline.is_none deadline) in
     let q = ref Dfa.start_id and p = ref pos in
-    (* -1 undecided, 0 no, 1 yes *)
-    let verdict = ref (-1) in
-    while !verdict < 0 && !p < limit do
+    let fin =
+      ref (Char.code (Bytes.get dfa.Dfa.flags Dfa.start_id) land stop <> 0)
+    in
+    while (not !fin) && !p < limit do
       if poll then Obs.Deadline.check_now deadline;
-      if Dfa.is_dead dfa !q then verdict := 0
-      else if Dfa.is_full dfa !q then verdict := 1
-      else begin
-        let p0 = !p in
-        let stop = ref (min limit (!p + block)) in
-        let trans = dfa.Dfa.trans in
-        while !p < !stop do
-          let cls =
-            Array.unsafe_get table (Char.code (String.unsafe_get s !p))
-          in
-          let tgt =
-            if cls >= 0 then Array.unsafe_get trans ((!q * nc) + cls) else -1
-          in
-          if tgt >= 0 then begin
-            q := tgt;
-            incr p
+      (match accel with
+      | Skip { b1; b2; b3; _ } when !q = Dfa.start_id ->
+        p := Sbd_alphabet.Bytescan.forward s !p limit b1 b2 b3
+      | No_accel | Skip _ -> ());
+      let p0 = !p in
+      let block_end = ref (min limit (!p + block)) in
+      let trans = dfa.Dfa.trans in
+      let flags = dfa.Dfa.flags in
+      while !p < !block_end do
+        let cls = Array.unsafe_get table (Char.code (String.unsafe_get s !p)) in
+        let tgt =
+          if cls >= 0 then Array.unsafe_get trans ((!q * nc) + cls) else -1
+        in
+        if tgt >= 0 then begin
+          q := tgt;
+          incr p;
+          let f = Char.code (Bytes.unsafe_get flags tgt) in
+          if f land leave <> 0 then begin
+            if f land stop <> 0 then fin := true;
+            block_end := !p
           end
-          else begin
-            let cls, p' = Bc.next t.bc s !p limit in
-            q := Dfa.step dfa !q cls;
-            p := p';
-            stop := !p
-          end
-        done;
-        t.scan_bytes <- t.scan_bytes + (!p - p0)
-      end
+        end
+        else begin
+          let cls, p' = Bc.next t.bc s !p limit in
+          q := Dfa.step dfa !q cls;
+          p := p';
+          if Char.code (Bytes.get dfa.Dfa.flags !q) land stop <> 0 then fin := true;
+          block_end := !p
+        end
+      done;
+      t.scan_bytes <- t.scan_bytes + (!p - p0)
     done;
-    if !verdict >= 0 then !verdict = 1 else Dfa.is_nullable dfa !q
+    (!q, !p)
+
+  (** Full-match verdict of the anchored DFA on [s.[pos..limit)].  The
+      scan ends early in a dead state (no extension matches) or a full
+      one (every extension matches); full implies nullable and dead
+      excludes it, so the verdict is the final state's nullability. *)
+  let run_anchored ?deadline (t : t) (s : string) (pos : int) (limit : int) :
+      bool =
+    let q, _ = scan_fwd ?deadline t t.fwd No_accel ~stop:stop_verdict s pos limit in
+    Dfa.is_nullable t.fwd q
 
   (** Forward pass of the [⊤*·r] DFA over [s.[pos..limit)]: byte offset
       just after the first position where some match ends, or [None]. *)
-  let first_nullable ?(deadline = Obs.Deadline.none) (t : t) (s : string)
-      (pos : int) (limit : int) : int option =
+  let first_nullable ?deadline (t : t) (s : string) (pos : int) (limit : int) :
+      int option =
     let dfa = unanchored t in
-    if Dfa.is_nullable dfa Dfa.start_id then Some pos
-    else if Dfa.is_dead dfa Dfa.start_id then None
-    else begin
-      let table = t.bc.Bc.table in
-      let nc = dfa.Dfa.num_classes in
-      let accel = t.un_accel in
-      let has_accel = accel <> No_accel in
-      let poll = not (Obs.Deadline.is_none deadline) in
-      let q = ref Dfa.start_id and p = ref pos in
-      let found = ref (-1) in
-      while !found < 0 && !p < limit do
-        if poll then Obs.Deadline.check_now deadline;
-        (match accel with
-        | Skip { b1; b2; b3; _ } when !q = Dfa.start_id ->
-          p := Sbd_alphabet.Bytescan.forward s !p limit b1 b2 b3
-        | No_accel | Skip _ -> ());
-        if !p < limit then begin
-          let p0 = !p in
-          let stop = ref (min limit (!p + block)) in
-          let trans = dfa.Dfa.trans in
-          let flags = dfa.Dfa.flags in
-          while !p < !stop do
-            let cls =
-              Array.unsafe_get table (Char.code (String.unsafe_get s !p))
-            in
-            let tgt =
-              if cls >= 0 then Array.unsafe_get trans ((!q * nc) + cls) else -1
-            in
-            if tgt >= 0 then begin
-              q := tgt;
-              incr p;
-              if Char.code (Bytes.unsafe_get flags tgt) land 1 <> 0 then begin
-                found := !p;
-                stop := !p
-              end
-              else if has_accel && tgt = Dfa.start_id then
-                (* back in the start state: hop out to the skip loop *)
-                stop := !p
-            end
-            else begin
-              let cls, p' = Bc.next t.bc s !p limit in
-              q := Dfa.step dfa !q cls;
-              p := p';
-              if Dfa.is_nullable dfa !q then found := !p;
-              stop := !p
-            end
-          done;
-          t.scan_bytes <- t.scan_bytes + (!p - p0)
-        end
-      done;
-      if !found < 0 then None else Some !found
-    end
+    let q, p = scan_fwd ?deadline t dfa t.un_accel ~stop:stop_match s pos limit in
+    if Dfa.is_nullable dfa q then Some p else None
+
+  (** Forward anchored pass from [pos]: earliest [j] with
+      [s.[pos..j) ∈ L(pattern)]. *)
+  let first_nullable_anchored ?deadline (t : t) (s : string) (pos : int)
+      (limit : int) : int option =
+    let q, p = scan_fwd ?deadline t t.fwd No_accel ~stop:stop_match s pos limit in
+    if Dfa.is_nullable t.fwd q then Some p else None
 
   (** Backward pass of the [⊤*·rev r] DFA over [s.\[lo, hi)], scanning
       scalars right to left; [lo] and [hi] must be scalar starts.
@@ -580,56 +563,6 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       | -1 -> None
       | from -> first_nullable ?deadline t s from (String.length s)
 
-  (** Forward anchored pass from [pos]: earliest [j] with
-      [s.[pos..j) ∈ L(pattern)]. *)
-  let first_nullable_anchored ?(deadline = Obs.Deadline.none) (t : t)
-      (s : string) (pos : int) (limit : int) : int option =
-    let dfa = t.fwd in
-    if Dfa.is_nullable dfa Dfa.start_id then Some pos
-    else begin
-      let table = t.bc.Bc.table in
-      let nc = dfa.Dfa.num_classes in
-      let poll = not (Obs.Deadline.is_none deadline) in
-      let q = ref Dfa.start_id and p = ref pos in
-      let found = ref (-1) in
-      let dead = ref false in
-      while (not !dead) && !found < 0 && !p < limit do
-        if poll then Obs.Deadline.check_now deadline;
-        if Dfa.is_dead dfa !q then dead := true
-        else begin
-          let p0 = !p in
-          let stop = ref (min limit (!p + block)) in
-          let trans = dfa.Dfa.trans in
-          let flags = dfa.Dfa.flags in
-          while !p < !stop do
-            let cls =
-              Array.unsafe_get table (Char.code (String.unsafe_get s !p))
-            in
-            let tgt =
-              if cls >= 0 then Array.unsafe_get trans ((!q * nc) + cls) else -1
-            in
-            if tgt >= 0 then begin
-              q := tgt;
-              incr p;
-              if Char.code (Bytes.unsafe_get flags tgt) land 1 <> 0 then begin
-                found := !p;
-                stop := !p
-              end
-            end
-            else begin
-              let cls, p' = Bc.next t.bc s !p limit in
-              q := Dfa.step dfa !q cls;
-              p := p';
-              if Dfa.is_nullable dfa !q then found := !p;
-              stop := !p
-            end
-          done;
-          t.scan_bytes <- t.scan_bytes + (!p - p0)
-        end
-      done;
-      if !found < 0 then None else Some !found
-    end
-
   (** Least match start in [s.\[lo, hi)] among matches that end by
       [hi] ([lo], [hi] scalar starts): the backward scan reports hits in
       decreasing position order, so the last one is the least. *)
@@ -665,7 +598,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
           match first_nullable ?deadline t s from n with
           | None -> None
           | Some e ->
-            Obs.Counter.incr c_windows;
+            t.windows <- t.windows + 1;
             least_start ?deadline t s
               ~lo:(scalar_floor t s (max 0 (e - l)))
               ~hi:(scalar_ceil t s (min n (e + l))))
@@ -717,6 +650,9 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
         (** abstract-length full-match ceiling (bytes); -1 = unbounded *)
     scan_bytes : int;
         (** bytes the DFA loops have stepped, over the engine's life *)
+    windows : int;
+        (** [find] calls that took the bounded-length window path, over
+            the engine's life *)
   }
 
   let accel_count = function No_accel -> 0 | Skip { count; _ } -> count
@@ -739,5 +675,6 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       abs_min_bytes = t.abs_min_bytes;
       abs_max_bytes = (match t.abs_max_bytes with Some mx -> mx | None -> -1);
       scan_bytes = t.scan_bytes;
+      windows = t.windows;
     }
 end

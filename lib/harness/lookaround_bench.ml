@@ -3,18 +3,14 @@
     ({!Sbd_benchgen.Lookaround}).
 
     Every corpus case is pushed through the whole located stack and the
-    verdicts are cross-checked three ways:
+    verdicts are cross-checked two ways:
 
     - {b engine vs label}: {!Sbd_engine.Locmatch} full-match verdicts
       must equal the hand labels;
     - {b engine vs oracle}: full-match {e and} earliest-match-end must
       agree with the brute-force all-splits oracle
       ({!Sbd_locregex.Locref}) — a disagreement is an unsoundness, not
-      a regression;
-    - {b streaming vs batch}: for lookahead-free patterns the input is
-      re-fed one byte at a time through {!Sbd_engine.Locmatch.Stream}
-      and must reproduce the batch result exactly (anchors across chunk
-      boundaries).
+      a regression.
 
     Additionally, cases whose pattern is lookaround-free are lowered to
     plain regexes ({!Sbd_locregex.Locregex.S.lower}) and their
@@ -61,7 +57,6 @@ type report = {
   parse_failures : int;
   label_mismatches : mismatch list;  (** engine verdict vs hand label *)
   oracle_mismatches : mismatch list;  (** engine vs all-splits oracle *)
-  stream_mismatches : mismatch list;  (** byte-at-a-time vs batch *)
   sat_mismatches : mismatch list;  (** lowered satisfiability vs label *)
   sat_checked : int;  (** cases lowered and solved *)
   sat_undecided : int;
@@ -74,7 +69,7 @@ let run ?(label = "lookaround") () : report =
   let corpus = Lk.cases () in
   let ssession = S.create_session () in
   let parse_failures = ref 0 in
-  let label_mm = ref [] and oracle_mm = ref [] and stream_mm = ref [] in
+  let label_mm = ref [] and oracle_mm = ref [] in
   let sat_mm = ref [] in
   let sat_checked = ref 0 and sat_undecided = ref 0 in
   let lint_findings = ref 0 in
@@ -144,25 +139,7 @@ let run ?(label = "lookaround") () : report =
                 { case = c.Lk.id
                 ; input
                 ; detail = "found_end: engine and oracle disagree" }
-                :: !oracle_mm;
-            (* streaming byte-at-a-time (lookahead obligations are not
-               streamable by design) *)
-            if not (LM.has_lookahead eng) then begin
-              let st = LM.Stream.create eng in
-              String.iteri
-                (fun i _ -> LM.Stream.feed ~off:i ~len:1 st input)
-                input;
-              let sres = LM.Stream.finish st in
-              if
-                sres.LM.full <> res.LM.full
-                || sres.LM.found_end <> res.LM.found_end
-              then
-                stream_mm :=
-                  { case = c.Lk.id
-                  ; input
-                  ; detail = "streaming result differs from batch" }
-                  :: !stream_mm
-            end)
+                :: !oracle_mm)
           c.Lk.inputs)
     corpus;
   let wall = Obs.now () -. t0 in
@@ -181,7 +158,6 @@ let run ?(label = "lookaround") () : report =
       ; ("parse_failures", J.Int !parse_failures)
       ; ("label_mismatches", J.Arr (List.map json_of_mm !label_mm))
       ; ("oracle_mismatches", J.Arr (List.map json_of_mm !oracle_mm))
-      ; ("stream_mismatches", J.Arr (List.map json_of_mm !stream_mm))
       ; ("sat_mismatches", J.Arr (List.map json_of_mm !sat_mm))
       ; ("sat_checked", J.Int !sat_checked)
       ; ("sat_undecided", J.Int !sat_undecided)
@@ -195,7 +171,6 @@ let run ?(label = "lookaround") () : report =
   ; parse_failures = !parse_failures
   ; label_mismatches = List.rev !label_mm
   ; oracle_mismatches = List.rev !oracle_mm
-  ; stream_mismatches = List.rev !stream_mm
   ; sat_mismatches = List.rev !sat_mm
   ; sat_checked = !sat_checked
   ; sat_undecided = !sat_undecided
@@ -215,8 +190,6 @@ let check (r : report) : string list =
   if r.oracle_mismatches <> [] then
     fail "UNSOUND: %d disagreement(s) with the all-splits oracle"
       (List.length r.oracle_mismatches);
-  if r.stream_mismatches <> [] then
-    fail "%d streaming/batch divergence(s)" (List.length r.stream_mismatches);
   if r.sat_mismatches <> [] then
     fail "%d lowered-satisfiability label mismatch(es)"
       (List.length r.sat_mismatches);
@@ -244,12 +217,10 @@ let pp fmt (r : report) =
   in
   dump "label mismatches" r.label_mismatches;
   dump "oracle mismatches" r.oracle_mismatches;
-  dump "stream mismatches" r.stream_mismatches;
   dump "sat mismatches" r.sat_mismatches;
   if
     r.parse_failures = 0 && r.label_mismatches = []
-    && r.oracle_mismatches = [] && r.stream_mismatches = []
-    && r.sat_mismatches = []
+    && r.oracle_mismatches = [] && r.sat_mismatches = []
   then Format.fprintf fmt "  all verdicts agree@."
 
 (** Run and append to the ["lookaround"] section of the trajectory file

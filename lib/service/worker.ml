@@ -380,7 +380,7 @@ let generation () : (module GENERATION) =
       | None -> loc_match_input ?deadline ~pattern ~input t
       | Some r ->
         let e = engine_for pattern r in
-        let scanned = (Eng.stats e).Eng.scan_bytes in
+        let st0 = Eng.stats e in
         let verdict =
           try
             let full = Eng.matches ?deadline e input in
@@ -402,8 +402,10 @@ let generation () : (module GENERATION) =
               ("engine.accel_bytes", f st.Eng.accel_bytes);
               ("engine.back_accel_bytes", f st.Eng.back_accel_bytes);
               ("engine.factor_len", f st.Eng.factor_len);
-              (* bytes this request's DFA loops stepped *)
-              ("engine.scan_bytes", f (st.Eng.scan_bytes - scanned));
+              (* bytes this request's DFA loops stepped, and whether
+                 its find took the bounded-length window *)
+              ("engine.scan_bytes", f (st.Eng.scan_bytes - st0.Eng.scan_bytes));
+              ("engine.find_windows", f (st.Eng.windows - st0.Eng.windows));
             ] )
 
     let match_ref ~pattern ~input =

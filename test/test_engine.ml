@@ -1,10 +1,10 @@
-(* Tests for the byte-level streaming match engine (lib/engine,
-   DESIGN.md §10): byte-class table vs code-point classification,
-   anchored verdicts vs the DP oracle, linear find/count vs brute force
-   and vs the classic lazy DFA's per-position scans, the max_states cache-reset
-   path, UTF-8 decoding (multi-byte, malformed, chunk-split scalars),
-   stream/batch equivalence, and the linear-time regression that
-   motivated the subsystem. *)
+(* Tests for the byte-level match engine (lib/engine, DESIGN.md §10):
+   byte-class table vs code-point classification, anchored verdicts vs
+   the DP oracle, linear find/count vs brute force and vs the classic
+   lazy DFA's per-position scans, the max_states cache-reset path,
+   UTF-8 decoding (multi-byte and malformed scalars), the scan loops at
+   their 4 KB block edges, the bounded find window, and the linear-time
+   regression that motivated the subsystem. *)
 
 module A = Sbd_service.Default.A
 module R = Sbd_service.Default.R
@@ -12,7 +12,6 @@ module P = Sbd_service.Default.P
 module Ref = Sbd_service.Default.Ref
 module Bc = Sbd_engine.Byteclass.Make (R)
 module Eng = Sbd_service.Default.Eng
-module EngStream = Sbd_engine.Stream.Make (Sbd_service.Default.Ab)
 module An = Sbd_service.Default.An
 module Brz = Sbd_classic.Brzozowski.Make (R)
 module Obs = Sbd_obs.Obs
@@ -191,59 +190,7 @@ let test_utf8 () =
     "decode_lossy agrees" [ Char.code 'a'; 0xFFFD ]
     (U.decode_lossy "a\xe4\xb8")
 
-(* -- streaming ------------------------------------------------------------ *)
-
-let chunked (eng : Eng.t) (s : string) (k : int) : EngStream.result =
-  let st = EngStream.create eng in
-  let n = String.length s in
-  let pos = ref 0 in
-  while !pos < n do
-    let len = min k (n - !pos) in
-    EngStream.feed ~off:!pos ~len st s;
-    pos := !pos + len
-  done;
-  EngStream.finish st
-
-let test_stream_equals_batch () =
-  let cases =
-    [
-      ("ab*c", "xxabbbcyy", Sbd_engine.Byteclass.Byte);
-      ("(a|b)*", "abba", Sbd_engine.Byteclass.Byte);
-      (".*b.*&~(.*aa.*)", "ccabbbcacb", Sbd_engine.Byteclass.Byte);
-      (* chunk sizes 1 and 2 split every 2- and 3-byte scalar *)
-      ("h.llo", "h\xc3\xa9llo", Sbd_engine.Byteclass.Utf8);
-      (".\\u{4E2D}.", "a\xe4\xb8\xadb", Sbd_engine.Byteclass.Utf8);
-      ("a..", "a\xc3\xa9\xe4\xb8", Sbd_engine.Byteclass.Utf8);
-    ]
-  in
-  List.iter
-    (fun (pat, s, mode) ->
-      let eng = Eng.create ~mode (re pat) in
-      let full = Eng.matches eng s in
-      let found = Eng.contains eng s in
-      List.iter
-        (fun k ->
-          let r = chunked eng s k in
-          check
-            (Printf.sprintf "full %s %S k=%d" pat s k)
-            full r.EngStream.full;
-          Alcotest.(check (option int))
-            (Printf.sprintf "found_end %s %S k=%d" pat s k)
-            found r.EngStream.found_end;
-          check_int
-            (Printf.sprintf "bytes %s %S k=%d" pat s k)
-            (String.length s) r.EngStream.bytes)
-        [ 1; 2; 3; 7; String.length s ])
-    cases;
-  (* finish is idempotent *)
-  let eng = Eng.create (re "ab") in
-  let st = EngStream.create eng in
-  EngStream.feed st "ab";
-  let r1 = EngStream.finish st in
-  let r2 = EngStream.finish st in
-  check "finish idempotent" true (r1 = r2)
-
-(* -- chunk splits are invisible (maximal-subpart carry at every seam) ----- *)
+(* -- malformed UTF-8 corpus ---------------------------------------------- *)
 
 (* Mixed valid/invalid UTF-8: every way a scalar can go wrong, at the
    start, middle and end of the input. *)
@@ -264,43 +211,27 @@ let utf8_corpus =
   ; "ab\xe4\xb8\xc3\xa9" (* truncated mid-string then valid *)
   ]
 
-(* Every 3-way split of every corpus string (2-way and whole-string
-   feeds are the degenerate cases k1 = k2 / k2 = n) must agree with the
-   batch engine and with the one-shot lossy decode — in particular a
-   chunk boundary inside a multi-byte sequence followed by EOF reads as
-   exactly one U+FFFD, never one per carried byte. *)
-let test_stream_all_splits () =
+(* Every corpus string reads as its lossy decode: the full-match
+   verdict agrees with the DP oracle over [decode_lossy] (a truncated
+   sequence at end of input is exactly one U+FFFD), and the span and
+   the earliest match end with the lazy DFA's per-position scans over
+   the same scalars; the earliest end of [r] is the leftmost-earliest
+   end of [⊤*·r]. *)
+let test_utf8_corpus () =
   List.iter
     (fun pat ->
       let r = re pat in
       let eng = Eng.create ~mode:Sbd_engine.Byteclass.Utf8 r in
+      let m = Brz.Dfa.create r and m_end = Brz.Dfa.create (R.concat R.full r) in
       List.iter
         (fun s ->
-          let n = String.length s in
-          let batch_full = Eng.matches eng s in
-          let batch_found = Eng.contains eng s in
-          check
-            (Printf.sprintf "batch vs decode_lossy %s %S" pat s)
-            (Ref.matches r (U.decode_lossy s))
-            batch_full;
-          for k1 = 0 to n do
-            for k2 = k1 to n do
-              let st = EngStream.create eng in
-              if k1 > 0 then EngStream.feed ~off:0 ~len:k1 st s;
-              if k2 - k1 > 0 then EngStream.feed ~off:k1 ~len:(k2 - k1) st s;
-              if n - k2 > 0 then EngStream.feed ~off:k2 ~len:(n - k2) st s;
-              let res = EngStream.finish st in
-              check
-                (Printf.sprintf "full %s %S @%d,%d" pat s k1 k2)
-                batch_full res.EngStream.full;
-              Alcotest.(check (option int))
-                (Printf.sprintf "found %s %S @%d,%d" pat s k1 k2)
-                batch_found res.EngStream.found_end;
-              check_int
-                (Printf.sprintf "bytes %s %S @%d,%d" pat s k1 k2)
-                n res.EngStream.bytes
-            done
-          done)
+          let name what = Printf.sprintf "%s %s %S" what pat s in
+          let kmax = String.length s + 1 in
+          check (name "matches") (Ref.matches r (U.decode_lossy s)) (Eng.matches eng s);
+          Alcotest.check span (name "find") (Brz.Dfa.find_scan_lossy m ~kmax s) (Eng.find eng s);
+          Alcotest.(check (option int)) (name "contains")
+            (Option.map snd (Brz.Dfa.find_scan_lossy m_end ~kmax s))
+            (Eng.contains eng s))
         utf8_corpus)
     [ "a.."; ".."; ".*\\u{FFFD}.*"; "a\\u{E9}b"; ".{2,4}"; "~(..)" ]
 
@@ -400,7 +331,7 @@ let test_window_find () =
     ; ("xabcde|bcd", "xabcde", "xab") ]
   in
   let noise = [| "\xe4\xb8"; "\x80"; "\xc3"; "\xe4\xb8\xad"; "\xff"; "\xc3\xa9" |] in
-  let windows0 = Obs.Counter.value Sbd_engine.Search.c_windows in
+  let windows = ref 0 in
   List.iter
     (fun (pat, plant, near) ->
       let r = re pat in
@@ -442,11 +373,24 @@ let test_window_find () =
               (match Eng.find ~deadline:(Obs.Deadline.of_seconds (-1.0)) eng s with
               | exception Obs.Deadline_exceeded _ -> true
               | _ -> false)
-          done)
+          done;
+          windows := !windows + (Eng.stats eng).Eng.windows)
         [ Sbd_engine.Byteclass.Byte; Sbd_engine.Byteclass.Utf8 ])
     cases;
-  check "window path taken" true
-    (Obs.Counter.value Sbd_engine.Search.c_windows > windows0)
+  check "window path taken" true (!windows > 0);
+  (* a worker's reply counts this request's window, also when its
+     engine comes from the cache *)
+  let module W = (val Sbd_service.Worker.create ()) in
+  let input = String.make 100 'x' ^ "needle42" ^ String.make 100 'y' in
+  for k = 1 to 2 do
+    match W.match_input ~pattern:"needle\\d{2}" ~input () with
+    | Ok (_, stats) ->
+      Alcotest.(check (option (float 0.)))
+        (Printf.sprintf "reply %d engine.find_windows" k)
+        (Some 1.0)
+        (List.assoc_opt "engine.find_windows" stats)
+    | Error msg -> Alcotest.fail msg
+  done
 
 (* Counter bounds near [max_int]: a length bound at least as long as
    the input takes the full backward pass (its UTF-8 byte bound, 4·(2^60
@@ -476,6 +420,82 @@ let test_huge_bounds () =
        ; "(a|c{2305843009213693952}){4}x"; "(a|c{" ^ big ^ "}){2}"
        ; "\\(a\\)|(a{" ^ big ^ "}){3}" ])
 
+(* -- scan block edges -------------------------------------------------- *)
+
+(* The scan loops step 4 KB blocks and refetch their tables at each
+   block edge.  The byte that decides a scan ends at offset 4095, 4096
+   or 4097 of 8 KB of filler: a match end for the unanchored pass
+   ([contains], [find]'s earliest end) and for the anchored pass from
+   the least start, a step into the dead or the full state for
+   [matches], and in Utf8 mode a 2- or 3-byte scalar across the edge.
+   Every case runs with the default cap, with a 2-state cap that resets
+   the tables mid-block, and under an expired deadline.  In every input
+   the leftmost match also ends first, so [contains] is the span's
+   end. *)
+let test_block_edges () =
+  let n = 8192 and byte = Sbd_engine.Byteclass.Byte in
+  let both = [ byte; Sbd_engine.Byteclass.Utf8 ] and utf8 = [ Sbd_engine.Byteclass.Utf8 ] in
+  let expired = Obs.Deadline.of_seconds (-1.0) in
+  let raises f = match f () with exception Obs.Deadline_exceeded _ -> true | _ -> false in
+  let resets = ref 0 in
+  List.iter
+    (fun (pat, head, piece, modes) ->
+      let r = re pat in
+      let m = Brz.Dfa.create r in
+      List.iter
+        (fun d ->
+          let b = Bytes.make n 'z' in
+          Bytes.blit_string head 0 b 0 (String.length head);
+          Bytes.blit_string piece 0 b (d + 1 - String.length piece) (String.length piece);
+          let s = Bytes.to_string b in
+          List.iter
+            (fun mode ->
+              let name what = Printf.sprintf "%s %s @%d %b" what pat d (mode = byte) in
+              let want_full =
+                Brz.Dfa.matches m
+                  (if mode = byte then List.init n (fun i -> Char.code s.[i])
+                   else U.decode_lossy s)
+              in
+              let want =
+                if mode = byte then Brz.Dfa.find_scan m s
+                else Brz.Dfa.find_scan_lossy m ~kmax:n s
+              in
+              if not (R.nullable r) then
+                check_int (name "the decisive byte") (d + 1)
+                  (match want with Some (_, j) -> j | None -> -1);
+              List.iter
+                (fun eng ->
+                  check (name "matches") want_full (Eng.matches eng s);
+                  Alcotest.check span (name "find") want (Eng.find eng s);
+                  Alcotest.(check (option int)) (name "contains")
+                    (Option.map snd want) (Eng.contains eng s);
+                  (* answers that follow from the pattern's length bound
+                     or nullability read no input *)
+                  let mx = (Eng.stats eng).Eng.abs_max_bytes in
+                  if mx < 0 || mx >= n then
+                    check (name "matches, expired deadline") true
+                      (raises (fun () -> Eng.matches ~deadline:expired eng s));
+                  if not (R.nullable r) then
+                    check (name "find, expired deadline") true
+                      (raises (fun () -> Eng.find ~deadline:expired eng s <> None));
+                  resets := !resets + (Eng.stats eng).Eng.resets)
+                [ Eng.create ~mode r; Eng.create ~max_states:2 ~mode r ])
+            modes)
+        [ 4095; 4096; 4097 ])
+    [ (* unanchored pass: no skip loop, no required factor *)
+      ("[0-9]{2}|[a-e]{3}", "", "12", both)
+    ; ("[0-9]\\u{E9}|[a-e]\\u{4E2D}", "", "1\xc3\xa9", utf8)
+    ; ("[0-9]\\u{E9}|[a-e]\\u{4E2D}", "", "a\xe4\xb8\xad", utf8)
+      (* anchored pass from the least start, 0 *)
+    ; ("x[^y]*y", "x", "y", both)
+    ; ("x[^y]*\\u{4E2D}", "x", "\xe4\xb8\xad", utf8)
+      (* [matches]: into the dead state, then into the full one *)
+    ; ("z*", "", "q", both)
+    ; ("z*", "", "\xc3\xa9", utf8)
+    ; ("z*q.*", "", "q", both)
+    ; ("z*\\u{4E2D}.*", "", "\xe4\xb8\xad", utf8) ];
+  check "resets exercised" true (!resets > 0)
+
 (* A bounded pattern matched in the first 4 KB of 16 MB: [find] steps
    the DFAs over a few KB, not the input, and returns the span a full
    backward pass does. *)
@@ -492,6 +512,7 @@ let test_window_reads_little () =
       let got = Eng.find eng s in
       let stepped = (Eng.stats eng).Eng.scan_bytes - before in
       Alcotest.check span (pat ^ " span") (Some want) got;
+      check_int (pat ^ " took the window") 1 (Eng.stats eng).Eng.windows;
       check (Printf.sprintf "%s stepped %d < 64 KB" pat stepped) true
         (stepped < 64 * 1024);
       Alcotest.check span (pat ^ " vs full pass") (full_pass_find eng s) got)
@@ -505,9 +526,8 @@ let suite =
     ; Alcotest.test_case "find vs brute force" `Quick test_find_vs_brute
     ; Alcotest.test_case "max_states reset path" `Quick test_max_states_reset
     ; Alcotest.test_case "utf8 decoding" `Quick test_utf8
-    ; Alcotest.test_case "stream equals batch" `Quick test_stream_equals_batch
-    ; Alcotest.test_case "stream invariant under all splits" `Quick
-        test_stream_all_splits
+    ; Alcotest.test_case "malformed utf8 corpus vs oracle" `Quick
+        test_utf8_corpus
     ; Alcotest.test_case "nullable leftmost-earliest" `Quick
         test_nullable_leftmost_earliest
     ; Alcotest.test_case "linear find under deadline" `Quick
@@ -516,4 +536,5 @@ let suite =
     ; Alcotest.test_case "bounded find reads little" `Quick
         test_window_reads_little
     ; Alcotest.test_case "counter bounds near max_int" `Quick test_huge_bounds
+    ; Alcotest.test_case "scan block edges" `Quick test_block_edges
     ] )
