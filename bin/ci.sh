@@ -143,6 +143,24 @@ print(json.dumps({"id": 2, "op": "shutdown"}))' "$n" \
 echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"found_end\":$((n + 6))," \
   || { echo "16 MB located match: wrong or missing found_end"; exit 1; }
 
+echo "== long located match lines =="
+# two 16 MB located match requests for a bounded lookbehind pattern,
+# the fragment at the front and at the very end: the required factor
+# locates it, the walk starts a match's byte bound before it, and the
+# lookbehind DFA warms up from its body's bound before that
+out=$(python3 -c '
+import json, sys
+n = int(sys.argv[1])
+print(json.dumps({"id": 1, "op": "match", "re": "(?<=\\d)needle", "input": "7needle" + "x" * n}))
+print(json.dumps({"id": 2, "op": "match", "re": "(?<=\\d)needle", "input": "x" * n + "7needle"}))
+print(json.dumps({"id": 3, "op": "shutdown"}))' "$n" \
+  | timeout 120 dune exec bin/sbdserve.exe) \
+  || { echo "16 MB located lookbehind match: server failed or timed out"; exit 1; }
+echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"found_end\":7," \
+  || { echo "16 MB located lookbehind match (front): wrong or missing found_end"; exit 1; }
+echo "$out" | grep -q "\"id\":2,\"status\":\"ok\",.*\"found_end\":$((n + 7))," \
+  || { echo "16 MB located lookbehind match (end): wrong or missing found_end"; exit 1; }
+
 echo "== long plain match lines =="
 # two 16 MB plain match requests for a bounded pattern, the fragment at
 # the front and at the very end: the required-factor search locates it,

@@ -27,7 +27,9 @@
        a lossy Utf8 round on raw bytes (malformed sequences included)
        vs the oracle over Utf8.decode_lossy, on the round's pattern
        and on one around a lookahead, with a max_states=1 engine that
-       forces the located table-reset path
+       forces the located table-reset path, and a windows round: a
+       witness planted past 2 KB behind decoys, with lossy scalars at
+       the window edges, vs a whole-input derivative reference
 
    Usage: fuzz [--rounds N] [--seed S] [--size K]
    Exits non-zero and prints the offending regex on the first mismatch,
@@ -150,6 +152,84 @@ let gen_lossy_bytes rand =
 let string_of_word (w : int list) : string =
   String.init (List.length w) (fun i -> Char.chr (List.nth w i))
 
+(* A located reference for inputs past Locref's reach: every atom's
+   truth at every boundary from one plain derivative pass over the
+   whole decoded input, then the located derivative walks of [⊤*·t] and
+   [t] from offset 0, memoized per (term, code point, valuation).  No
+   byte tables, windows, prefilters or records.  Returns [full] and the
+   earliest match end as a byte offset. *)
+let loc_ref_run mode (t : LR.t) (s : string) : bool * int option =
+  let n = String.length s in
+  let cps, bnd =
+    match mode with
+    | Sbd_engine.Byteclass.Byte -> (Array.init n (fun i -> Char.code s.[i]), Array.init (n + 1) Fun.id)
+    | Sbd_engine.Byteclass.Utf8 ->
+      let cps = ref [] and bnd = ref [ 0 ] and pos = ref 0 in
+      while !pos < n do
+        let cp, pos' = Sbd_engine.Byteclass.scalar_forward s !pos n in
+        cps := cp :: !cps;
+        bnd := pos' :: !bnd;
+        pos := pos'
+      done;
+      (Array.of_list (List.rev !cps), Array.of_list (List.rev !bnd))
+  in
+  let k = Array.length cps in
+  let memo = Hashtbl.create 256 in
+  let deriv ~sat m cp p =
+    let key = (p.LR.id, cp, m) in
+    match Hashtbl.find_opt memo key with
+    | Some d -> d
+    | None ->
+      let d = LR.deriv ~sat cp p in
+      Hashtbl.add memo key d;
+      d
+  in
+  let none _ = false in
+  let atoms = Array.of_list (LR.atoms t) in
+  let truths =
+    Array.map
+      (fun a ->
+        let tr = Array.make (k + 1) false in
+        (match a with
+        | LR.Abegin -> tr.(0) <- true
+        | LR.Aend -> tr.(k) <- true
+        | LR.Alook { behind = true; body } ->
+          let p = ref (LR.concat LR.full (LR.of_plain body)) in
+          for i = 0 to k do
+            tr.(i) <- !p.LR.nul;
+            if i < k then p := deriv ~sat:none (-1) cps.(i) !p
+          done
+        | LR.Alook { behind = false; body } ->
+          let p = ref (LR.concat LR.full (LR.of_plain (R.rev body))) in
+          for i = k downto 0 do
+            tr.(i) <- !p.LR.nul;
+            if i > 0 then p := deriv ~sat:none (-1) cps.(i - 1) !p
+          done);
+        tr)
+      atoms
+  in
+  let mask i =
+    let m = ref 0 in
+    Array.iteri (fun j tr -> if tr.(i) then m := !m lor (1 lsl j)) truths;
+    !m
+  in
+  let sat m a =
+    let rec idx j = if LR.atom_equal atoms.(j) a then j else idx (j + 1) in
+    m land (1 lsl idx 0) <> 0
+  in
+  let rec first p i =
+    let m = mask i in
+    if LR.nullable ~sat:(sat m) p then Some bnd.(i)
+    else if i = k || LR.equal p LR.empty then None
+    else first (deriv ~sat:(sat m) m cps.(i) p) (i + 1)
+  in
+  let rec whole p i =
+    let m = mask i in
+    if i = k then LR.nullable ~sat:(sat m) p
+    else (not (LR.equal p LR.empty)) && whole (deriv ~sat:(sat m) m cps.(i) p) (i + 1)
+  in
+  (whole t 0, first (LR.concat LR.full t) 0)
+
 (* Brute-force leftmost-earliest span over code-point indices (= byte
    offsets for ASCII words): minimal start, then minimal end. *)
 let ref_find r (w : int list) : (int * int) option =
@@ -252,6 +332,7 @@ let run ~rounds ~seed ~size ~counters =
   let total_loc_anchor = ref 0 and total_loc_look = ref 0 in
   let total_loc_lower = ref 0 in
   let total_loc_lossy = ref 0 and total_loc_resets = ref 0 in
+  let total_loc_window = ref 0 and total_loc_window_inside = ref 0 in
   let total_presolve_unsat = ref 0 and total_presolve_sat = ref 0 in
   let (module W) = Sbd_service.Worker.create ~memo_cap:0 () in
   let generations0 = Sbd_obs.Obs.Counter.value Sbd_service.Worker.c_memo_clears in
@@ -631,7 +712,72 @@ let run ~rounds ~seed ~size ~counters =
           total_loc_resets := !total_loc_resets + LM.resets tiny)
         (if List.length (LR.atoms ahead) <= LM.max_atoms then [ lr; ahead ]
          else [ lr ]);
-      incr total_loc_lossy
+      incr total_loc_lossy;
+      (* located windows: a Locref-checked witness planted past 2 KB of
+         filler behind decoys (copies of it with one byte changed, and
+         its prefixes), lossy scalars at the witness's edges, its
+         length bound's edges and the walk's window edges; the engine
+         must agree with the whole-input reference, in both modes *)
+      let witness =
+        let rec pick tries =
+          if tries = 0 then None
+          else
+            let w = gen_word rand in
+            let o = LRef.make lr (Array.of_list (Char.code 'z' :: w @ [ Char.code 'z' ])) in
+            if w <> [] && LRef.earliest_end o <> None then Some (string_of_word w)
+            else pick (tries - 1)
+        in
+        pick 6
+      in
+      Option.iter
+        (fun wit ->
+          let lw = String.length wit in
+          let l =
+            match (Ab.summarize (LR.strip lr)).Ab.len.Ab.lmax with
+            | Some m when m <= 16 -> 4 * m
+            | Some _ | None -> 64
+          in
+          let c = 2048 + Random.State.int rand 4200 in
+          let n = c + lw + 700 in
+          let b = Bytes.make n 'z' in
+          let put at str =
+            if at >= 0 && at + String.length str <= n then
+              Bytes.blit_string str 0 b at (String.length str)
+          in
+          let lossy () = lossy_pieces.(7 + Random.State.int rand (Array.length lossy_pieces - 7)) in
+          List.iter
+            (fun at -> put (at - Random.State.int rand 3) (lossy ()))
+            ([ c - 1; c - l; c - (2 * l); c + lw; c + lw + l ]
+            @ List.map (fun e -> 2048 + e - 1) [ 0; 64; 192; 448; 960; 1984; 4032 ]);
+          let rec decoys d =
+            if d + lw + 4 < c then begin
+              let near = Bytes.of_string wit in
+              Bytes.set near (Random.State.int rand lw) 'z';
+              put d
+                (if Random.State.bool rand then Bytes.to_string near
+                 else String.sub wit 0 (Random.State.int rand lw));
+              decoys (d + 8 + Random.State.int rand 64)
+            end
+          in
+          decoys 2048;
+          put c wit;
+          let s = Bytes.to_string b in
+          List.iter
+            (fun (mode, eng) ->
+              let want_full, want_end = loc_ref_run mode lr s in
+              let bytes0 = LM.scan_bytes eng and windows0 = LM.windows eng in
+              let r = LM.run eng s in
+              if r.LM.full <> want_full then
+                fail_at_loc round "located window full" lr;
+              if r.LM.found_end <> want_end then
+                fail_at_loc round "located window earliest end" lr;
+              if LM.windows eng > windows0 then incr total_loc_window;
+              match want_end with
+              | Some e when e > 0 && e < n && LM.scan_bytes eng - bytes0 < n ->
+                incr total_loc_window_inside
+              | Some _ | None -> ())
+            [ (Sbd_engine.Byteclass.Byte, leng); (Sbd_engine.Byteclass.Utf8, leng8) ])
+        witness
     end;
     if round mod 500 = 0 then Printf.printf "... %d rounds ok\n%!" round
   done;
@@ -653,6 +799,8 @@ let run ~rounds ~seed ~size ~counters =
     raise (Mismatch "located lower translation was never exercised");
   if rounds >= 100 && !total_loc_resets = 0 then
     raise (Mismatch "located table reset path was never exercised");
+  if rounds >= 100 && !total_loc_window_inside = 0 then
+    raise (Mismatch "located window never read less than an input with a match inside");
   if rounds >= 100 && !total_presolve_unsat = 0 then
     raise (Mismatch "abstract pre-solver unsat path was never exercised");
   if rounds >= 100 && !total_presolve_sat = 0 then
@@ -678,7 +826,11 @@ let run ~rounds ~seed ~size ~counters =
     "fuzz: located rounds — anchors %d, lookarounds %d, lowered %d, lossy \
      %d (table resets %d)\n%!"
     !total_loc_anchor !total_loc_look !total_loc_lower
-    !total_loc_lossy !total_loc_resets
+    !total_loc_lossy !total_loc_resets;
+  Printf.printf
+    "fuzz: located windows fired %d times (%d read less than an input with \
+     a match strictly inside)\n%!"
+    !total_loc_window !total_loc_window_inside
 
 open Cmdliner
 

@@ -466,6 +466,8 @@ let run_loc_match ~deadline ~stats ~json ~input pattern (t : L.t) =
     [
       ("locmatch.atoms", float_of_int (LM.num_atoms eng));
       ("locmatch.memo_entries", float_of_int (LM.memo_entries eng));
+      ("locmatch.scan_bytes", float_of_int (LM.scan_bytes eng));
+      ("locmatch.windows", float_of_int (LM.windows eng));
     ]
     @ active_counters ()
     @ [ ("query.wall_time_s", wall) ]
@@ -522,9 +524,7 @@ let run_match ~deadline ~stats ~json ~input pattern =
     let t0 = Obs.now () in
     let outcome =
       try
-        let full = Eng.matches ?deadline:dl eng input in
-        let span = Eng.find ?deadline:dl eng input in
-        Ok (full, span)
+        Ok (Eng.full_and_find ?deadline:dl eng input)
       with Obs.Deadline_exceeded what -> Error what
     in
     let wall = Obs.now () -. t0 in

@@ -123,6 +123,12 @@ type mode =
       (** ASCII bytes classify by table; lead bytes fall back to scalar
           decoding plus code-point classification *)
 
+(** Scalar starts at or below / at or above [x] in [mode]: every offset
+    in [Byte] mode, the lossy UTF-8 segmentation's in [Utf8] mode. *)
+let floor_in mode s x = match mode with Byte -> x | Utf8 -> scalar_floor s x
+
+let ceil_in mode s x = match mode with Byte -> x | Utf8 -> scalar_ceil s x
+
 module Make (R : Sbd_regex.Regex.S) = struct
   module A = R.A
   module M = Sbd_alphabet.Minterm.Make (A)

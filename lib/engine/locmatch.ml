@@ -20,14 +20,29 @@
       there — one int of state;
     - a lookahead body [b] holds at [i] iff some prefix of [w[i..)] is
       in [L(b)]: the DFA of [⊤*·rev b] over the {e reversed} input is
-      nullable — computed by one backward pre-pass that records its
-      truth per byte offset.  The pre-pass segments scalars with
+      nullable — computed by backward passes that record its truth per
+      byte offset.  The passes segment scalars with
       {!Byteclass.scalar_backward}, which mirrors the forward lossy
       segmentation exactly (malformed UTF-8 included), so the forward
       walk finds a recorded truth at each of its own boundaries.
 
     With [k] distinct atoms the whole match is [O((k+1)·n)] — each
     obligation automaton plus the main walk see each scalar once.
+
+    {b Reading only what the answer depends on} (DESIGN.md §15).
+    {!create} studies [L.strip pattern], a plain regex whose language
+    holds every span the pattern matches anywhere, through the
+    {!Prefilter} that {!Search} uses: its required factor, prefix and
+    suffix, and its length bounds in bytes.  A run then answers without
+    walking when the factor (or prefix) is absent or the input is
+    shorter than the least match; skips the full-match walk when the
+    input is longer than the longest match or lacks the prefix or
+    suffix; and starts the search walk at the least offset a match can
+    start at, with each lookbehind DFA warmed up from its body's byte
+    bound before it.  Lookahead truths are recorded only where the walk
+    goes: a bounded body one window at a time, an unbounded one by a
+    single pass from the end that stops at the walk's start.  A pattern
+    whose every branch begins with [^] runs one walk.
 
     {b Tables.}  Located terms get dense state ids, and masks get dense
     {e valuation} ids in order of first sight.  The laid-out lazy DFA
@@ -48,7 +63,7 @@
     lookarounds reference absolute input positions, which padding does
     not shift.  The search walk stops at [found_end]; the whole walk
     stops once [found_end] is known and the pattern walk is ⊥ (verdict
-    false) or ⊤* (verdict true). *)
+    false) or ⊤* (verdict true), or was never needed. *)
 
 module Obs = Sbd_obs.Obs
 
@@ -61,11 +76,16 @@ let default_max_states = Dfa.default_max_states
 (* [Dfa]'s nullable flag bit: the hot loops read its flags bytes
    directly, as calls into a functor instance are not inlined *)
 let f_nullable = Dfa.f_nullable
+let f_top = Dfa.f_full
 
-module Make (L : Sbd_locregex.Locregex.S) = struct
+module Make
+    (Ab : Sbd_absdom.Absdom.S)
+    (L : Sbd_locregex.Locregex.S with module R = Ab.D.R) =
+struct
   module R = L.R
   module Bc = Byteclass.Make (R)
   module Dfa = Dfa.Make (R)
+  module Lit = Sbd_analysis.Literals.Make (R)
 
   let max_atoms = 16
 
@@ -76,8 +96,10 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
   let max_cells = 1 lsl 22
   let min_states = 4
 
-  (* deadline poll stride, in scalars *)
+  (* the walk's window: it opens at [first_window] bytes and doubles up
+     to [block], the deadline poll stride *)
   let block = 4096
+  let first_window = 64
 
   module Tbl = Hashtbl.Make (struct
     type t = L.t
@@ -109,6 +131,26 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
         (** lookbehind [j] owns bit [#aheads + j]: DFA of [⊤*·body] *)
     begin_bit : int;  (** mask of [^], or 0 *)
     end_bit : int;  (** mask of [$], or 0 *)
+    lits : Prefilter.lits;  (** of [L.strip pattern] *)
+    min_bytes : int;  (** every match spans at least this many bytes *)
+    max_bytes : int option;  (** and at most this many; [None] = unbounded *)
+    anchored : bool;  (** every branch begins with [^] *)
+    ahead_bytes : int array;
+        (** per lookahead, its body's byte bound; -1 = unbounded or
+            past {!block} *)
+    ahead_reach : int;  (** the largest bounded [ahead_bytes], or -1 *)
+    behind_bytes : int array;  (** per lookbehind, likewise *)
+    mutable record : Bytes.t;
+        (** lookahead truths, reused across runs: bit [j] of the 16-bit
+            entry at [2 * (i - rbase)] is lookahead [j]'s truth at the
+            scalar boundary [i] *)
+    mutable rbase : int;
+    mutable scan_bytes : int;
+        (** bytes stepped by the forward walks and read by the
+            lookahead passes, over the engine's life *)
+    mutable windows : int;
+        (** runs that started the walk past 0 or skipped the pattern
+            walk, over the engine's life *)
     max_states : int;
     index : int Tbl.t;  (** term → state id *)
     mutable terms : L.t array;  (** state id → term *)
@@ -314,6 +356,34 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
 
   let flags t q = Char.code (Bytes.unsafe_get t.flags q)
 
+  (* Does every match start at offset 0?  A branch that begins with
+     [^] can match only where [^] holds; a lookaround or [$] in front
+     consumes nothing, so the [^] after it still sees the match's
+     start. *)
+  let rec starts_at_begin (t : L.t) =
+    match t.L.node with
+    | L.Begin -> true
+    | L.Concat (a, b) -> (
+      starts_at_begin a
+      ||
+      match a.L.node with
+      | L.Look _ | L.Endl -> starts_at_begin b
+      | L.Pred _ | L.Eps | L.Begin | L.Concat _ | L.Star _ | L.Loop _ | L.Or _
+      | L.And _ | L.Not _ ->
+        false)
+    | L.Or xs -> xs <> [] && List.for_all starts_at_begin xs
+    | L.And xs -> List.exists starts_at_begin xs
+    | L.Pred _ | L.Eps | L.Endl | L.Look _ | L.Star _ | L.Loop _ | L.Not _ ->
+      false
+
+  (* A byte bound on the spans of [r], -1 when unbounded (or so large
+     that offset sums could overflow). *)
+  let byte_bound mode (r : R.t) =
+    let len = (Ab.summarize r).Ab.len in
+    match Prefilter.byte_bounds ~mode ~lmin:len.Ab.lmin ~lmax:len.Ab.lmax with
+    | _, Some b when b <= max_int / 2 -> b
+    | _, (Some _ | None) -> -1
+
   let create ?(mode = Byteclass.Utf8) ?(max_states = default_max_states)
       (pattern : L.t) : t =
     let all = L.atoms pattern in
@@ -360,6 +430,20 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
           then '\001'
           else '\000')
     in
+    let plain = L.strip pattern in
+    let lit = Lit.study plain in
+    let len = (Ab.summarize plain).Ab.len in
+    let min_bytes, max_bytes =
+      Prefilter.byte_bounds ~mode ~lmin:len.Ab.lmin ~lmax:len.Ab.lmax
+    in
+    (* a lookahead bound past one block counts as unbounded: a window's
+       pass then reads at most its window plus a block *)
+    let ahead_bytes =
+      Array.of_list
+        (List.map
+           (fun b -> match byte_bound mode b with x when x <= block -> x | _ -> -1)
+           ahead_bodies)
+    in
     let t =
       {
         pattern;
@@ -376,6 +460,19 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
         behinds = Array.of_list (List.map dfa behind_bodies);
         begin_bit = bit L.Abegin;
         end_bit = bit L.Aend;
+        lits =
+          Prefilter.lits ~mode ~prefix:lit.Lit.prefix ~suffix:lit.Lit.suffix
+            ~factor:lit.Lit.factor;
+        min_bytes;
+        max_bytes;
+        anchored = starts_at_begin pattern;
+        ahead_bytes;
+        ahead_reach = Array.fold_left max (-1) ahead_bytes;
+        behind_bytes = Array.of_list (List.map (byte_bound mode) behind_bodies);
+        record = Bytes.empty;
+        rbase = 0;
+        scan_bytes = 0;
+        windows = 0;
         max_states = max max_states min_states;
         index = Tbl.create 64;
         terms = [||];
@@ -412,74 +509,115 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
 
   let row_cells t = 1 lsl t.rshift
 
-  (* -- the lookahead pre-pass -------------------------------------------- *)
+  (** Bytes stepped and read ({!t.scan_bytes}), and runs that took a
+      window ({!t.windows}), over the engine's life. *)
+  let scan_bytes t = t.scan_bytes
 
-  (* Lookahead truth per byte offset: bit [j] of the 16-bit entry at
-     offset [i] is lookahead [j]'s truth at the scalar boundary [i]
-     (entries at offsets inside a scalar stay 0 and are never read).
-     The inner loop inlines the table hit as {!Search}'s scan loops do:
-     [Dfa.step] may grow or reset the table, so [trans] is refetched
-     after it. *)
-  let lookahead_truths ~deadline t (s : string) : Bytes.t =
-    let n = String.length s in
-    let bits = Bytes.make (2 * (n + 1)) '\000' in
+  let windows t = t.windows
+
+  (* -- the lookahead passes ---------------------------------------------- *)
+
+  (* Make the record hold [entries] zeroed entries from offset [base].
+     A window's record is kept for the next run; one past
+     [kept_record] bytes (a whole-input record) is dropped after its
+     run, so an idle engine does not pin an input's worth of memory. *)
+  let kept_record = 1 lsl 16
+
+  let clear_record t ~base entries =
+    if Bytes.length t.record < 2 * entries then t.record <- Bytes.create (2 * entries);
+    Bytes.fill t.record 0 (2 * entries) '\000';
+    t.rbase <- base
+
+  (* Lookahead [j]'s backward pass from [hi] down to [lo] (both scalar
+     boundaries), or-ing its truth into the record.  The truth at [i] is
+     whether some prefix of [s[i..hi)] is in the body: exact when
+     [hi = n] or when [hi - i] covers the body's byte bound.  The inner
+     loop inlines the table hit as {!Search}'s scan loops do: [Dfa.step]
+     may grow or reset the table, so [trans] is refetched after it. *)
+  let ahead_pass ~deadline t (s : string) j ~lo ~hi =
+    let dfa = t.aheads.(j) in
+    let record = t.record and base = t.rbase in
+    let bit = 1 lsl j in
+    let set i =
+      let k = 2 * (i - base) in
+      set16u record k (get16u record k lor bit)
+    in
     let table = t.bc.Bc.table in
     let nc = t.nc in
     let poll = not (Obs.Deadline.is_none deadline) in
-    Array.iteri
-      (fun j dfa ->
-        let bit = 1 lsl j in
-        let set i =
-          set16u bits (2 * i) (get16u bits (2 * i) lor bit)
-        in
-        let q = ref Dfa.start_id and pos = ref n in
-        if Dfa.is_nullable dfa !q then set n;
-        let stay = t.stays.(j) in
-        while !pos > 0 do
-          if poll then Obs.Deadline.check_now deadline;
-          let stop = if !pos > block then !pos - block else 0 in
-          let trans = ref dfa.Dfa.trans and flags = ref dfa.Dfa.flags in
-          while !pos > stop do
-            (* in the start state, skip the bytes that keep it there: the
-               truth stays false and the record already says so *)
-            if !q = Dfa.start_id then
-              while
-                !pos > stop
-                && Bytes.unsafe_get stay
-                     (Char.code (String.unsafe_get s (!pos - 1)))
-                   <> '\000'
-              do
-                decr pos
+    let q = ref Dfa.start_id and pos = ref hi in
+    if Dfa.is_nullable dfa !q then set hi;
+    let stay = t.stays.(j) in
+    while !pos > lo do
+      if poll then Obs.Deadline.check_now deadline;
+      let stop = if !pos - lo > block then !pos - block else lo in
+      let trans = ref dfa.Dfa.trans and flags = ref dfa.Dfa.flags in
+      while !pos > stop do
+        (* in the start state, skip the bytes that keep it there: the
+           truth stays false and the record already says so *)
+        if !q = Dfa.start_id then
+          while
+            !pos > stop
+            && Bytes.unsafe_get stay (Char.code (String.unsafe_get s (!pos - 1)))
+               <> '\000'
+          do
+            decr pos
+          done;
+        if !pos > stop then begin
+          (* ASCII (every byte in Byte mode) classifies by one table
+             read; anything else takes the lossy backward decoder *)
+          let cls =
+            Array.unsafe_get table (Char.code (String.unsafe_get s (!pos - 1)))
+          in
+          let tgt =
+            if cls >= 0 then Array.unsafe_get !trans ((!q * nc) + cls) else -1
+          in
+          if tgt >= 0 then begin
+            q := tgt;
+            decr pos
+          end
+          else begin
+            let cls, p = Bc.prev t.bc s !pos 0 in
+            q := Dfa.step dfa !q cls;
+            trans := dfa.Dfa.trans;
+            flags := dfa.Dfa.flags;
+            pos := p
+          end;
+          let f = Char.code (Bytes.unsafe_get !flags !q) in
+          if f land f_nullable <> 0 then begin
+            set !pos;
+            if f land f_top <> 0 then begin
+              (* [⊤*] stays [⊤*]: the body holds at every boundary below *)
+              for i = lo to !pos - 1 do
+                set i
               done;
-            if !pos > stop then begin
-              (* ASCII (every byte in Byte mode) classifies by one table
-                 read; anything else takes the lossy backward decoder *)
-              let cls =
-                Array.unsafe_get table
-                  (Char.code (String.unsafe_get s (!pos - 1)))
-              in
-              let tgt =
-                if cls >= 0 then Array.unsafe_get !trans ((!q * nc) + cls)
-                else -1
-              in
-              if tgt >= 0 then begin
-                q := tgt;
-                decr pos
-              end
-              else begin
-                let cls, p = Bc.prev t.bc s !pos 0 in
-                q := Dfa.step dfa !q cls;
-                trans := dfa.Dfa.trans;
-                flags := dfa.Dfa.flags;
-                pos := p
-              end;
-              if Char.code (Bytes.unsafe_get !flags !q) land f_nullable <> 0
-              then set !pos
+              pos := lo
             end
-          done
-        done)
-      t.aheads;
-    bits
+          end
+        end
+      done
+    done;
+    t.scan_bytes <- t.scan_bytes + (hi - lo)
+
+  (* The walk's next window from [b0]: its end [b1], a scalar boundary
+     at most [size] bytes on (or [n]), with every bounded lookahead's
+     truth recorded exactly on [\[b0, b1\]] by a pass from [b1] plus
+     the largest bounded body.  With no unbounded lookahead the record
+     holds this window alone; otherwise it holds [\[st, n\]], and a
+     pass's entries past [b1] are or-ed into by the next window's pass,
+     which is sound because a pass that stops short of [n] records a
+     truth that implies the exact one. *)
+  let open_window ~deadline ~whole t s ~b0 ~size =
+    let n = String.length s in
+    let b1 = Byteclass.ceil_in t.mode s (min n (b0 + size)) in
+    if t.ahead_reach >= 0 then begin
+      let hi = Byteclass.ceil_in t.mode s (min n (b1 + t.ahead_reach)) in
+      if not whole then clear_record t ~base:b0 (hi - b0 + 1);
+      Array.iteri
+        (fun j b -> if b >= 0 then ahead_pass ~deadline t s j ~lo:b0 ~hi)
+        t.ahead_bytes
+    end;
+    b1
 
   (* -- the forward walk -------------------------------------------------- *)
 
@@ -493,50 +631,102 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
     done;
     !m
 
-  (* The walks live in [t.wp]/[t.ws] (-1 once stopped), where a reset
-     re-interns them.  Per scalar the hot path is table reads only: byte
-     class, lookahead record, valuation cache, one transition cell per
-     live walk, one ν cell for the search walk. *)
-  let walk ~deadline t (s : string) : result =
+  (* Lookbehind [j]'s DFA state at [st]: run from [st] minus its body's
+     byte bound (from 0 when unbounded), since every body match that
+     ends at or after [st] starts there or later. *)
+  let warm_behind ~deadline t (s : string) j st =
+    let d = t.behinds.(j) and b = t.behind_bytes.(j) in
+    let from = if b < 0 || b >= st then 0 else Byteclass.floor_in t.mode s (st - b) in
     let n = String.length s in
-    let na = Array.length t.aheads and nb = Array.length t.behinds in
-    let ahead =
-      if na = 0 then Bytes.empty else lookahead_truths ~deadline t s
-    in
-    let bq = Array.make nb Dfa.start_id in
     let table = t.bc.Bc.table in
     let nc = t.nc in
     let poll = not (Obs.Deadline.is_none deadline) in
-    t.wp <- intern t t.pattern;
-    t.ws <- intern t t.search;
+    let q = ref Dfa.start_id and pos = ref from in
+    while !pos < st do
+      if poll then Obs.Deadline.check_now deadline;
+      let stop = min st (!pos + block) in
+      while !pos < stop do
+        let cls = Array.unsafe_get table (Char.code (String.unsafe_get s !pos)) in
+        if cls >= 0 then begin
+          let tgt = Array.unsafe_get d.Dfa.trans ((!q * nc) + cls) in
+          q := if tgt >= 0 then tgt else Dfa.step d !q cls;
+          incr pos
+        end
+        else begin
+          let cls, p = Bc.next t.bc s !pos n in
+          q := Dfa.step d !q cls;
+          pos := p
+        end
+      done
+    done;
+    t.scan_bytes <- t.scan_bytes + (st - from);
+    !q
+
+  (* The walks from [st], where no match starts earlier, live in
+     [t.wp]/[t.ws] (-1 once stopped), where a reset re-interns them.
+     The pattern walk runs only when [need_full] (the verdict is still
+     open, so [st = 0]); for an [anchored] pattern it is also the
+     search walk.  Per scalar the hot path is table reads only: byte
+     class, lookahead record, valuation cache, one transition cell per
+     live walk, one ν cell for the search walk. *)
+  let walk ~deadline t (s : string) ~st ~need_full : result =
+    let n = String.length s in
+    let na = Array.length t.aheads and nb = Array.length t.behinds in
+    let anchored = t.anchored in
+    let whole = Array.exists (fun b -> b < 0) t.ahead_bytes in
+    if whole then begin
+      clear_record t ~base:st (n - st + 1);
+      Array.iteri
+        (fun j b -> if b < 0 then ahead_pass ~deadline t s j ~lo:st ~hi:n)
+        t.ahead_bytes
+    end;
+    let win = ref first_window in
+    let b1 = ref (open_window ~deadline ~whole t s ~b0:st ~size:!win) in
+    let ahead = ref t.record and base = ref t.rbase in
+    let bq = Array.init nb (fun j -> warm_behind ~deadline t s j st) in
+    let table = t.bc.Bc.table in
+    let nc = t.nc in
+    let poll = not (Obs.Deadline.is_none deadline) in
+    t.wp <- (if need_full || anchored then intern t t.pattern else -1);
+    t.ws <- (if anchored then -1 else intern t t.search);
     (* the mask at a scalar boundary: the lookahead record, the anchors,
        and the lookbehind DFAs as advanced through the boundary *)
     let mask =
       ref
         (with_behinds t bq na
-           ((if na = 0 then 0 else get16u ahead 0)
-           lor t.begin_bit
-           lor if n = 0 then t.end_bit else 0))
+           ((if na = 0 then 0 else get16u !ahead (2 * (st - !base)))
+           lor (if st = 0 then t.begin_bit else 0)
+           lor if st = n then t.end_bit else 0))
     in
     let v = ref (valuation t !mask) in
     let vc = ref (column t !v) in
     (* the pattern walk stops on ⊥ (verdict 0) or ⊤* (verdict 1) *)
     let verdict = ref (-1) in
     let found = ref (-1) in
-    if nullable t t.ws !v then begin
-      found := 0;
+    if t.ws >= 0 && nullable t t.ws !v then begin
+      found := st;
       t.ws <- -1
     end;
-    (let f = flags t t.wp in
-     if f <> 0 then begin
-       verdict := if f land f_dead <> 0 then 0 else 1;
-       t.wp <- -1
-     end);
-    let pos = ref 0 in
+    (if t.wp >= 0 then
+       let f = flags t t.wp in
+       if f <> 0 then begin
+         verdict := if f land f_dead <> 0 then 0 else 1;
+         t.wp <- -1
+       end);
+    if anchored && (!verdict = 1 || (t.wp >= 0 && nullable t t.wp !v)) then begin
+      found := st;
+      if not need_full then t.wp <- -1
+    end;
+    let pos = ref st in
     while !pos < n && (t.wp >= 0 || t.ws >= 0) do
-      if poll then Obs.Deadline.check_now deadline;
-      (* a block of at most [block] scalars *)
-      let stop = if n - !pos > block then !pos + block else n in
+      if !pos >= !b1 then begin
+        if poll then Obs.Deadline.check_now deadline;
+        win := min block (2 * !win);
+        b1 := open_window ~deadline ~whole t s ~b0:!pos ~size:!win;
+        ahead := t.record;
+        base := t.rbase
+      end;
+      let stop = !b1 and ahead = !ahead and base = !base in
       while !pos < stop && (t.wp >= 0 || t.ws >= 0) do
         (* ASCII (every byte in Byte mode) classifies by one table read *)
         let cls =
@@ -560,7 +750,7 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
         if t.ws >= 0 then t.ws <- step t t.ws !vc cls;
         (* the mask at [next] (> 0), the lookbehind bits as their DFAs
            step *)
-        let m = ref (if na = 0 then 0 else get16u ahead (2 * next)) in
+        let m = ref (if na = 0 then 0 else get16u ahead (2 * (next - base))) in
         for j = 0 to nb - 1 do
           let d = Array.unsafe_get t.behinds j and q = Array.unsafe_get bq j in
           let tgt = Array.unsafe_get d.Dfa.trans ((q * nc) + cls) in
@@ -579,20 +769,57 @@ module Make (L : Sbd_locregex.Locregex.S) = struct
         if t.ws >= 0 && nullable t t.ws !v then begin
           found := next;
           t.ws <- -1
+        end;
+        if anchored && !found < 0
+           && (!verdict = 1 || (t.wp >= 0 && nullable t t.wp !v))
+        then begin
+          found := next;
+          if not need_full then t.wp <- -1
         end
       done
     done;
-    let full = if !verdict >= 0 then !verdict = 1 else nullable t t.wp !v in
+    t.scan_bytes <- t.scan_bytes + (!pos - st);
+    let full =
+      need_full && if !verdict >= 0 then !verdict = 1 else nullable t t.wp !v
+    in
     { full; found_end = (if !found >= 0 then Some !found else None) }
 
+  let no_match = { full = false; found_end = None }
+
+  (* The exits and the window of DESIGN.md §15, in front of {!walk}. *)
+  let run_windowed ~deadline t (s : string) : result =
+    if not (Obs.Deadline.is_none deadline) then Obs.Deadline.check_now deadline;
+    let n = String.length s in
+    let st =
+      if n < t.min_bytes then -1
+      else Prefilter.earliest_start t.lits ~max_bytes:t.max_bytes s
+    in
+    (* every match starts at or after [st]; an anchored one at 0 *)
+    if st < 0 || (t.anchored && st > 0) then begin
+      t.windows <- t.windows + 1;
+      no_match
+    end
+    else begin
+      let st = Byteclass.floor_in t.mode s st in
+      let need_full =
+        st = 0
+        && (match t.max_bytes with Some mx -> n <= mx | None -> true)
+        && not (Prefilter.rules_out_full t.lits s)
+      in
+      if st > 0 || not need_full then t.windows <- t.windows + 1;
+      walk ~deadline t s ~st ~need_full
+    end
+
   (** Match [s] whole ([full]) and find the earliest end of any match
-      ([found_end]) in one forward pass (plus one backward pre-pass per
-      lookahead obligation).  Raises {!Obs.Deadline_exceeded} when
-      [deadline] expires; both passes poll it once per 4096 scalars. *)
+      ([found_end]) in one forward walk over the window where a match
+      can lie, plus lookahead passes over what the walk reads.  Raises
+      {!Obs.Deadline_exceeded} when [deadline] expires, checked on
+      entry and polled once per 4096 bytes of every pass. *)
   let run ?(deadline = Obs.Deadline.none) (t : t) (s : string) : result =
     Fun.protect
       ~finally:(fun () ->
         t.wp <- -1;
-        t.ws <- -1)
-      (fun () -> walk ~deadline t s)
+        t.ws <- -1;
+        if Bytes.length t.record > kept_record then t.record <- Bytes.empty)
+      (fun () -> run_windowed ~deadline t s)
 end

@@ -48,11 +48,15 @@
       start state's actual transitions, so the skip is exact, not an
       approximation — see {!compute_accel} for the UTF-8 alignment
       argument.
-    - {e required-factor containment}: {!Sbd_analysis.Literals} proves
-      a literal every match must contain; if its encoding does not
-      occur in the input ({!index_sub}, Horspool), [find]/[contains]
-      answer without running any DFA, and where it first occurs bounds
-      where a match can start. *)
+    - {e required literals} ({!Prefilter}, shared with {!Locmatch}):
+      {!Sbd_analysis.Literals} proves a factor every match contains and
+      a prefix and suffix it starts and ends with.  If the factor (or
+      prefix) does not occur in the input, every entry point answers
+      without running any DFA; where they first occur bounds where a
+      match can start; an input that lacks the prefix or suffix is no
+      full match.  {!full_and_find} takes [full] from the same search
+      as the span: a full match starts at 0, so the anchored pass runs
+      only when the leftmost span does. *)
 
 let c_compiles = Sbd_obs.Obs.Counter.make "engine.compiles"
 let default_max_states = Dfa.default_max_states
@@ -71,51 +75,6 @@ module Obs = Sbd_obs.Obs
     enough that the polls vanish from the per-byte path. *)
 let block = 4096
 
-(* -- substring search (the factor prefilter's engine) -------------------- *)
-
-(** Boyer–Moore–Horspool bad-character shift table for [needle]. *)
-let horspool_shift (needle : string) : int array =
-  let m = String.length needle in
-  let shift = Array.make 256 m in
-  for i = 0 to m - 2 do
-    shift.(Char.code (String.unsafe_get needle i)) <- m - 1 - i
-  done;
-  shift
-
-(** Offset of the first occurrence of [needle] in [s], or [-1].
-    Horspool: sublinear on typical text (the common no-match case
-    advances [length needle] bytes per probe); a one-byte needle is a
-    word-at-a-time {!Sbd_alphabet.Bytescan} search. *)
-let index_sub (s : string) (needle : string) (shift : int array) : int =
-  let m = String.length needle and n = String.length s in
-  if m = 0 then 0
-  else if m = 1 then begin
-    let c = String.unsafe_get needle 0 in
-    let i = Sbd_alphabet.Bytescan.forward s 0 n c c c in
-    if i < n then i else -1
-  end
-  else begin
-    let last = m - 1 in
-    let lc = String.unsafe_get needle last in
-    let i = ref last in
-    let found = ref (-1) in
-    while !found < 0 && !i < n do
-      let c = String.unsafe_get s !i in
-      if c = lc then begin
-        let j = ref (m - 2) in
-        let base = !i - last in
-        while !j >= 0 && String.unsafe_get needle !j = String.unsafe_get s (base + !j)
-        do
-          decr j
-        done;
-        if !j < 0 then found := base
-        else i := !i + Array.unsafe_get shift (Char.code c)
-      end
-      else i := !i + Array.unsafe_get shift (Char.code c)
-    done;
-    !found
-  end
-
 module Make (Ab : Sbd_absdom.Absdom.S) = struct
   module R = Ab.D.R
   module Bc = Byteclass.Make (R)
@@ -132,23 +91,13 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
         (** unused slots duplicate [b1]; [count] is the true number of
             candidate bytes (for stats) *)
 
-  (** Required-factor prefilter state for [find]/[contains]. *)
-  type prefilter =
-    | Pre_none
-    | Pre_impossible
-        (** the pattern forces a literal no byte input can contain
-            (e.g. a non-Latin-1 code point in [Byte] mode): no input
-            has a match *)
-    | Pre_factor of { bytes : string; shift : int array }
-        (** every match contains [bytes]; [shift] is its Horspool
-            table *)
-
   type t = {
     pattern : R.t;
     mode : Byteclass.mode;
     bc : Bc.t;
     max_states : int;
-    prefilter : prefilter;
+    lits : Prefilter.lits;
+        (** the required prefix, suffix and factor, as bytes *)
     fwd : Dfa.t;  (** anchored: start = pattern *)
     mutable unanch : Dfa.t option;  (** start = ⊤*·pattern, built lazily *)
     mutable back : Dfa.t option;  (** start = ⊤*·rev pattern, built lazily *)
@@ -170,48 +119,26 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
             life (skip loops and the prefilter excluded) *)
     mutable windows : int;
         (** calls of [find] that took the bounded-length window path *)
+    mutable anchored : int;  (** anchored full-match passes run *)
   }
-
-  let prefilter_of ~(mode : Byteclass.mode) (fac : int list) : prefilter =
-    match fac with
-    | [] -> Pre_none
-    | cps -> (
-      let factor bytes = Pre_factor { bytes; shift = horspool_shift bytes } in
-      match mode with
-      | Byteclass.Byte ->
-        if List.for_all (fun c -> c < 256) cps then
-          factor (String.init (List.length cps) (fun i -> Char.chr (List.nth cps i)))
-        else Pre_impossible
-      | Byteclass.Utf8 ->
-        (* U+FFFD also stands for malformed bytes in the decoded
-           stream, so its canonical encoding is not a faithful witness;
-           surrogates can never be decoded at all *)
-        if List.mem Byteclass.replacement cps then Pre_none
-        else if List.exists (fun c -> c >= 0xD800 && c <= 0xDFFF) cps then
-          Pre_impossible
-        else factor (Sbd_alphabet.Utf8.encode cps))
 
   let create ?(max_states = default_max_states)
       ?(mode = Byteclass.Byte) (pattern : R.t) : t =
     Obs.Counter.incr c_compiles;
     let bc = Bc.compile ~mode pattern in
-    let abs = Ab.summarize pattern in
-    let abs_min_bytes = max 0 abs.Ab.len.Ab.lmin in
-    let abs_max_bytes =
-      match abs.Ab.len.Ab.lmax with
-      | Some mx -> (
-        match mode with
-        | Byteclass.Byte -> Some mx
-        | Byteclass.Utf8 when mx <= max_int / 4 -> Some (4 * mx)
-        | Byteclass.Utf8 -> None)
-      | None -> None
+    let len = (Ab.summarize pattern).Ab.len in
+    let abs_min_bytes, abs_max_bytes =
+      Prefilter.byte_bounds ~mode ~lmin:len.Ab.lmin ~lmax:len.Ab.lmax
     in
+    let lit = Lit.study pattern in
     {
       pattern;
       mode;
       bc;
       max_states;
-      prefilter = prefilter_of ~mode (Lit.required_factor pattern);
+      lits =
+        Prefilter.lits ~mode ~prefix:lit.Lit.prefix ~suffix:lit.Lit.suffix
+          ~factor:lit.Lit.factor;
       fwd = Dfa.create ~max_states ~representatives:bc.Bc.representatives pattern;
       unanch = None;
       back = None;
@@ -221,6 +148,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       abs_max_bytes;
       scan_bytes = 0;
       windows = 0;
+      anchored = 0;
     }
 
   (** Candidate start bytes for skip-scanning while [dfa] is parked in
@@ -328,14 +256,6 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       t.back <- Some d;
       t.back_accel <- compute_accel t d `Back;
       d
-
-  (** Scalar starts at or below / at or above [x]: every offset in
-      [Byte] mode, the lossy UTF-8 segmentation's in [Utf8] mode. *)
-  let scalar_floor t s x =
-    match t.mode with Byteclass.Byte -> x | Byteclass.Utf8 -> Byteclass.scalar_floor s x
-
-  let scalar_ceil t s x =
-    match t.mode with Byteclass.Byte -> x | Byteclass.Utf8 -> Byteclass.scalar_ceil s x
 
   (* -- scan loops -------------------------------------------------------- *)
 
@@ -515,41 +435,39 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
 
   (* -- public API -------------------------------------------------------- *)
 
-  let matches ?deadline (t : t) (s : string) : bool =
+  (** Full-match verdict: the length bounds, then (after a deadline
+      check, so that a prefilter exit still honors an expired deadline)
+      the prefix, the suffix and, unless [factor_seen], the factor, then
+      the anchored pass. *)
+  let full_match ?deadline ~factor_seen (t : t) (s : string) : bool =
     let n = String.length s in
-    if n < t.abs_min_bytes then false
-    else
-      match t.abs_max_bytes with
-      | Some mx when n > mx -> false
-      | Some _ | None -> run_anchored ?deadline t s 0 n
+    n >= t.abs_min_bytes
+    && (match t.abs_max_bytes with Some mx -> n <= mx | None -> true)
+    && begin
+         (match deadline with Some d -> Obs.Deadline.check_now d | None -> ());
+         not (Prefilter.rules_out_full t.lits s)
+       end
+    && (factor_seen || Prefilter.index t.lits.Prefilter.factor s >= 0)
+    && begin
+         t.anchored <- t.anchored + 1;
+         run_anchored ?deadline t s 0 n
+       end
 
-  (** [abs_max_bytes] where it is shorter than [s], else [None]: a
-      bound of [length s] or more cuts nothing, and keeping it below
-      [length s] keeps offset sums such as [e + l] far from [max_int]
-      (a client's counter bound can push [abs_max_bytes] up to it). *)
-  let span_bound (t : t) (s : string) : int option =
-    match t.abs_max_bytes with
-    | Some l when 0 <= l && l < String.length s -> Some l
-    | Some _ | None -> None
+  (** Is all of [s] a match?  An absent factor, prefix or suffix
+      answers [false] before any scan. *)
+  let matches ?deadline (t : t) (s : string) : bool =
+    full_match ?deadline ~factor_seen:false t s
 
-  (** The factor prefilter on [s]: [-1] when it rules out any match,
-      else the least offset at which a match can start.  Every match
-      contains the factor, so it ends at or after [f + |factor|] ([f]
-      the first occurrence); a match spans at most [abs_max_bytes]
-      bytes, so none starts before [f + |factor| − abs_max_bytes].  The
-      offset is moved down to a scalar start.  Entry deadline check
+  (** The prefilter on [s] ({!Prefilter.earliest_start}): [-1] when it
+      rules out any match, else the least offset, moved down to a
+      scalar start, at which a match can start.  Entry deadline check
       included so that prefilter short-circuits still honor an
       already-expired deadline. *)
   let earliest_start ?deadline (t : t) (s : string) : int =
     (match deadline with Some d -> Obs.Deadline.check_now d | None -> ());
-    match t.prefilter with
-    | Pre_none -> 0
-    | Pre_impossible -> -1
-    | Pre_factor { bytes; shift } -> (
-      match (index_sub s bytes shift, span_bound t s) with
-      | -1, _ -> -1
-      | _, None -> 0
-      | f, Some l -> scalar_floor t s (max 0 (f + String.length bytes - l)))
+    match Prefilter.earliest_start t.lits ~max_bytes:t.abs_max_bytes s with
+    | -1 -> -1
+    | st -> Byteclass.floor_in t.mode s st
 
   (** [contains t s]: earliest byte offset at which a match of the
       pattern ends, or [None] when no substring of [s] matches. *)
@@ -577,21 +495,24 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       the classic lazy DFA's per-position scan
       ({!Sbd_classic.Brzozowski.Make.Dfa.find_scan}) but runs in linear
       time instead of O(n·m) restarts.  An unbounded pattern takes one
-      backward pass over all of [s] (cut short by a full state) for the
-      least start.  A pattern whose matches span at most [l] bytes,
-      with [l] below [length s] ({!span_bound}), takes a forward [⊤*·r] pass from {!earliest_start} to the
-      earliest match end [e], then the backward pass over
-      [\[e − l, e + l\]] only.  Either way a forward anchored pass
-      from the start finds the earliest end. *)
+      backward pass from the end of [s] down to {!earliest_start} (cut
+      short by a full state) for the least start.  A pattern whose matches span at most [l] bytes,
+      with [l] below [length s] ({!Prefilter.span_bound}), takes a
+      forward [⊤*·r] pass from {!earliest_start} to the earliest match
+      end [e], then the backward pass over [\[e − l, e + l\]] only.
+      Either way a forward anchored pass from the start finds the
+      earliest end. *)
   let find ?deadline (t : t) (s : string) : (int * int) option =
     let n = String.length s in
     if R.nullable t.pattern then Some (0, 0)
     else if n < t.abs_min_bytes then None
     else
       let start =
-        match (earliest_start ?deadline t s, span_bound t s) with
+        match
+          (earliest_start ?deadline t s, Prefilter.span_bound t.abs_max_bytes n)
+        with
         | -1, _ -> None
-        | _, None -> least_start ?deadline t s ~lo:0 ~hi:n
+        | from, None -> least_start ?deadline t s ~lo:from ~hi:n
         | from, Some l -> (
           (* the earliest match end [e] bounds the leftmost start to
              [\[e − l, e\]], and the match from there ends by [e + l] *)
@@ -600,8 +521,8 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
           | Some e ->
             t.windows <- t.windows + 1;
             least_start ?deadline t s
-              ~lo:(scalar_floor t s (max 0 (e - l)))
-              ~hi:(scalar_ceil t s (min n (e + l))))
+              ~lo:(Byteclass.floor_in t.mode s (max 0 (e - l)))
+              ~hi:(Byteclass.ceil_in t.mode s (min n (e + l))))
       in
       match start with
       | None -> None
@@ -609,6 +530,18 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
         (* a match starts at [i], so the anchored forward pass is
            guaranteed to hit a nullable state at some [j <= n] *)
         Option.map (fun j -> (i, j)) (first_nullable_anchored ?deadline t s i n)
+
+  (** The full-match verdict and the {!find} span of [s] from one
+      search: a full match starts at 0, so it exists only when the
+      leftmost span does, and the anchored pass runs only then. *)
+  let full_and_find ?deadline (t : t) (s : string) : bool * (int * int) option =
+    let span = find ?deadline t s in
+    let full =
+      match span with
+      | Some (0, _) -> full_match ?deadline ~factor_seen:true t s
+      | Some _ | None -> false
+    in
+    (full, span)
 
   (** Number of positions [i < n] (byte offsets of scalar starts) such
       that some match starts at [i] — the count of nonempty-input
@@ -653,6 +586,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     windows : int;
         (** [find] calls that took the bounded-length window path, over
             the engine's life *)
+    anchored : int;  (** anchored full-match passes, over the engine's life *)
   }
 
   let accel_count = function No_accel -> 0 | Skip { count; _ } -> count
@@ -669,12 +603,11 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       accel_bytes = accel_count t.un_accel;
       back_accel_bytes = accel_count t.back_accel;
       factor_len =
-        (match t.prefilter with
-        | Pre_factor { bytes; _ } -> String.length bytes
-        | Pre_none | Pre_impossible -> 0);
+        Prefilter.length t.lits.Prefilter.factor;
       abs_min_bytes = t.abs_min_bytes;
       abs_max_bytes = (match t.abs_max_bytes with Some mx -> mx | None -> -1);
       scan_bytes = t.scan_bytes;
       windows = t.windows;
+      anchored = t.anchored;
     }
 end

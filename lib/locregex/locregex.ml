@@ -127,6 +127,14 @@ module type S = sig
       bodies included) — feed to {!Sbd_engine.Byteclass.compile} so the
       minterm partition refines every predicate of the extended term. *)
 
+  val strip : t -> R.t
+  (** A plain over-approximation: each zero-width atom becomes ε under
+      an even number of [Not]s and ⊥ under an odd number.  Every span
+      the term matches at any location of any input is a word of
+      [L(strip t)] (an atom matches only ε, and every constructor but
+      [Not] is monotone), so its literals and length bounds hold for
+      every located match ({!Sbd_engine.Locmatch}). *)
+
   val lower : t -> R.t option
   (** Anchor elimination: a plain regex matching exactly the words the
       located term matches as a {e whole input} (ν at offset 0 ∧ end).
@@ -582,6 +590,33 @@ module Make (R : Sbd_regex.Regex.S) : S with module R = R = struct
      lookaround bodies included. *)
   let pred_carrier t =
     R.concat_list (List.map (fun p -> R.opt (R.pred p)) (preds t))
+
+  let strip =
+    let memo : (int, R.t) Hashtbl.t = Hashtbl.create 64 in
+    let rec go pos t =
+      match to_plain t with
+      | Some r -> r
+      | None -> (
+        let key = (t.id lsl 1) lor Bool.to_int pos in
+        match Hashtbl.find_opt memo key with
+        | Some r -> r
+        | None ->
+          let r =
+            match t.node with
+            | Begin | Endl | Look _ -> if pos then R.eps else R.empty
+            | Pred p -> R.pred p
+            | Eps -> R.eps
+            | Concat (a, b) -> R.concat (go pos a) (go pos b)
+            | Star a -> R.star (go pos a)
+            | Loop (a, m, n) -> R.loop (go pos a) m n
+            | Or xs -> R.alt_list (List.map (go pos) xs)
+            | And xs -> R.inter_list (List.map (go pos) xs)
+            | Not a -> R.compl (go (not pos) a)
+          in
+          Hashtbl.add memo key r;
+          r)
+    in
+    go true
 
   (* -- anchor elimination -------------------------------------------- *)
 

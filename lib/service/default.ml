@@ -28,7 +28,7 @@ module Make (R : Sbd_regex.Regex.S) = struct
   module LP = Sbd_locregex.Locparser.Make (LR)
   module LRef = Sbd_locregex.Locref.Make (LR)
   module LA = Sbd_analysis.Locanalyze.Make (Ab) (LR)
-  module LM = Sbd_engine.Locmatch.Make (LR)
+  module LM = Sbd_engine.Locmatch.Make (Ab) (LR)
 
   (** The tower's containment session (its pair memos persist). *)
   let csession = C.create_session ()

@@ -68,7 +68,11 @@ module type GENERATION = sig
       pattern within the worker.  A deadline expiry yields
       [Ok (Match_unknown "deadline", _)] on either engine; [Error] is a
       parse error.
-      The stats list reports engine state/reset gauges.
+      The stats list reports engine state/reset gauges and this
+      request's scan work: [engine.scan_bytes]/[engine.find_windows]
+      on the plain engine, [locmatch.scan_bytes]/[locmatch.windows] on
+      the located one.  A plain [full] comes from the same search as
+      the span: the anchored pass runs only when the span starts at 0.
 
       The pattern grammar is the {e extended} one
       ({!Sbd_locregex.Locparser}): ['^']/['$'] anchors and lookarounds
@@ -354,6 +358,7 @@ let generation () : (module GENERATION) =
     let loc_match_input ?deadline ~pattern ~input (t : LR.t) =
       let e = loc_engine_for pattern t in
       let f = float_of_int in
+      let bytes0 = LM.scan_bytes e and windows0 = LM.windows e in
       let verdict, found =
         match LM.run ?deadline e input with
         | res ->
@@ -369,6 +374,10 @@ let generation () : (module GENERATION) =
             ("locmatch.atoms", f (LM.num_atoms e));
             ("locmatch.memo_entries", f (LM.memo_entries e));
             ("locmatch.found_end", found);
+            (* bytes this request's walks stepped and lookahead passes
+               read, and whether it took a window *)
+            ("locmatch.scan_bytes", f (LM.scan_bytes e - bytes0));
+            ("locmatch.windows", f (LM.windows e - windows0));
           ] )
 
     let match_input ?deadline ~pattern ~input () =
@@ -383,8 +392,7 @@ let generation () : (module GENERATION) =
         let st0 = Eng.stats e in
         let verdict =
           try
-            let full = Eng.matches ?deadline e input in
-            let span = Eng.find ?deadline e input in
+            let full, span = Eng.full_and_find ?deadline e input in
             Protocol.Matched { full; span; found_end = None }
           with Obs.Deadline_exceeded _ -> Protocol.Match_unknown "deadline"
         in

@@ -518,6 +518,97 @@ let test_window_reads_little () =
       Alcotest.check span (pat ^ " vs full pass") (full_pass_find eng s) got)
     [ ("needle\\d{1,3}", (3000, 3007)); ("[0-9]{2,4}&~(.*00.*)", (3006, 3008)) ]
 
+(* -- cache reset after the table has grown --------------------------------- *)
+
+(* A state cap between the first 8-state table and the pattern's state
+   count: every scan grows the table (reallocating [trans]), fills it,
+   resets it and goes on stepping through a table whose cells name the
+   new states.  A loop that kept a [trans] fetched before the growth
+   would read the old, smaller array, and after the reset its stale
+   cells would name the wrong states.  Each pattern drives one loop:
+   the anchored and the unanchored forward pass and the backward pass. *)
+let test_reset_after_grow () =
+  let rand = Random.State.make [| 22 |] in
+  let word n = String.init n (fun _ -> if Random.State.bool rand then 'a' else 'b') in
+  let codes s = List.init (String.length s) (fun i -> Char.code s.[i]) in
+  List.iter
+    (fun (pat, n) ->
+      let r = re pat in
+      let m = Brz.Dfa.create r in
+      let big = Eng.create r in
+      List.iter
+        (fun cap ->
+          let eng = Eng.create ~max_states:cap r in
+          for k = 1 to 3 do
+            let s = word n ^ if k = 3 then "c" else "" in
+            let name what = Printf.sprintf "%s %s cap %d #%d" what pat cap k in
+            check (name "matches") (Brz.Dfa.matches m (codes s)) (Eng.matches eng s);
+            let want = Brz.Dfa.find_scan m s in
+            Alcotest.check span (name "find") want (Eng.find eng s);
+            Alcotest.(check (option int)) (name "contains")
+              (Eng.contains big s) (Eng.contains eng s);
+            check_int (name "count")
+              (Brz.Dfa.count_matching_prefixes_scan m s)
+              (Eng.count_matching_prefixes eng s)
+          done;
+          let st = Eng.stats eng in
+          check (Printf.sprintf "%s cap %d resets" pat cap) true (st.Eng.resets > 0))
+        [ 12; 20 ];
+      (* the default cap holds more states than either small cap *)
+      ignore (Eng.matches big (word n) : bool);
+      ignore (Eng.count_matching_prefixes big (word n) : int);
+      let st = Eng.stats big in
+      check (pat ^ " outgrows the caps") true
+        (max st.Eng.fwd_states (max st.Eng.unanch_states st.Eng.back_states) > 20))
+    [ (* anchored pass: the last 6 letters decide *)
+      ("(a|b)*a(a|b){5}", 1200)
+      (* unanchored pass up to the final [c] *)
+    ; ("(a|b)*a(a|b){5}c", 600)
+      (* backward pass over every position *)
+    ; ("(a|b){5}a", 5000) ]
+
+(* -- one pass for a full match --------------------------------------------- *)
+
+(* [full_and_find] runs the anchored pass only when the leftmost span
+   starts at 0; every [full] agrees with the lazy DFA and the DP oracle,
+   and every span with the per-position scan.  [matches] alone answers
+   an input without the required factor from the prefilter. *)
+let test_one_pass_full () =
+  let rand = Random.State.make [| 11 |] in
+  let pats =
+    boolean_patterns @ [ "needle"; "ab.*"; ".*ba"; "a.*c"; "(ab)+"; "c{2}|a" ]
+  in
+  let inputs = ref 0 and starts0 = ref 0 and passes = ref 0 in
+  List.iter
+    (fun pat ->
+      let r = re pat in
+      let eng = Eng.create r in
+      let m = Brz.Dfa.create r in
+      for _ = 1 to 60 do
+        let w = List.init (Random.State.int rand 10) (fun _ -> Char.code "abc".[Random.State.int rand 3]) in
+        let s = ascii_string w in
+        let before = (Eng.stats eng).Eng.anchored in
+        let full, sp = Eng.full_and_find eng s in
+        let name what = Printf.sprintf "%s %s %S" what pat s in
+        check (name "full vs lazy DFA") (Brz.Dfa.matches m w) full;
+        check (name "full vs oracle") (Ref.matches r w) full;
+        Alcotest.check span (name "span") (Brz.Dfa.find_scan m s) sp;
+        let ran = (Eng.stats eng).Eng.anchored - before in
+        (match sp with
+        | Some (0, _) -> incr starts0
+        | Some _ | None -> check_int (name "no anchored pass") 0 ran);
+        incr inputs;
+        passes := !passes + ran
+      done)
+    pats;
+  check (Printf.sprintf "%d anchored passes for %d inputs" !passes !inputs) true
+    (!passes <= !starts0 && !passes < !inputs / 2);
+  let eng = Eng.create (re ".*needle.*") in
+  let s = String.make (1 lsl 20) 'x' in
+  check "no factor, no full match" false (Eng.matches eng s);
+  check_int "no factor, no scan" 0 (Eng.stats eng).Eng.scan_bytes;
+  check_int "no factor, no anchored pass" 0 (Eng.stats eng).Eng.anchored
+
 let suite =
   ( "engine",
     [
@@ -537,4 +628,6 @@ let suite =
         test_window_reads_little
     ; Alcotest.test_case "counter bounds near max_int" `Quick test_huge_bounds
     ; Alcotest.test_case "scan block edges" `Quick test_block_edges
+    ; Alcotest.test_case "cache reset after grow" `Quick test_reset_after_grow
+    ; Alcotest.test_case "one pass for a full match" `Quick test_one_pass_full
     ] )

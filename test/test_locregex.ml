@@ -505,6 +505,215 @@ let test_reset_path () =
     @ loc_patterns);
   check "resets exercised" true (!resets > 0)
 
+(* -- windows: long inputs against a linear reference --------------------- *)
+
+(* The scalars of [s] and the byte offset of each boundary, in [mode]. *)
+let decode mode s =
+  match mode with
+  | Byteclass.Byte ->
+    let n = String.length s in
+    (Array.init n (fun i -> Char.code s.[i]), Array.init (n + 1) Fun.id)
+  | Byteclass.Utf8 -> segment s
+
+(* A reference for inputs past Locref's reach: every atom's truth at
+   every boundary from one plain derivative pass over the whole decoded
+   input ([⊤*·body] forward for a lookbehind, [⊤*·rev body] backward
+   for a lookahead), then the located derivative walks of [⊤*·t] and
+   [t] from offset 0, memoized per (term, code point, valuation).  No
+   byte tables, windows, prefilters or records.  It agrees with Locref
+   on the short inputs of "located window edges". *)
+let ref_run mode t s =
+  let cps, bnd = decode mode s in
+  let k = Array.length cps in
+  let memo = Hashtbl.create 256 in
+  let deriv ~sat m cp p =
+    let key = (p.L.id, cp, m) in
+    match Hashtbl.find_opt memo key with
+    | Some d -> d
+    | None ->
+      let d = L.deriv ~sat cp p in
+      Hashtbl.add memo key d;
+      d
+  in
+  let none _ = false in
+  let atoms = Array.of_list (L.atoms t) in
+  let truths =
+    Array.map
+      (fun a ->
+        let tr = Array.make (k + 1) false in
+        (match a with
+        | L.Abegin -> tr.(0) <- true
+        | L.Aend -> tr.(k) <- true
+        | L.Alook { behind = true; body } ->
+          let p = ref (L.concat L.full (L.of_plain body)) in
+          for i = 0 to k do
+            tr.(i) <- !p.L.nul;
+            if i < k then p := deriv ~sat:none (-1) cps.(i) !p
+          done
+        | L.Alook { behind = false; body } ->
+          let p = ref (L.concat L.full (L.of_plain (R.rev body))) in
+          for i = k downto 0 do
+            tr.(i) <- !p.L.nul;
+            if i > 0 then p := deriv ~sat:none (-1) cps.(i - 1) !p
+          done);
+        tr)
+      atoms
+  in
+  let mask i =
+    let m = ref 0 in
+    Array.iteri (fun j tr -> if tr.(i) then m := !m lor (1 lsl j)) truths;
+    !m
+  in
+  let sat m a =
+    let rec idx j = if L.atom_equal atoms.(j) a then j else idx (j + 1) in
+    m land (1 lsl idx 0) <> 0
+  in
+  let rec first p i =
+    let m = mask i in
+    if L.nullable ~sat:(sat m) p then Some bnd.(i)
+    else if i = k || L.equal p L.empty then None
+    else first (deriv ~sat:(sat m) m cps.(i) p) (i + 1)
+  in
+  let rec whole p i =
+    let m = mask i in
+    if i = k then L.nullable ~sat:(sat m) p
+    else (not (L.equal p L.empty)) && whole (deriv ~sat:(sat m) m cps.(i) p) (i + 1)
+  in
+  (whole t 0, first (L.concat L.full t) 0)
+
+(* Windows against the reference on inputs of 2–7 KB: decoys (factor
+   occurrences whose lookaround fails) from 2 KB on, then the witness —
+   Locref-checked in a short context first — at offsets around the
+   walk's window edges, counted from where the walk starts ([st]: the
+   first decoy plus the factor, minus the byte bound of a match).  The
+   cases cover a lookbehind body that begins exactly where its DFA warms
+   up, an unbounded one that begins near offset 0, bounded lookahead
+   bodies across window edges (next to an unbounded one, too), and
+   lossy UTF-8 at each edge, in both modes.  Some run must read less
+   than its input, and an expired deadline raises before the
+   prefilter. *)
+let test_window_edges () =
+  let modes = [ Byteclass.Byte; Byteclass.Utf8 ] in
+  let lossy = [| "\x80"; "\xe4\xb8"; "\xc3\xa9"; "\xf0\x9f\x98" |] in
+  let edges = [ 64; 192; 448; 4032 ] in
+  let fired = ref 0 in
+  List.iter
+    (fun (pat, head, decoy, witness, factor, lmax) ->
+      let t = lre pat in
+      (* the witness matches in a short context, by the oracle *)
+      let ctx = head ^ "zz" ^ witness ^ "zz" in
+      let cps, _ = segment ctx in
+      check (Printf.sprintf "witness %S of %s" witness pat) true
+        (LRef.earliest_end (LRef.make t cps) <> None);
+      check (Printf.sprintf "decoy %S of %s" decoy pat) true
+        (LRef.earliest_end (LRef.make t (fst (segment (head ^ "zz" ^ decoy ^ "zz"))))
+        = None);
+      List.iter
+        (fun mode ->
+          let eng = LEng.create ~mode t in
+          (* the reference agrees with the oracle on the short contexts *)
+          List.iter
+            (fun s ->
+              let cps, bnd = decode mode s in
+              let o = LRef.make t cps in
+              Alcotest.(check (pair bool (option int)))
+                (Printf.sprintf "reference %s %S" pat s)
+                (LRef.full o, Option.map (fun e -> bnd.(e)) (LRef.earliest_end o))
+                (ref_run mode t s))
+            [ ctx; head ^ decoy ^ "z" ^ witness; witness; "\x80" ^ witness ^ "\xe4" ];
+          let lbytes = if mode = Byteclass.Byte then lmax else 4 * lmax in
+          let f0 = 2048 in
+          let st = max 0 (f0 + factor - lbytes) in
+          List.iter
+            (fun at ->
+              let n = at + String.length witness + 700 in
+              let b = Bytes.make n 'z' in
+              let put at str = Bytes.blit_string str 0 b at (String.length str) in
+              put 10 head;
+              List.iteri
+                (fun i e ->
+                  let e = st + e in
+                  if e + 4 < n then put (e - 1) lossy.(i mod Array.length lossy))
+                ([ 0; -3; -12; -lbytes ] @ edges);
+              let rec decoys d =
+                if d + String.length decoy + 8 < at then begin
+                  put d decoy;
+                  decoys (d + 50)
+                end
+              in
+              decoys f0;
+              put at witness;
+              let s = Bytes.to_string b in
+              let name = Printf.sprintf "%s @%d %b" pat at (mode = Byteclass.Byte) in
+              let want_full, want_end = ref_run mode t s in
+              let bytes0 = LEng.scan_bytes eng in
+              let got = LEng.run eng s in
+              check ("full " ^ name) want_full got.LEng.full;
+              Alcotest.(check (option int)) ("found " ^ name) want_end
+                got.LEng.found_end;
+              if LEng.scan_bytes eng - bytes0 < n && want_end <> None then
+                incr fired;
+              check ("expired deadline " ^ name) true
+                (match LEng.run ~deadline:(Sbd_obs.Obs.Deadline.of_seconds (-1.0)) eng s with
+                | exception Sbd_obs.Obs.Deadline_exceeded _ -> true
+                | _ -> false))
+            (f0
+            :: List.concat_map
+                 (fun e ->
+                   List.init 6 (fun d -> st + e - String.length witness - 1 + d))
+                 edges))
+        modes)
+    [
+      (* pattern, head, decoy, witness, factor bytes, lmax of its strip *)
+      ("needle(?=[0-9]{3})", "", "needle12x", "needle123", 6, 6);
+      ("ab(?=[0-9]{2}x)", "", "ab12y", "ab12x", 2, 2);
+      ("(?<=[0-9]{3})ab", "", "x12ab", "123ab", 2, 2);
+      (* an unbounded lookbehind body that begins near the input's start *)
+      ("(?<=x[^y]*)ab(?=[0-9])", "x", "abz", "ab1", 2, 2);
+      (* a bounded and an unbounded lookahead in one record *)
+      ("ab(?=[0-9]{2})(?=.*z)", "", "ab1y", "ab12", 2, 2);
+      ("(?<=\\u{4E2D}{2})\\u{4E01}", "", "x\xe4\xb8\xad\xe4\xb8\x81",
+       "\xe4\xb8\xad\xe4\xb8\xad\xe4\xb8\x81", 3, 1);
+      ("(?<![0-9])42(?![0-9])", "", "142", " 42 ", 2, 2);
+    ];
+  check "windows fired inside inputs" true (!fired > 0)
+
+(* A state cap between the first 4-state table and the pattern's state
+   count: the walk grows the table, fills it, resets it mid-walk and
+   goes on through the re-interned walks.  Short inputs against Locref,
+   long ones against the reference. *)
+let test_reset_after_grow () =
+  let rand = Random.State.make [| 23 |] in
+  let word n =
+    String.init n (fun _ -> "aab".[Random.State.int rand 3])
+  in
+  List.iter
+    (fun pat ->
+      let t = lre pat in
+      let big = LEng.create ~mode:Byteclass.Utf8 t in
+      List.iter
+        (fun cap ->
+          let eng = LEng.create ~mode:Byteclass.Utf8 ~max_states:cap t in
+          List.iter
+            (fun s ->
+              let name = Printf.sprintf "%s cap %d %S" pat cap (String.sub s 0 (min 20 (String.length s))) in
+              let want =
+                if String.length s <= 40 then
+                  let cps, bnd = segment s in
+                  let o = LRef.make t cps in
+                  (LRef.full o, Option.map (fun e -> bnd.(e)) (LRef.earliest_end o))
+                else ref_run Byteclass.Utf8 t s
+              in
+              let got = LEng.run eng s in
+              Alcotest.(check (pair bool (option int))) name want
+                (got.LEng.full, got.LEng.found_end))
+            ([ word 30 ^ "c"; "c" ^ word 35; word 40 ] @ List.init 3 (fun i -> word (3000 + i) ^ "c"));
+          check (Printf.sprintf "%s cap %d resets" pat cap) true (LEng.resets eng > 0))
+        [ 6; 12 ];
+      ignore (LEng.run big (word 3000 ^ "c") : LEng.result);
+      check (pat ^ " default cap holds it") true (LEng.resets big = 0))
+    [ "(a|b)*a(a|b){4}(?=c)"; "(?<=[ab])(a|b)*a(a|b){4}c"; "^(a|b)*a(a|b){4}(?!a)" ]
+
 let suite =
   ( "locregex",
     [ Alcotest.test_case "parse syntax" `Quick test_parse_syntax
@@ -521,4 +730,6 @@ let suite =
     ; Alcotest.test_case "lossy utf8 vs oracle" `Quick test_lossy_vs_oracle
     ; Alcotest.test_case "many atoms" `Quick test_many_atoms
     ; Alcotest.test_case "table reset path" `Quick test_reset_path
+    ; Alcotest.test_case "located window edges" `Quick test_window_edges
+    ; Alcotest.test_case "cache reset after grow" `Quick test_reset_after_grow
     ] )
