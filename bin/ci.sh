@@ -180,6 +180,30 @@ echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"span\":\[0,8\]," \
 echo "$out" | grep -q "\"id\":2,\"status\":\"ok\",.*\"span\":\[$n,$((n + 8))\]," \
   || { echo "16 MB plain match (end): wrong or missing span"; exit 1; }
 
+echo "== long accelerated match lines =="
+# three 16 MB match requests whose scans spend the input in states that
+# loop on all but a few bytes: the full-match verdict of a boolean
+# pattern after a digit at the front (true) and with its forbidden
+# "01" at the very end (false), and a [^]-anchored located walk to its
+# core at the end.  Each skips the run a word at a time, so the session
+# fits well inside the timeout.
+out=$(python3 -c '
+import json, sys
+n = int(sys.argv[1])
+pw = ".*\\d.*&~(.*01.*)"
+print(json.dumps({"id": 1, "op": "match", "re": pw, "input": "7" + "x" * n}))
+print(json.dumps({"id": 2, "op": "match", "re": pw, "input": "7" + "x" * n + "01"}))
+print(json.dumps({"id": 3, "op": "match", "re": "^.*needle", "input": "x" * n + "needle"}))
+print(json.dumps({"id": 4, "op": "shutdown"}))' "$n" \
+  | timeout 120 dune exec bin/sbdserve.exe) \
+  || { echo "16 MB accelerated match: server failed or timed out"; exit 1; }
+echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",\"matched\":true,\"full\":true,\"span\":\[0,1\]," \
+  || { echo "16 MB accelerated match (digit in front): wrong or missing verdict"; exit 1; }
+echo "$out" | grep -q "\"id\":2,\"status\":\"ok\",\"matched\":true,\"full\":false,\"span\":\[0,1\]," \
+  || { echo "16 MB accelerated match (01 at the end): wrong or missing verdict"; exit 1; }
+echo "$out" | grep -q "\"id\":3,\"status\":\"ok\",.*\"found_end\":$((n + 6))," \
+  || { echo "16 MB accelerated located match: wrong or missing found_end"; exit 1; }
+
 echo "== engine throughput matrix gates =="
 # steady-state (hot) MB/s floors per pattern class (literal / class /
 # boolean / counter) plus span agreement between the engine and the

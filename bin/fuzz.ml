@@ -20,6 +20,10 @@
        reduction, with witness validation against the oracle
      - a generational service worker (memo_cap 0: a fresh tower for
        every query) vs Default's solver, with witness validation
+     - accelerated states: long runs of one filler piece with words
+       planted as exit bytes around word edges, the skip cap and the
+       ends, in both engines and both modes, vs linear derivative
+       references (the round fails unless some skip fired)
      - located engine (Sbd_engine.Locmatch) on random anchored /
        lookaround patterns vs the all-splits oracle (Locref): full
        verdicts and earliest match ends in Byte and Utf8 modes, and the
@@ -152,6 +156,64 @@ let gen_lossy_bytes rand =
 let string_of_word (w : int list) : string =
   String.init (List.length w) (fun i -> Char.chr (List.nth w i))
 
+(* The scalars of [s] in [mode], and the byte offset of each boundary. *)
+let scalars mode (s : string) : int array * int array =
+  let n = String.length s in
+  match mode with
+  | Sbd_engine.Byteclass.Byte -> (Array.init n (fun i -> Char.code s.[i]), Array.init (n + 1) Fun.id)
+  | Sbd_engine.Byteclass.Utf8 ->
+    let cps = ref [] and bnd = ref [ 0 ] and pos = ref 0 in
+    while !pos < n do
+      let cp, pos' = Sbd_engine.Byteclass.scalar_forward s !pos n in
+      cps := cp :: !cps;
+      bnd := pos' :: !bnd;
+      pos := pos'
+    done;
+    (Array.of_list (List.rev !cps), Array.of_list (List.rev !bnd))
+
+(* A plain reference for inputs past the brute force's reach: classic
+   derivatives over the decoded input, memoized per code point and term,
+   with no byte tables, skips or windows.  Returns the full-match
+   verdict, the leftmost-earliest span and the number of match starts
+   below the end (byte offsets), from one backward pass of [⊤*·rev r]
+   and forward passes of [r]. *)
+let plain_ref_run mode (r : R.t) (s : string) : bool * (int * int) option * int =
+  let cps, bnd = scalars mode s in
+  let k = Array.length cps in
+  let memo = Hashtbl.create 64 in
+  let d cp p =
+    let key = (cp, R.hash p) in
+    match List.assq_opt p (Option.value ~default:[] (Hashtbl.find_opt memo key)) with
+    | Some q -> q
+    | None ->
+      let q = Brz.derive cp p in
+      Hashtbl.replace memo key
+        ((p, q) :: Option.value ~default:[] (Hashtbl.find_opt memo key));
+      q
+  in
+  let full = R.nullable (Array.fold_left (fun p cp -> d cp p) r cps) in
+  let starts = Array.make (k + 1) false in
+  let p = ref (R.concat R.full (R.rev r)) in
+  for i = k downto 0 do
+    starts.(i) <- R.nullable !p;
+    if i > 0 then p := d cps.(i - 1) !p
+  done;
+  let count = ref 0 in
+  for i = 0 to k - 1 do
+    if starts.(i) then incr count
+  done;
+  let rec least i = if i > k then None else if starts.(i) then Some i else least (i + 1) in
+  let span =
+    Option.bind (least 0) (fun i0 ->
+        let rec go p j =
+          if R.nullable p then Some (bnd.(i0), bnd.(j))
+          else if j = k then None
+          else go (d cps.(j) p) (j + 1)
+        in
+        go r i0)
+  in
+  (full, span, !count)
+
 (* A located reference for inputs past Locref's reach: every atom's
    truth at every boundary from one plain derivative pass over the
    whole decoded input, then the located derivative walks of [⊤*·t] and
@@ -159,20 +221,7 @@ let string_of_word (w : int list) : string =
    byte tables, windows, prefilters or records.  Returns [full] and the
    earliest match end as a byte offset. *)
 let loc_ref_run mode (t : LR.t) (s : string) : bool * int option =
-  let n = String.length s in
-  let cps, bnd =
-    match mode with
-    | Sbd_engine.Byteclass.Byte -> (Array.init n (fun i -> Char.code s.[i]), Array.init (n + 1) Fun.id)
-    | Sbd_engine.Byteclass.Utf8 ->
-      let cps = ref [] and bnd = ref [ 0 ] and pos = ref 0 in
-      while !pos < n do
-        let cp, pos' = Sbd_engine.Byteclass.scalar_forward s !pos n in
-        cps := cp :: !cps;
-        bnd := pos' :: !bnd;
-        pos := pos'
-      done;
-      (Array.of_list (List.rev !cps), Array.of_list (List.rev !bnd))
-  in
+  let cps, bnd = scalars mode s in
   let k = Array.length cps in
   let memo = Hashtbl.create 256 in
   let deriv ~sat m cp p =
@@ -334,6 +383,7 @@ let run ~rounds ~seed ~size ~counters =
   let total_loc_lossy = ref 0 and total_loc_resets = ref 0 in
   let total_loc_window = ref 0 and total_loc_window_inside = ref 0 in
   let total_presolve_unsat = ref 0 and total_presolve_sat = ref 0 in
+  let total_skip_rounds = ref 0 and total_skip_bytes = ref 0 in
   let (module W) = Sbd_service.Worker.create ~memo_cap:0 () in
   let generations0 = Sbd_obs.Obs.Counter.value Sbd_service.Worker.c_memo_clears in
   for round = 1 to rounds do
@@ -779,6 +829,76 @@ let run ~rounds ~seed ~size ~counters =
             [ (Sbd_engine.Byteclass.Byte, leng); (Sbd_engine.Byteclass.Utf8, leng8) ])
         witness
     end;
+    (* accelerated states: 1–6 KB of one filler piece (a byte no
+       pattern names, or a multi-byte, 4-byte or malformed sequence)
+       with words planted as exits near word edges, the 4 KB skip cap
+       and the ends.  A fresh pattern in contexts whose states loop
+       on the filler ([⊤*·r], [r·⊤*], [[^x]*·r], [⊤*·r] without [01]),
+       and a located one, against the linear references; the plain
+       engine also, every fourth round, at a state cap that resets the
+       tables mid-run (every step then derives). *)
+    let n = 1024 + Random.State.int rand 5000 in
+    let fill = [| "z"; "z"; "\xc3\xa9"; "\xe4\xb8\xad"; "\xff"; "\x80"; "\xf0\x9f\x98\x80" |] in
+    let piece = fill.(Random.State.int rand (Array.length fill)) in
+    let b = Bytes.init n (fun i -> piece.[i mod String.length piece]) in
+    for _ = 0 to Random.State.int rand 6 do
+      let w = string_of_word (gen_word rand) in
+      let at =
+        match Random.State.int rand 4 with
+        | 0 -> (8 * Random.State.int rand (n / 8)) + Random.State.int rand 8
+        | 1 -> 4096 - 8 + Random.State.int rand 16
+        | 2 -> if Random.State.bool rand then 0 else n - String.length w
+        | _ -> Random.State.int rand n
+      in
+      if at >= 0 && at + String.length w <= n then
+        Bytes.blit_string w 0 b at (String.length w)
+    done;
+    let sa = Bytes.to_string b in
+    let lit cps = List.fold_right (fun cp acc -> R.concat (R.pred (A.of_ranges [ (cp, cp) ])) acc) cps R.eps in
+    let top_star = R.star (R.pred A.top) in
+    let ra =
+      (* small bounds: every step of a state cap that thrashes derives *)
+      let r = gen_regex rand size in
+      match Random.State.int rand 4 with
+      | 0 -> R.concat top_star r
+      | 1 -> R.concat r top_star
+      | 2 -> R.concat (R.star (R.pred (A.neg (A.of_ranges [ (Char.code 'x', Char.code 'x') ])))) r
+      | _ ->
+        R.inter (R.concat top_star r)
+          (R.compl (R.concat top_star (R.concat (lit [ Char.code '0'; Char.code '1' ]) top_star)))
+    in
+    let skipped = ref 0 in
+    List.iter
+      (fun mode ->
+        let want_full, want_span, want_count = plain_ref_run mode ra sa in
+        List.iter
+          (fun (name, eng) ->
+            let full, span = Eng.full_and_find eng sa in
+            if full <> want_full then fail_at round ("accelerated full" ^ name) ra;
+            if span <> want_span then fail_at round ("accelerated find span" ^ name) ra;
+            if Eng.count_matching_prefixes eng sa <> want_count then
+              fail_at round ("accelerated prefix count" ^ name) ra;
+            skipped := !skipped + (Eng.stats eng).Eng.skip_bytes)
+          (("", Eng.create ~mode ra)
+          :: (if round mod 4 = 0 then [ (" (max_states=3)", Eng.create ~max_states:3 ~mode ra) ]
+              else [])))
+      [ Sbd_engine.Byteclass.Byte; Sbd_engine.Byteclass.Utf8 ];
+    let la = gen_loc_regex rand size in
+    let la =
+      if Random.State.bool rand then la
+      else LR.concat (LR.of_plain (R.star (R.pred (A.neg (A.of_ranges [ (Char.code 'x', Char.code 'x') ]))))) la
+    in
+    if List.length (LR.atoms la) <= LM.max_atoms then
+      List.iter
+        (fun mode ->
+          let eng = LM.create ~mode la in
+          let res = LM.run eng sa in
+          if (res.LM.full, res.LM.found_end) <> loc_ref_run mode la sa then
+            fail_at_loc round "accelerated located run" la;
+          skipped := !skipped + LM.skip_bytes eng)
+        [ Sbd_engine.Byteclass.Byte; Sbd_engine.Byteclass.Utf8 ];
+    if !skipped > 0 then incr total_skip_rounds;
+    total_skip_bytes := !total_skip_bytes + !skipped;
     if round mod 500 = 0 then Printf.printf "... %d rounds ok\n%!" round
   done;
   (* the graceful-degradation and acceleration paths must actually have
@@ -789,6 +909,8 @@ let run ~rounds ~seed ~size ~counters =
     raise (Mismatch "engine required-factor prefilter was never exercised");
   if rounds >= 100 && !total_accel = 0 then
     raise (Mismatch "engine skip-loop acceleration was never exercised");
+  if rounds >= 1 && !total_skip_rounds = 0 then
+    raise (Mismatch "no accelerated state ever skipped");
   if rounds >= 100 && !total_window_inside = 0 then
     raise (Mismatch "bounded find window path was never exercised inside an input");
   if rounds >= 100 && !total_loc_anchor = 0 then
@@ -818,6 +940,8 @@ let run ~rounds ~seed ~size ~counters =
   Printf.printf
     "fuzz: engine cache resets exercised %d times, prefilter %d, skip loop %d\n%!"
     !total_resets !total_prefilter !total_accel;
+  Printf.printf "fuzz: accelerated states skipped in %d of %d rounds (%d bytes)\n%!"
+    !total_skip_rounds rounds !total_skip_bytes;
   Printf.printf
     "fuzz: bounded find took the window path %d times (%d strictly inside \
      the input)\n%!"

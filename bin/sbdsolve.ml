@@ -467,6 +467,7 @@ let run_loc_match ~deadline ~stats ~json ~input pattern (t : L.t) =
       ("locmatch.atoms", float_of_int (LM.num_atoms eng));
       ("locmatch.memo_entries", float_of_int (LM.memo_entries eng));
       ("locmatch.scan_bytes", float_of_int (LM.scan_bytes eng));
+      ("locmatch.skip_bytes", float_of_int (LM.skip_bytes eng));
       ("locmatch.windows", float_of_int (LM.windows eng));
     ]
     @ active_counters ()
@@ -540,6 +541,7 @@ let run_match ~deadline ~stats ~json ~input pattern =
         ("engine.back_accel_bytes", float_of_int st.Eng.back_accel_bytes);
         ("engine.factor_len", float_of_int st.Eng.factor_len);
         ("engine.scan_bytes", float_of_int st.Eng.scan_bytes);
+        ("engine.skip_bytes", float_of_int st.Eng.skip_bytes);
         ("engine.find_windows", float_of_int st.Eng.windows);
       ]
       @ active_counters ()

@@ -129,6 +129,44 @@ let floor_in mode s x = match mode with Byte -> x | Utf8 -> scalar_floor s x
 
 let ceil_in mode s x = match mode with Byte -> x | Utf8 -> scalar_ceil s x
 
+(* -- accelerated states ----------------------------------------------------- *)
+
+(** How a scan skips over the bytes that keep a DFA state in place: the
+    state's {e exit} bytes, the ones that can move it, as at most three
+    bytes or one ASCII range, each found a word at a time by
+    {!Sbd_alphabet.Bytescan}.  {!Make.skip} builds one from the state's
+    transitions. *)
+type skip =
+  | No_skip  (** too many exit bytes, or a state that must not skip *)
+  | Skip_all  (** no exit byte: the state keeps itself on every byte *)
+  | Skip_bytes of char * char * char
+      (** at most three exit bytes; a set of fewer repeats one *)
+  | Skip_range of char * char  (** the ASCII exit bytes [\[lo, hi\]] *)
+
+(** Number of exit bytes. *)
+let skip_size = function
+  | No_skip | Skip_all -> 0
+  | Skip_bytes (c1, c2, c3) ->
+    1 + Bool.to_int (c2 <> c1) + Bool.to_int (c3 <> c1 && c3 <> c2)
+  | Skip_range (lo, hi) -> Char.code hi - Char.code lo + 1
+
+(** The first exit byte in [s.\[pos, limit)], or [limit]. *)
+let skip_forward (k : skip) (s : string) (pos : int) (limit : int) : int =
+  match k with
+  | No_skip -> pos
+  | Skip_all -> limit
+  | Skip_bytes (c1, c2, c3) -> Sbd_alphabet.Bytescan.forward s pos limit c1 c2 c3
+  | Skip_range (lo, hi) -> Sbd_alphabet.Bytescan.forward_range s pos limit lo hi
+
+(** The offset just after the last exit byte in [s.\[lo, hi)], or
+    [lo]. *)
+let skip_backward (k : skip) (s : string) (lo : int) (hi : int) : int =
+  match k with
+  | No_skip -> hi
+  | Skip_all -> lo
+  | Skip_bytes (c1, c2, c3) -> Sbd_alphabet.Bytescan.backward s lo hi c1 c2 c3
+  | Skip_range (l, h) -> Sbd_alphabet.Bytescan.backward_range s lo hi l h
+
 module Make (R : Sbd_regex.Regex.S) = struct
   module A = R.A
   module M = Sbd_alphabet.Minterm.Make (A)
@@ -213,4 +251,63 @@ module Make (R : Sbd_regex.Regex.S) = struct
     else
       let cp, pos' = scalar_backward s pos lo in
       (classify_cp t cp, pos')
+
+  (** The skip of a state that byte class [cls] keeps in place iff
+      [loops cls], for a scan in direction [dir].  A byte is an exit iff
+      its class does not loop, so skipping the others is exact.
+
+      [Utf8] mode skips bytes, not scalars, so it needs more.  U+FFFD's
+      class must loop (else no skip), so malformed bytes are skippable.
+      A forward skip takes as exits every ASCII byte of an exit class
+      and every lead byte whose code points meet one.  Exits are then
+      never continuation bytes (ASCII < 0x80 ≤ conts < 0xC0 ≤ leads),
+      so a skip halts on a scalar start, and every scalar it passes
+      whole (ASCII, multi-byte with a non-exit lead, or malformed as
+      U+FFFD) has a looping class.  A backward skip needs every exit
+      class to be pure ASCII, so that it can never stop inside a
+      multi-byte scalar. *)
+  let skip (t : t) ~(dir : [ `Fwd | `Back ]) ~(loops : int -> bool) : skip =
+    let exits = Array.init (max 1 t.num_classes) (fun cls -> not (loops cls)) in
+    let member = Array.make 256 false in
+    let add b = member.(b) <- true in
+    let ok = ref true in
+    (match t.mode with
+    | Byte ->
+      for b = 0 to 255 do
+        if exits.(t.table.(b)) then add b
+      done
+    | Utf8 ->
+      for b = 0 to 127 do
+        if exits.(t.table.(b)) then add b
+      done;
+      if exits.(classify_cp t replacement) then ok := false
+      else
+        Array.iter
+          (fun (lo, hi, cls) ->
+            if !ok && exits.(cls) && hi >= 0x80 then
+              match dir with
+              | `Back -> ok := false
+              | `Fwd ->
+                let lo = max lo 0x80 in
+                if lo <= 0x7FF then
+                  for x = 0xC0 lor (lo lsr 6) to 0xC0 lor (min hi 0x7FF lsr 6) do
+                    add x
+                  done;
+                if hi >= 0x800 then
+                  for x = 0xE0 lor (max lo 0x800 lsr 12) to 0xE0 lor (hi lsr 12) do
+                    add x
+                  done)
+          t.ranges);
+    let set = List.filter (fun b -> member.(b)) (List.init 256 Fun.id) in
+    match (!ok, List.map Char.chr set) with
+    | false, _ -> No_skip
+    | true, [] -> Skip_all
+    | true, [ c1 ] -> Skip_bytes (c1, c1, c1)
+    | true, [ c1; c2 ] -> Skip_bytes (c1, c2, c2)
+    | true, [ c1; c2; c3 ] -> Skip_bytes (c1, c2, c3)
+    | true, (lo :: _ as cs) ->
+      let hi = List.nth cs (List.length cs - 1) in
+      if hi < '\x80' && Char.code hi - Char.code lo + 1 = List.length cs then
+        Skip_range (lo, hi)
+      else No_skip
 end

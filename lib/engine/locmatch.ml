@@ -44,6 +44,14 @@
     single pass from the end that stops at the walk's start.  A pattern
     whose every branch begins with [^] runs one walk.
 
+    {b Skips.}  The lookaround DFAs are {!Dfa}s, with its accelerated
+    states: a lookahead pass skips from a non-nullable one (the truths
+    it passes stay false), a lookbehind warm-up from any.  The walk of a
+    pattern with no lookahead skips too: where one walk is live and its
+    state loops under the current valuation on all but a few bytes, as
+    does every lookbehind DFA's, nothing the walk reads changes until
+    the nearest of their exit bytes ({!walk}).
+
     {b Tables.}  Located terms get dense state ids, and masks get dense
     {e valuation} ids in order of first sight.  The laid-out lazy DFA
     is {!Dfa}'s: transitions live in one flat [int array] at
@@ -73,10 +81,14 @@ external set16u : Bytes.t -> int -> int -> unit = "%caml_bytes_set16u"
 
 let default_max_states = Dfa.default_max_states
 
-(* [Dfa]'s nullable flag bit: the hot loops read its flags bytes
-   directly, as calls into a functor instance are not inlined *)
+(* [Dfa]'s flag bits: the hot loops read its flags bytes directly, as
+   calls into a functor instance are not inlined *)
 let f_nullable = Dfa.f_nullable
 let f_top = Dfa.f_full
+let f_accel = Dfa.f_accel
+let f_looped = Dfa.f_looped
+let block = Dfa.block
+let guard = Dfa.guard
 
 module Make
     (Ab : Sbd_absdom.Absdom.S)
@@ -98,7 +110,6 @@ struct
 
   (* the walk's window: it opens at [first_window] bytes and doubles up
      to [block], the deadline poll stride *)
-  let block = 4096
   let first_window = 64
 
   module Tbl = Hashtbl.Make (struct
@@ -124,9 +135,6 @@ struct
     atoms : L.atom array;  (** the atom owning mask bit [i] *)
     aheads : Dfa.t array;
         (** lookahead [j] owns mask bit [j]: DFA of [⊤*·rev body] *)
-    stays : Bytes.t array;
-        (** per lookahead, the bytes that lead its DFA's start state back
-           to itself (none when the start state is nullable) *)
     behinds : Dfa.t array;
         (** lookbehind [j] owns bit [#aheads + j]: DFA of [⊤*·body] *)
     begin_bit : int;  (** mask of [^], or 0 *)
@@ -135,6 +143,8 @@ struct
     min_bytes : int;  (** every match spans at least this many bytes *)
     max_bytes : int option;  (** and at most this many; [None] = unbounded *)
     anchored : bool;  (** every branch begins with [^] *)
+    walk_skips : bool;
+        (** no lookahead atoms, so the walk can skip ({!walk}) *)
     ahead_bytes : int array;
         (** per lookahead, its body's byte bound; -1 = unbounded or
             past {!block} *)
@@ -146,8 +156,9 @@ struct
             scalar boundary [i] *)
     mutable rbase : int;
     mutable scan_bytes : int;
-        (** bytes stepped by the forward walks and read by the
-            lookahead passes, over the engine's life *)
+        (** bytes stepped by the forward walks and the lookaround DFAs,
+            over the engine's life (skips excluded) *)
+    mutable walk_skip_bytes : int;  (** bytes the walks skipped, likewise *)
     mutable windows : int;
         (** runs that started the walk past 0 or skipped the pattern
             walk, over the engine's life *)
@@ -163,7 +174,12 @@ struct
     mutable sshift : int;  (** log2 of the valuation slots per state row *)
     mutable rshift : int;  (** [sshift + cshift]: log2 of a row's cells *)
     mutable trans : int array;
-    mutable nul : Bytes.t;  (** 0 unknown, 1 false, 2 true *)
+    mutable nul : Bytes.t;
+        (** per state and valuation: ν in the low bits (0 unknown,
+            1 false, 2 true), [f_looped] once the state's skip under
+            that valuation is worked out, [f_accel] while it skips *)
+    mutable vstrikes : Bytes.t;  (** per ν cell, {!Dfa.guard}'s count *)
+    mutable vskips : Byteclass.skip array;  (** per ν cell, read under [f_accel] *)
     mutable filled : int;  (** cells derived since the last reset *)
     mutable last_mask : int;  (** one-entry cache of {!valuation} *)
     mutable last_v : int;
@@ -202,17 +218,23 @@ struct
     Bytes.blit t.flags 0 flags 0 keep;
     let trans = Array.make (cap lsl (sshift + t.cshift)) (-1) in
     let nul = Bytes.make (cap lsl sshift) '\000' in
+    let vstrikes = Bytes.make (cap lsl sshift) '\000' in
+    let vskips = Array.make (cap lsl sshift) Byteclass.No_skip in
     let old = t.sshift in
     for q = 0 to keep - 1 do
       Array.blit t.trans (q lsl (old + t.cshift)) trans
         (q lsl (sshift + t.cshift))
         (1 lsl (old + t.cshift));
-      Bytes.blit t.nul (q lsl old) nul (q lsl sshift) (1 lsl old)
+      Bytes.blit t.nul (q lsl old) nul (q lsl sshift) (1 lsl old);
+      Bytes.blit t.vstrikes (q lsl old) vstrikes (q lsl sshift) (1 lsl old);
+      Array.blit t.vskips (q lsl old) vskips (q lsl sshift) (1 lsl old)
     done;
     t.terms <- terms;
     t.flags <- flags;
     t.trans <- trans;
     t.nul <- nul;
+    t.vstrikes <- vstrikes;
+    t.vskips <- vskips;
     t.sshift <- sshift;
     t.rshift <- sshift + t.cshift
 
@@ -229,6 +251,8 @@ struct
        cells *)
     Array.fill t.trans (cell t id 0 0) (1 lsl t.rshift) (-1);
     Bytes.fill t.nul (id lsl t.sshift) (1 lsl t.sshift) '\000';
+    Bytes.fill t.vstrikes (id lsl t.sshift) (1 lsl t.sshift) '\000';
+    Array.fill t.vskips (id lsl t.sshift) (1 lsl t.sshift) Byteclass.No_skip;
     let f =
       (if L.equal term L.empty then f_dead else 0)
       lor if L.equal term L.full then f_full else 0
@@ -313,26 +337,36 @@ struct
     let i = idx 0 in
     i >= 0 && mask land (1 lsl i) <> 0
 
+  let set_nul_bits t c bits =
+    Bytes.set t.nul c (Char.chr (Char.code (Bytes.get t.nul c) lor bits))
+
   let nul_slow t q v =
     let term = t.terms.(q) in
     let b =
       if not term.L.zw then term.L.nul
       else L.nullable ~sat:(sat_of t t.masks.(v)) term
     in
-    Bytes.set t.nul ((q lsl t.sshift) lor v) (if b then '\002' else '\001');
+    let c = (q lsl t.sshift) lor v in
+    set_nul_bits t c (if b then 2 else 1);
     t.filled <- t.filled + 1;
-    b
+    Char.code (Bytes.get t.nul c)
+
+  (** The ν cell of state [q] under valuation [v], ν worked out: bit 2
+      is ν, [f_accel] whether [q] skips under [v]. *)
+  let[@inline] nul_cell t q v =
+    let b = Char.code (Bytes.unsafe_get t.nul ((q lsl t.sshift) lor v)) in
+    if b land 3 <> 0 then b else nul_slow t q v
 
   (** ν of state [q] under valuation [v]. *)
-  let[@inline] nullable t q v =
-    match Bytes.unsafe_get t.nul ((q lsl t.sshift) lor v) with
-    | '\002' -> true
-    | '\001' -> false
-    | _ -> nul_slow t q v
+  let[@inline] nullable t q v = nul_cell t q v land 2 <> 0
+
+  let flags t q = Char.code (Bytes.unsafe_get t.flags q)
 
   (* The cell miss: derive, intern, memoize unless the intern reset the
-     table (then [q]'s row is gone). *)
-  let step_slow t q vc cls =
+     table (then [q]'s row is gone).  A self-loop of a pattern with no
+     lookaheads works out [q]'s skip under that valuation, as
+     {!Dfa.step} does. *)
+  let rec step_slow t q vc cls =
     let d =
       L.deriv
         ~sat:(sat_of t t.masks.(vc lsr t.cshift))
@@ -340,11 +374,38 @@ struct
     in
     let resets = t.resets in
     let tgt = intern t d in
-    if t.resets = resets then begin
+    if t.resets <> resets then tgt
+    else begin
       t.trans.(cell t q vc cls) <- tgt;
-      t.filled <- t.filled + 1
-    end;
-    tgt
+      t.filled <- t.filled + 1;
+      if
+        tgt <> q || (not t.walk_skips)
+        || Char.code (Bytes.get t.nul ((q lsl t.sshift) lor (vc lsr t.cshift)))
+           land f_looped
+           <> 0
+      then tgt
+      else begin
+        accelerate t q vc;
+        (* forcing the row may have reset the table *)
+        if t.resets = resets then tgt else intern t d
+      end
+    end
+
+  and accelerate t q vc =
+    let c = (q lsl t.sshift) lor (vc lsr t.cshift) in
+    set_nul_bits t c f_looped;
+    let resets = t.resets in
+    let skip =
+      Bc.skip t.bc ~dir:`Fwd ~loops:(fun cls ->
+          t.resets = resets
+          &&
+          let tgt = t.trans.(cell t q vc cls) in
+          (if tgt >= 0 then tgt else step_slow t q vc cls) = q)
+    in
+    if t.resets = resets && skip <> Byteclass.No_skip then begin
+      t.vskips.(c) <- skip;
+      set_nul_bits t c f_accel
+    end
 
   (** Successor of state [q] on byte class [cls] under the valuation
       whose {!column} is [vc].  Valid only while [q] is one of the walks
@@ -353,8 +414,6 @@ struct
   let[@inline] step t q vc cls =
     let tgt = Array.unsafe_get t.trans (cell t q vc cls) in
     if tgt >= 0 then tgt else step_slow t q vc cls
-
-  let flags t q = Char.code (Bytes.unsafe_get t.flags q)
 
   (* Does every match start at offset 0?  A branch that begins with
      [^] can match only where [^] holds; a lookaround or [$] in front
@@ -417,18 +476,9 @@ struct
       in
       go 0
     in
-    let dfa body =
-      Dfa.create ~representatives:bc.Bc.representatives (R.concat R.full body)
-    in
-    let aheads = Array.of_list (List.map (fun b -> dfa (R.rev b)) ahead_bodies) in
-    let stay d =
-      let start = Dfa.start_id in
-      Bytes.init 256 (fun b ->
-          let cls = bc.Bc.table.(b) in
-          if (not (Dfa.is_nullable d start)) && cls >= 0
-             && Dfa.step d start cls = start
-          then '\001'
-          else '\000')
+    let dfa dir body = Dfa.create ~bc ~dir (R.concat R.full body) in
+    let aheads =
+      Array.of_list (List.map (fun b -> dfa `Back (R.rev b)) ahead_bodies)
     in
     let plain = L.strip pattern in
     let lit = Lit.study plain in
@@ -456,8 +506,7 @@ struct
            log2 0);
         atoms;
         aheads;
-        stays = Array.map stay aheads;
-        behinds = Array.of_list (List.map dfa behind_bodies);
+        behinds = Array.of_list (List.map (dfa `Fwd) behind_bodies);
         begin_bit = bit L.Abegin;
         end_bit = bit L.Aend;
         lits =
@@ -466,12 +515,14 @@ struct
         min_bytes;
         max_bytes;
         anchored = starts_at_begin pattern;
+        walk_skips = ahead_bodies = [];
         ahead_bytes;
         ahead_reach = Array.fold_left max (-1) ahead_bytes;
         behind_bytes = Array.of_list (List.map (byte_bound mode) behind_bodies);
         record = Bytes.empty;
         rbase = 0;
         scan_bytes = 0;
+        walk_skip_bytes = 0;
         windows = 0;
         max_states = max max_states min_states;
         index = Tbl.create 64;
@@ -486,6 +537,8 @@ struct
         rshift = 0;
         trans = [||];
         nul = Bytes.empty;
+        vstrikes = Bytes.empty;
+        vskips = [||];
         filled = 0;
         last_mask = -1;
         last_v = -1;
@@ -509,9 +562,14 @@ struct
 
   let row_cells t = 1 lsl t.rshift
 
-  (** Bytes stepped and read ({!t.scan_bytes}), and runs that took a
+  (** Bytes stepped ({!t.scan_bytes}), bytes skipped from accelerated
+      states by the walks and the lookaround DFAs, and runs that took a
       window ({!t.windows}), over the engine's life. *)
   let scan_bytes t = t.scan_bytes
+
+  let skip_bytes t =
+    let dfas = Array.fold_left (fun acc d -> acc + Dfa.skip_bytes d) 0 in
+    t.walk_skip_bytes + dfas t.aheads + dfas t.behinds
 
   let windows t = t.windows
 
@@ -533,9 +591,12 @@ struct
      whether some prefix of [s[i..hi)] is in the body: exact when
      [hi = n] or when [hi - i] covers the body's byte bound.  The inner
      loop inlines the table hit as {!Search}'s scan loops do: [Dfa.step]
-     may grow or reset the table, so [trans] is refetched after it. *)
+     may grow or reset the table, so [trans] is refetched after it.  A
+     non-nullable accelerated state skips: the truth stays false over
+     what it passes, and the record already says so. *)
   let ahead_pass ~deadline t (s : string) j ~lo ~hi =
     let dfa = t.aheads.(j) in
+    let skipped0 = Dfa.skip_bytes dfa in
     let record = t.record and base = t.rbase in
     let bit = 1 lsl j in
     let set i =
@@ -547,57 +608,47 @@ struct
     let poll = not (Obs.Deadline.is_none deadline) in
     let q = ref Dfa.start_id and pos = ref hi in
     if Dfa.is_nullable dfa !q then set hi;
-    let stay = t.stays.(j) in
     while !pos > lo do
       if poll then Obs.Deadline.check_now deadline;
-      let stop = if !pos - lo > block then !pos - block else lo in
+      if Char.code (Bytes.get dfa.Dfa.flags !q) land (f_accel lor f_nullable) = f_accel
+      then pos := Dfa.skip_backward dfa !q s lo !pos;
+      let stop = ref (if !pos - lo > block then !pos - block else lo) in
       let trans = ref dfa.Dfa.trans and flags = ref dfa.Dfa.flags in
-      while !pos > stop do
-        (* in the start state, skip the bytes that keep it there: the
-           truth stays false and the record already says so *)
-        if !q = Dfa.start_id then
-          while
-            !pos > stop
-            && Bytes.unsafe_get stay (Char.code (String.unsafe_get s (!pos - 1)))
-               <> '\000'
-          do
-            decr pos
-          done;
-        if !pos > stop then begin
-          (* ASCII (every byte in Byte mode) classifies by one table
-             read; anything else takes the lossy backward decoder *)
-          let cls =
-            Array.unsafe_get table (Char.code (String.unsafe_get s (!pos - 1)))
-          in
-          let tgt =
-            if cls >= 0 then Array.unsafe_get !trans ((!q * nc) + cls) else -1
-          in
-          if tgt >= 0 then begin
-            q := tgt;
-            decr pos
-          end
-          else begin
-            let cls, p = Bc.prev t.bc s !pos 0 in
-            q := Dfa.step dfa !q cls;
-            trans := dfa.Dfa.trans;
-            flags := dfa.Dfa.flags;
-            pos := p
-          end;
-          let f = Char.code (Bytes.unsafe_get !flags !q) in
-          if f land f_nullable <> 0 then begin
-            set !pos;
-            if f land f_top <> 0 then begin
-              (* [⊤*] stays [⊤*]: the body holds at every boundary below *)
-              for i = lo to !pos - 1 do
-                set i
-              done;
-              pos := lo
-            end
+      while !pos > !stop do
+        (* ASCII (every byte in Byte mode) classifies by one table
+           read; anything else takes the lossy backward decoder *)
+        let cls =
+          Array.unsafe_get table (Char.code (String.unsafe_get s (!pos - 1)))
+        in
+        let tgt =
+          if cls >= 0 then Array.unsafe_get !trans ((!q * nc) + cls) else -1
+        in
+        if tgt >= 0 then begin
+          q := tgt;
+          decr pos
+        end
+        else begin
+          let cls, p = Bc.prev t.bc s !pos 0 in
+          q := Dfa.step dfa !q cls;
+          trans := dfa.Dfa.trans;
+          flags := dfa.Dfa.flags;
+          pos := p
+        end;
+        let f = Char.code (Bytes.unsafe_get !flags !q) in
+        if f land f_nullable <> 0 then begin
+          set !pos;
+          if f land f_top <> 0 then begin
+            (* [⊤*] stays [⊤*]: the body holds at every boundary below *)
+            for i = lo to !pos - 1 do
+              set i
+            done;
+            pos := lo
           end
         end
+        else if f land f_accel <> 0 then stop := !pos
       done
     done;
-    t.scan_bytes <- t.scan_bytes + (hi - lo)
+    t.scan_bytes <- t.scan_bytes + (hi - lo) - (Dfa.skip_bytes dfa - skipped0)
 
   (* The walk's next window from [b0]: its end [b1], a scalar boundary
      at most [size] bytes on (or [n]), with every bounded lookahead's
@@ -633,10 +684,12 @@ struct
 
   (* Lookbehind [j]'s DFA state at [st]: run from [st] minus its body's
      byte bound (from 0 when unbounded), since every body match that
-     ends at or after [st] starts there or later. *)
+     ends at or after [st] starts there or later.  Only the state at
+     [st] matters, so every accelerated state skips. *)
   let warm_behind ~deadline t (s : string) j st =
     let d = t.behinds.(j) and b = t.behind_bytes.(j) in
     let from = if b < 0 || b >= st then 0 else Byteclass.floor_in t.mode s (st - b) in
+    let skipped0 = Dfa.skip_bytes d in
     let n = String.length s in
     let table = t.bc.Bc.table in
     let nc = t.nc in
@@ -644,8 +697,10 @@ struct
     let q = ref Dfa.start_id and pos = ref from in
     while !pos < st do
       if poll then Obs.Deadline.check_now deadline;
-      let stop = min st (!pos + block) in
-      while !pos < stop do
+      if Char.code (Bytes.get d.Dfa.flags !q) land f_accel <> 0 then
+        pos := Dfa.skip_forward d !q s !pos st;
+      let stop = ref (min st (!pos + block)) in
+      while !pos < !stop do
         let cls = Array.unsafe_get table (Char.code (String.unsafe_get s !pos)) in
         if cls >= 0 then begin
           let tgt = Array.unsafe_get d.Dfa.trans ((!q * nc) + cls) in
@@ -656,10 +711,12 @@ struct
           let cls, p = Bc.next t.bc s !pos n in
           q := Dfa.step d !q cls;
           pos := p
-        end
+        end;
+        if Char.code (Bytes.unsafe_get d.Dfa.flags !q) land f_accel <> 0 then
+          stop := !pos
       done
     done;
-    t.scan_bytes <- t.scan_bytes + (st - from);
+    t.scan_bytes <- t.scan_bytes + (st - from) - (Dfa.skip_bytes d - skipped0);
     !q
 
   (* The walks from [st], where no match starts earlier, live in
@@ -668,7 +725,18 @@ struct
      open, so [st = 0]); for an [anchored] pattern it is also the
      search walk.  Per scalar the hot path is table reads only: byte
      class, lookahead record, valuation cache, one transition cell per
-     live walk, one ν cell for the search walk. *)
+     live walk, one ν cell for the search walk.
+
+     The skip (DESIGN.md §15): with no lookaheads, the mask at a
+     boundary past 0 and before [n] is the lookbehind bits alone.  When
+     the lone live walk's state loops under the current valuation on
+     all but a few bytes, and so does every lookbehind DFA's state,
+     then up to the nearest of their exit bytes every state, hence
+     every mask bit and the valuation, stays put.  The walk's ν there
+     cannot report: a walk that can still report a match end was tested
+     non-nullable under this valuation on arriving, and the pattern
+     walk's [full] depends only on its state at [n].  The mask at the
+     landing offset is the same, with [$] at [n]. *)
   let walk ~deadline t (s : string) ~st ~need_full : result =
     let n = String.length s in
     let na = Array.length t.aheads and nb = Array.length t.behinds in
@@ -680,6 +748,7 @@ struct
         (fun j b -> if b < 0 then ahead_pass ~deadline t s j ~lo:st ~hi:n)
         t.ahead_bytes
     end;
+    let skipped0 = t.walk_skip_bytes in
     let win = ref first_window in
     let b1 = ref (open_window ~deadline ~whole t s ~b0:st ~size:!win) in
     let ahead = ref t.record and base = ref t.rbase in
@@ -687,6 +756,10 @@ struct
     let table = t.bc.Bc.table in
     let nc = t.nc in
     let poll = not (Obs.Deadline.is_none deadline) in
+    let walk_skips = t.walk_skips in
+    (* the start of the last scalar: a skip lands short of it, where
+       the mask is the same *)
+    let last = if n = 0 then 0 else Byteclass.floor_in t.mode s (n - 1) in
     t.wp <- (if need_full || anchored then intern t t.pattern else -1);
     t.ws <- (if anchored then -1 else intern t t.search);
     (* the mask at a scalar boundary: the lookahead record, the anchors,
@@ -708,7 +781,7 @@ struct
       t.ws <- -1
     end;
     (if t.wp >= 0 then
-       let f = flags t t.wp in
+       let f = flags t t.wp land (f_dead lor f_full) in
        if f <> 0 then begin
          verdict := if f land f_dead <> 0 then 0 else 1;
          t.wp <- -1
@@ -727,7 +800,37 @@ struct
         base := t.rbase
       end;
       let stop = !b1 and ahead = !ahead and base = !base in
-      while !pos < stop && (t.wp >= 0 || t.ws >= 0) do
+      (* one walk live: exactly one of [ws], [wp] is -1 *)
+      let q = t.ws + t.wp + 1 in
+      if
+        walk_skips && t.ws lxor t.wp < 0
+        && !mask land t.begin_bit = 0
+        && nul_cell t q !v land f_accel <> 0
+      then begin
+        (* the skip: up to the nearest exit of the walk and of each
+           lookbehind DFA, short of the last scalar, so the walk lands
+           in the same state, valuation and ν *)
+        let skips = ref true in
+        for j = 0 to nb - 1 do
+          let d = Array.unsafe_get t.behinds j in
+          if Char.code (Bytes.unsafe_get d.Dfa.flags (Array.unsafe_get bq j)) land f_accel = 0
+          then skips := false
+        done;
+        if !skips then begin
+          let c = (q lsl t.sshift) lor !v in
+          let limit = if stop < n then stop else last in
+          let p = ref (Byteclass.skip_forward (Array.unsafe_get t.vskips c) s !pos limit) in
+          for j = 0 to nb - 1 do
+            let d = Array.unsafe_get t.behinds j in
+            p := Byteclass.skip_forward (Dfa.skip_of d (Array.unsafe_get bq j)) s !pos !p
+          done;
+          guard ~flags:t.nul ~strikes:t.vstrikes c (!p - !pos);
+          t.walk_skip_bytes <- t.walk_skip_bytes + (!p - !pos);
+          pos := !p
+        end
+      end;
+      let lim = ref stop in
+      while !pos < !lim && (t.wp >= 0 || t.ws >= 0) do
         (* ASCII (every byte in Byte mode) classifies by one table read *)
         let cls =
           ref (Array.unsafe_get table (Char.code (String.unsafe_get s !pos)))
@@ -741,7 +844,7 @@ struct
         let cls = !cls and next = !next in
         if t.wp >= 0 then begin
           t.wp <- step t t.wp !vc cls;
-          let f = flags t t.wp in
+          let f = flags t t.wp land (f_dead lor f_full) in
           if f <> 0 then begin
             verdict := if f land f_dead <> 0 then 0 else 1;
             t.wp <- -1
@@ -766,19 +869,29 @@ struct
           v := valuation t m;
           vc := column t !v
         end;
-        if t.ws >= 0 && nullable t t.ws !v then begin
-          found := next;
-          t.ws <- -1
-        end;
-        if anchored && !found < 0
-           && (!verdict = 1 || (t.wp >= 0 && nullable t t.wp !v))
-        then begin
-          found := next;
-          if not need_full then t.wp <- -1
+        (* the block ends early on a step that leaves the lone live
+           walk in a state that skips ([next] > 0: [^] is false) *)
+        if t.ws >= 0 then begin
+          let b = nul_cell t t.ws !v in
+          if b land 2 <> 0 then begin
+            found := next;
+            t.ws <- -1
+          end
+          else if b land f_accel <> 0 && t.wp < 0 then lim := next
         end
+        else if t.wp >= 0 then begin
+          (* an anchored pattern's walk is also its search walk *)
+          let b = nul_cell t t.wp !v in
+          if anchored && !found < 0 && b land 2 <> 0 then begin
+            found := next;
+            if not need_full then t.wp <- -1
+          end
+          else if walk_skips && b land f_accel <> 0 then lim := next
+        end
+        else if anchored && !found < 0 && !verdict = 1 then found := next
       done
     done;
-    t.scan_bytes <- t.scan_bytes + (!pos - st);
+    t.scan_bytes <- t.scan_bytes + (!pos - st) - (t.walk_skip_bytes - skipped0);
     let full =
       need_full && if !verdict >= 0 then !verdict = 1 else nullable t t.wp !v
     in

@@ -135,8 +135,10 @@ let rules_out_full (l : lits) (s : string) : bool =
 
 (** A code-point length interval in bytes: every code point of the
     decoded stream (U+FFFD for malformed input included) takes at least
-    one byte, and at most one in [Byte] mode or four in [Utf8] mode.
-    [None] = unbounded. *)
+    one byte, and at most one in [Byte] mode or three in [Utf8] mode.
+    The decoder reads the BMP only ({!Byteclass.classify_scalar}): a
+    4-byte sequence is four malformed bytes, four U+FFFD, and a
+    truncated tail is at most a lead and one continuation byte. *)
 let byte_bounds ~(mode : Byteclass.mode) ~lmin ~(lmax : int option) :
     int * int option =
   ( max 0 lmin,
@@ -144,7 +146,7 @@ let byte_bounds ~(mode : Byteclass.mode) ~lmin ~(lmax : int option) :
     | Some mx -> (
       match mode with
       | Byteclass.Byte -> Some mx
-      | Byteclass.Utf8 when mx <= max_int / 4 -> Some (4 * mx)
+      | Byteclass.Utf8 when mx <= max_int / 3 -> Some (3 * mx)
       | Byteclass.Utf8 -> None)
     | None -> None )
 

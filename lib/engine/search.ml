@@ -38,16 +38,17 @@
     forward loop ends on the first state whose flags meet its stop
     mask — nullable or dead for a search, dead or full for a verdict —
     so that test costs the flags load it already makes.  Two sublinear
-    prefilters sit in front, in the style of RE# (arXiv 2407.20479):
+    shortcuts sit on top, in the style of RE# (arXiv 2407.20479):
 
-    - {e start-state acceleration}: while the unanchored (or backward)
-      DFA is parked in its start state, a word-at-a-time search
-      ({!Sbd_alphabet.Bytescan}) skips straight over bytes whose class
-      provably self-loops the start.  The
-      candidate byte set (≤ 3 bytes) is computed once per DFA from the
-      start state's actual transitions, so the skip is exact, not an
-      approximation — see {!compute_accel} for the UTF-8 alignment
-      argument.
+    - {e accelerated states} ({!Dfa}): a state that loops on all but at
+      most three bytes, or all but one ASCII range, also ends a block,
+      and the scan skips from it to the next exit byte with a
+      word-at-a-time search.  The forward loop skips from any such state
+      that does not meet its stop mask, nullable or not, since only the
+      state it stops on matters.  The backward loop skips from
+      non-nullable ones: every nullable position is a match start, and
+      {!count_matching_prefixes} counts them all.  [find]'s least start
+      needs only the lowest, so there a nullable state skips too.
     - {e required literals} ({!Prefilter}, shared with {!Locmatch}):
       {!Sbd_analysis.Literals} proves a factor every match contains and
       a prefix and suffix it starts and ends with.  If the factor (or
@@ -66,30 +67,21 @@ let default_max_states = Dfa.default_max_states
    full-match verdict once the state settles it. *)
 let stop_match = Dfa.f_nullable lor Dfa.f_dead
 let stop_verdict = Dfa.f_dead lor Dfa.f_full
-let f_start = Dfa.f_start
+let f_accel = Dfa.f_accel
+let f_nullable = Dfa.f_nullable
 
 module Obs = Sbd_obs.Obs
 
 (** Bytes per inner-loop block: the spacing of deadline polls.  Small
     enough that a deadline overrun is bounded by microseconds, large
     enough that the polls vanish from the per-byte path. *)
-let block = 4096
+let block = Dfa.block
 
 module Make (Ab : Sbd_absdom.Absdom.S) = struct
   module R = Ab.D.R
   module Bc = Byteclass.Make (R)
   module Dfa = Dfa.Make (R)
   module Lit = Sbd_analysis.Literals.Make (R)
-
-  (** Start-state byte-skip acceleration: while the DFA sits in its
-      start state, bytes outside the candidate set provably keep it
-      there and a three-way compare loop can skip them without touching
-      the class table. *)
-  type accel =
-    | No_accel
-    | Skip of { b1 : char; b2 : char; b3 : char; count : int }
-        (** unused slots duplicate [b1]; [count] is the true number of
-            candidate bytes (for stats) *)
 
   type t = {
     pattern : R.t;
@@ -101,8 +93,6 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     fwd : Dfa.t;  (** anchored: start = pattern *)
     mutable unanch : Dfa.t option;  (** start = ⊤*·pattern, built lazily *)
     mutable back : Dfa.t option;  (** start = ⊤*·rev pattern, built lazily *)
-    mutable un_accel : accel;  (** computed when [unanch] is built *)
-    mutable back_accel : accel;  (** computed when [back] is built *)
     abs_min_bytes : int;
         (** abstract length hint: every match spans ≥ this many bytes
             (every code point of the decoded stream — including U+FFFD
@@ -112,11 +102,11 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     abs_max_bytes : int option;
         (** abstract length hint: an anchored full match spans ≤ this
             many bytes ([lmax] in [Byte] mode where byte = code point;
-            [4·lmax] in [Utf8] mode where a code point consumes ≤ 4
+            [3·lmax] in [Utf8] mode where a code point consumes ≤ 3
             bytes).  [None] = unbounded *)
     mutable scan_bytes : int;
         (** bytes stepped by the DFA scan loops over this engine's
-            life (skip loops and the prefilter excluded) *)
+            life (skips and the prefilter excluded) *)
     mutable windows : int;
         (** calls of [find] that took the bounded-length window path *)
     mutable anchored : int;  (** anchored full-match passes run *)
@@ -139,11 +129,9 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       lits =
         Prefilter.lits ~mode ~prefix:lit.Lit.prefix ~suffix:lit.Lit.suffix
           ~factor:lit.Lit.factor;
-      fwd = Dfa.create ~max_states ~representatives:bc.Bc.representatives pattern;
+      fwd = Dfa.create ~max_states ~bc ~dir:`Fwd pattern;
       unanch = None;
       back = None;
-      un_accel = No_accel;
-      back_accel = No_accel;
       abs_min_bytes;
       abs_max_bytes;
       scan_bytes = 0;
@@ -151,97 +139,15 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       anchored = 0;
     }
 
-  (** Candidate start bytes for skip-scanning while [dfa] is parked in
-      its start state.  A byte is a candidate iff its class steps the
-      start state somewhere else; the self-loop test is exact because
-      {!Dfa.step} consults the actual (lazily derived) transition.
-
-      Soundness of skipping the complement, [`Fwd] UTF-8 case: the
-      candidate set contains every ASCII byte of a candidate class and
-      every UTF-8 {e lead} byte whose code-point range intersects a
-      candidate class, and U+FFFD's class must self-loop (else no
-      acceleration) so malformed bytes are skippable.  Candidate bytes
-      are never continuation bytes (ASCII < 0x80 < conts < 0xC0 ≤
-      leads), so the skip loop always halts on a scalar start, and
-      every wholly-skipped scalar — ASCII, well-formed multi-byte with
-      a non-candidate lead, or malformed→U+FFFD — has a self-looping
-      class.  [`Back] additionally requires every candidate class to be
-      pure ASCII, so that skipping right-to-left can never stop in the
-      middle of a multi-byte scalar. *)
-  let compute_accel (t : t) (dfa : Dfa.t) (dir : [ `Fwd | `Back ]) : accel =
-    if Dfa.is_nullable dfa Dfa.start_id then No_accel
-      (* every position is a hit: the scan must visit them all *)
-    else begin
-      let nc = dfa.Dfa.num_classes in
-      let cand_cls = Array.make nc false in
-      for cls = 0 to nc - 1 do
-        if Dfa.step dfa Dfa.start_id cls <> Dfa.start_id then
-          cand_cls.(cls) <- true
-      done;
-      let member = Bytes.make 256 '\000' in
-      let count = ref 0 in
-      let add b =
-        if Bytes.get member b = '\000' then begin
-          Bytes.set member b '\001';
-          incr count
-        end
-      in
-      let ok = ref true in
-      (match t.mode with
-      | Byteclass.Byte ->
-        for b = 0 to 255 do
-          let cls = t.bc.Bc.table.(b) in
-          if cls >= 0 && cand_cls.(cls) then add b
-        done
-      | Byteclass.Utf8 ->
-        for b = 0 to 127 do
-          let cls = t.bc.Bc.table.(b) in
-          if cls >= 0 && cand_cls.(cls) then add b
-        done;
-        if cand_cls.(Bc.classify_cp t.bc Byteclass.replacement) then ok := false
-        else
-          Array.iter
-            (fun (lo, hi, cls) ->
-              if !ok && cand_cls.(cls) && hi >= 0x80 then
-                match dir with
-                | `Back -> ok := false
-                | `Fwd ->
-                  let lo = max lo 0x80 in
-                  if lo <= 0x7FF then
-                    for x = 0xC0 lor (lo lsr 6) to 0xC0 lor (min hi 0x7FF lsr 6) do
-                      add x
-                    done;
-                  if hi >= 0x800 then
-                    for x = 0xE0 lor (max lo 0x800 lsr 12) to 0xE0 lor (hi lsr 12)
-                    do
-                      add x
-                    done)
-            t.bc.Bc.ranges);
-      if (not !ok) || !count = 0 || !count > 3 then No_accel
-      else begin
-        let cs = ref [] in
-        for b = 255 downto 0 do
-          if Bytes.get member b <> '\000' then cs := Char.chr b :: !cs
-        done;
-        match !cs with
-        | [ c1 ] -> Skip { b1 = c1; b2 = c1; b3 = c1; count = 1 }
-        | [ c1; c2 ] -> Skip { b1 = c1; b2 = c2; b3 = c2; count = 2 }
-        | [ c1; c2; c3 ] -> Skip { b1 = c1; b2 = c2; b3 = c3; count = 3 }
-        | _ -> No_accel
-      end
-    end
-
   let unanchored t =
     match t.unanch with
     | Some d -> d
     | None ->
       let d =
-        Dfa.create ~max_states:t.max_states
-          ~representatives:t.bc.Bc.representatives
+        Dfa.create ~max_states:t.max_states ~bc:t.bc ~dir:`Fwd
           (R.concat R.full t.pattern)
       in
       t.unanch <- Some d;
-      t.un_accel <- compute_accel t d `Fwd;
       d
 
   let backward t =
@@ -249,12 +155,10 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     | Some d -> d
     | None ->
       let d =
-        Dfa.create ~max_states:t.max_states
-          ~representatives:t.bc.Bc.representatives
+        Dfa.create ~max_states:t.max_states ~bc:t.bc ~dir:`Back
           (R.concat R.full (R.rev t.pattern))
       in
       t.back <- Some d;
-      t.back_accel <- compute_accel t d `Back;
       d
 
   (* -- scan loops -------------------------------------------------------- *)
@@ -267,22 +171,21 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
      transition array, so any slow-path step ends the current block:
      the locally-cached [trans] is refetched at the block boundary.
      Deadline polling lives at block boundaries; the test that ends a
-     scan is one flags-byte mask per step. *)
+     scan is one flags-byte mask per step, and the same load sends an
+     accelerated state back out to the skip at the block boundary. *)
 
   (** The forward pass: step [dfa] from its start state over
       [s.[pos..limit)] until it enters a state whose {!Dfa} flags meet
       the mask [stop], or reaches [limit].  Returns that state and the
       offset after the scalar that entered it (or [limit]).  The start
-      state itself is tested first.  [accel] is [dfa]'s start-state skip
-      ({!No_accel} for the anchored DFA). *)
+      state itself is tested first. *)
   let scan_fwd ?(deadline = Obs.Deadline.none) (t : t) (dfa : Dfa.t)
-      (accel : accel) ~(stop : int) (s : string) (pos : int) (limit : int) :
-      int * int =
+      ~(stop : int) (s : string) (pos : int) (limit : int) : int * int =
     let table = t.bc.Bc.table in
     let nc = dfa.Dfa.num_classes in
     (* a flagged state ends the block: one that meets [stop] also ends
-       the scan, the start state hops back out to the skip loop *)
-    let leave = if accel = No_accel then stop else stop lor f_start in
+       the scan, an accelerated one goes back out to its skip *)
+    let leave = stop lor f_accel in
     let poll = not (Obs.Deadline.is_none deadline) in
     let q = ref Dfa.start_id and p = ref pos in
     let fin =
@@ -290,10 +193,8 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     in
     while (not !fin) && !p < limit do
       if poll then Obs.Deadline.check_now deadline;
-      (match accel with
-      | Skip { b1; b2; b3; _ } when !q = Dfa.start_id ->
-        p := Sbd_alphabet.Bytescan.forward s !p limit b1 b2 b3
-      | No_accel | Skip _ -> ());
+      if Char.code (Bytes.get dfa.Dfa.flags !q) land f_accel <> 0 then
+        p := Dfa.skip_forward dfa !q s !p limit;
       let p0 = !p in
       let block_end = ref (min limit (!p + block)) in
       let trans = dfa.Dfa.trans in
@@ -330,7 +231,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       excludes it, so the verdict is the final state's nullability. *)
   let run_anchored ?deadline (t : t) (s : string) (pos : int) (limit : int) :
       bool =
-    let q, _ = scan_fwd ?deadline t t.fwd No_accel ~stop:stop_verdict s pos limit in
+    let q, _ = scan_fwd ?deadline t t.fwd ~stop:stop_verdict s pos limit in
     Dfa.is_nullable t.fwd q
 
   (** Forward pass of the [⊤*·r] DFA over [s.[pos..limit)]: byte offset
@@ -338,14 +239,14 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
   let first_nullable ?deadline (t : t) (s : string) (pos : int) (limit : int) :
       int option =
     let dfa = unanchored t in
-    let q, p = scan_fwd ?deadline t dfa t.un_accel ~stop:stop_match s pos limit in
+    let q, p = scan_fwd ?deadline t dfa ~stop:stop_match s pos limit in
     if Dfa.is_nullable dfa q then Some p else None
 
   (** Forward anchored pass from [pos]: earliest [j] with
       [s.[pos..j) ∈ L(pattern)]. *)
   let first_nullable_anchored ?deadline (t : t) (s : string) (pos : int)
       (limit : int) : int option =
-    let q, p = scan_fwd ?deadline t t.fwd No_accel ~stop:stop_match s pos limit in
+    let q, p = scan_fwd ?deadline t t.fwd ~stop:stop_match s pos limit in
     if Dfa.is_nullable t.fwd q then Some p else None
 
   (** Backward pass of the [⊤*·rev r] DFA over [s.\[lo, hi)], scanning
@@ -354,11 +255,15 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       position [i] such that a match of [t.pattern] starts at [i] and
       ends by [hi]; positions are scalar starts plus possibly [hi]
       itself (when the pattern is nullable the empty match at [hi] is
-      reported first).  With [full_exit], a step into a full state at
-      [p] reports [lo] and ends the scan: every scalar start in
-      [\[lo, p\]] is then a match start, and callers that want only
-      the least one need no more. *)
-  let backward_scan ?(deadline = Obs.Deadline.none) ~full_exit (t : t)
+      reported first).
+
+      A non-nullable accelerated state skips.  A nullable one passes a
+      hit at every scalar start, so it skips only under [least], when
+      the caller wants the least hit alone: the hits it passes are then
+      reported by the one where it lands.  [least] also ends the scan at
+      a step into a full state at [p], reporting [lo]: every scalar
+      start in [\[lo, p\]] is then a match start. *)
+  let backward_scan ?(deadline = Obs.Deadline.none) ~least (t : t)
       (s : string) ~lo ~hi (on_hit : int -> unit) : unit =
     let dfa = backward t in
     let table = t.bc.Bc.table in
@@ -366,13 +271,13 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     let byte_mode = t.mode = Byteclass.Byte in
     if Dfa.is_nullable dfa Dfa.start_id then on_hit hi;
     if not (Dfa.is_dead dfa Dfa.start_id) then begin
-      let accel = t.back_accel in
-      let has_accel = accel <> No_accel in
       let poll = not (Obs.Deadline.is_none deadline) in
+      (* the flags, under this mask, of a state that skips *)
+      let skip_mask = if least then f_accel else f_accel lor f_nullable in
       (* a hit at [p] in a state that is [full] or not; [true] ends
          the scan *)
       let report p full =
-        if full_exit && full then begin
+        if least && full then begin
           on_hit lo;
           true
         end
@@ -385,10 +290,13 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       let fin = ref false in
       while (not !fin) && !p > lo do
         if poll then Obs.Deadline.check_now deadline;
-        (match accel with
-        | Skip { b1; b2; b3; _ } when !q = Dfa.start_id ->
-          p := Sbd_alphabet.Bytescan.backward s lo !p b1 b2 b3
-        | No_accel | Skip _ -> ());
+        let f = Char.code (Bytes.get dfa.Dfa.flags !q) in
+        if f land skip_mask = f_accel then begin
+          let p' = Dfa.skip_backward dfa !q s lo !p in
+          (* an accelerated state is never full *)
+          if p' < !p && f land f_nullable <> 0 then on_hit p';
+          p := p'
+        end;
         if !p > lo then begin
           let p0 = !p in
           let stop = ref (max lo (!p - block)) in
@@ -404,13 +312,11 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
                 decr p;
                 (* flag bits: 1 nullable, 4 full (full implies nullable) *)
                 let f = Char.code (Bytes.unsafe_get flags tgt) in
-                if f land 1 <> 0 then begin
-                  if report !p (f land 4 <> 0) then begin
-                    fin := true;
-                    stop := !p
-                  end
+                if f land 1 <> 0 && report !p (f land 4 <> 0) then begin
+                  fin := true;
+                  stop := !p
                 end
-                else if has_accel && tgt = Dfa.start_id then stop := !p
+                else if f land skip_mask = f_accel then stop := !p
               end
               else begin
                 q := Dfa.step dfa !q cls;
@@ -486,7 +392,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       decreasing position order, so the last one is the least. *)
   let least_start ?deadline (t : t) (s : string) ~lo ~hi : int option =
     let least = ref (-1) in
-    backward_scan ?deadline ~full_exit:true t s ~lo ~hi (fun i -> least := i);
+    backward_scan ?deadline ~least:true t s ~lo ~hi (fun i -> least := i);
     if !least < 0 then None else Some !least
 
   (** Leftmost-earliest match span [(i, j)] with [i] the minimal start
@@ -554,7 +460,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     else begin
       let n = String.length s in
       let count = ref 0 in
-      backward_scan ?deadline ~full_exit:false t s ~lo:0 ~hi:n (fun i ->
+      backward_scan ?deadline ~least:false t s ~lo:0 ~hi:n (fun i ->
           if i < n then incr count);
       !count
     end
@@ -572,9 +478,9 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
     back_states : int;
     resets : int;
     accel_bytes : int;
-        (** candidate bytes of the unanchored skip loop; 0 = none (or
-            the unanchored DFA was never built) *)
-    back_accel_bytes : int;  (** same for the backward skip loop *)
+        (** exit bytes of the unanchored DFA's start state; 0 = it does
+            not skip (or the unanchored DFA was never built) *)
+    back_accel_bytes : int;  (** same for the backward DFA's start state *)
     factor_len : int;
         (** byte length of the required-factor prefilter; 0 = none *)
     abs_min_bytes : int;
@@ -583,13 +489,18 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
         (** abstract-length full-match ceiling (bytes); -1 = unbounded *)
     scan_bytes : int;
         (** bytes the DFA loops have stepped, over the engine's life *)
+    skip_bytes : int;
+        (** bytes the DFA loops have skipped from accelerated states,
+            over the engine's life *)
     windows : int;
         (** [find] calls that took the bounded-length window path, over
             the engine's life *)
     anchored : int;  (** anchored full-match passes, over the engine's life *)
   }
 
-  let accel_count = function No_accel -> 0 | Skip { count; _ } -> count
+  let start_exits = function
+    | None -> 0
+    | Some d -> Byteclass.skip_size (Dfa.skip_of d Dfa.start_id)
 
   let stats (t : t) : stats =
     let opt f = function None -> 0 | Some d -> f d in
@@ -600,13 +511,16 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       back_states = opt Dfa.num_states t.back;
       resets =
         Dfa.resets t.fwd + opt Dfa.resets t.unanch + opt Dfa.resets t.back;
-      accel_bytes = accel_count t.un_accel;
-      back_accel_bytes = accel_count t.back_accel;
+      accel_bytes = start_exits t.unanch;
+      back_accel_bytes = start_exits t.back;
       factor_len =
         Prefilter.length t.lits.Prefilter.factor;
       abs_min_bytes = t.abs_min_bytes;
       abs_max_bytes = (match t.abs_max_bytes with Some mx -> mx | None -> -1);
       scan_bytes = t.scan_bytes;
+      skip_bytes =
+        Dfa.skip_bytes t.fwd + opt Dfa.skip_bytes t.unanch
+        + opt Dfa.skip_bytes t.back;
       windows = t.windows;
       anchored = t.anchored;
     }

@@ -69,9 +69,10 @@ module type GENERATION = sig
       [Ok (Match_unknown "deadline", _)] on either engine; [Error] is a
       parse error.
       The stats list reports engine state/reset gauges and this
-      request's scan work: [engine.scan_bytes]/[engine.find_windows]
-      on the plain engine, [locmatch.scan_bytes]/[locmatch.windows] on
-      the located one.  A plain [full] comes from the same search as
+      request's scan work: [engine.scan_bytes] (stepped),
+      [engine.skip_bytes] (skipped from accelerated states) and
+      [engine.find_windows] on the plain engine, the [locmatch.] keys of
+      the same names and [locmatch.windows] on the located one.  A plain [full] comes from the same search as
       the span: the anchored pass runs only when the span starts at 0.
 
       The pattern grammar is the {e extended} one
@@ -358,7 +359,8 @@ let generation () : (module GENERATION) =
     let loc_match_input ?deadline ~pattern ~input (t : LR.t) =
       let e = loc_engine_for pattern t in
       let f = float_of_int in
-      let bytes0 = LM.scan_bytes e and windows0 = LM.windows e in
+      let bytes0 = LM.scan_bytes e and skipped0 = LM.skip_bytes e in
+      let windows0 = LM.windows e in
       let verdict, found =
         match LM.run ?deadline e input with
         | res ->
@@ -374,9 +376,10 @@ let generation () : (module GENERATION) =
             ("locmatch.atoms", f (LM.num_atoms e));
             ("locmatch.memo_entries", f (LM.memo_entries e));
             ("locmatch.found_end", found);
-            (* bytes this request's walks stepped and lookahead passes
-               read, and whether it took a window *)
+            (* bytes this request's walks and lookaround passes stepped
+               and skipped, and whether it took a window *)
             ("locmatch.scan_bytes", f (LM.scan_bytes e - bytes0));
+            ("locmatch.skip_bytes", f (LM.skip_bytes e - skipped0));
             ("locmatch.windows", f (LM.windows e - windows0));
           ] )
 
@@ -406,13 +409,14 @@ let generation () : (module GENERATION) =
               ("engine.unanch_states", f st.Eng.unanch_states);
               ("engine.back_states", f st.Eng.back_states);
               ("engine.resets", f st.Eng.resets);
-              (* acceleration gauges: 0 = that fast path is off *)
+              (* the start states' exit bytes: 0 = they do not skip *)
               ("engine.accel_bytes", f st.Eng.accel_bytes);
               ("engine.back_accel_bytes", f st.Eng.back_accel_bytes);
               ("engine.factor_len", f st.Eng.factor_len);
-              (* bytes this request's DFA loops stepped, and whether
-                 its find took the bounded-length window *)
+              (* bytes this request's DFA loops stepped and skipped,
+                 and whether its find took the bounded-length window *)
               ("engine.scan_bytes", f (st.Eng.scan_bytes - st0.Eng.scan_bytes));
+              ("engine.skip_bytes", f (st.Eng.skip_bytes - st0.Eng.skip_bytes));
               ("engine.find_windows", f (st.Eng.windows - st0.Eng.windows));
             ] )
 

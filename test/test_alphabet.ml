@@ -332,6 +332,71 @@ let test_bytescan_vs_byte_loop () =
       done)
     sets
 
+(* Every ASCII range [\[lo, hi\]]: a 24-byte window drawn from the bytes
+   just outside the range, the range's edges with the high bit set
+   (which must never hit), and an in-range byte planted at each position
+   (and none), with a second one elsewhere, searched from 5 starts to 4
+   stops, so the word loop, its exact lane and the tails shorter than a
+   word all decide some search. *)
+let test_bytescan_range () =
+  let in_range lo hi c = Char.code c >= lo && Char.code c <= hi in
+  let forward_range_ref s pos limit lo hi =
+    let i = ref pos in
+    while !i < limit && not (in_range lo hi s.[!i]) do
+      incr i
+    done;
+    !i
+  in
+  let backward_range_ref s lo_pos hi_pos lo hi =
+    let i = ref hi_pos in
+    while !i > lo_pos && not (in_range lo hi s.[!i - 1]) do
+      decr i
+    done;
+    !i
+  in
+  let rand = Random.State.make [| 2408 |] in
+  let n = 24 in
+  for lo = 0 to 127 do
+    for hi = lo to 127 do
+      let pool =
+        List.filter_map
+          (fun b ->
+            if b < 0 || b > 255 || (b >= lo && b <= hi) then None else Some (Char.chr b))
+          [ lo - 1; hi + 1; lo lor 0x80; hi lor 0x80; (lo - 1) land 0xFF lor 0x80
+          ; 0x00; 0x7F; 0x80; 0xFF ]
+        |> Array.of_list
+      in
+      let base = Bytes.init n (fun _ -> pool.(Random.State.int rand (Array.length pool))) in
+      for t = -1 to n - 1 do
+        let b = Bytes.copy base in
+        if t >= 0 then begin
+          Bytes.set b t (Char.chr (if t land 1 = 0 then lo else hi));
+          Bytes.set b ((t * 7 + 13) mod n) (Char.chr ((lo + hi) / 2))
+        end;
+        let s = Bytes.to_string b in
+        List.iter
+          (fun pos ->
+            List.iter
+              (fun stop ->
+                let limit = n - stop in
+                let agree what want got =
+                  if want <> got then
+                    Alcotest.failf "%s [%d, %d] on %S pos=%d limit=%d: %d, want %d"
+                      what lo hi s pos limit got want
+                in
+                let clo = Char.chr lo and chi = Char.chr hi in
+                agree "forward_range"
+                  (forward_range_ref s pos limit lo hi)
+                  (Bytescan.forward_range s pos limit clo chi);
+                agree "backward_range"
+                  (backward_range_ref s pos limit lo hi)
+                  (Bytescan.backward_range s pos limit clo chi))
+              [ 0; 1; 5; 8 ])
+          [ 0; 1; 3; 7; 8 ]
+      done
+    done
+  done
+
 (* The kernel keeps its words unboxed: a 1 MB scan allocates nothing
    in native code. *)
 let test_bytescan_allocates_nothing () =
@@ -342,11 +407,15 @@ let test_bytescan_allocates_nothing () =
   let f3 = Bytescan.forward s 0 n 'a' 'b' 'c' in
   let b1 = Bytescan.backward s 0 n 'a' 'a' 'a' in
   let b3 = Bytescan.backward s 0 n 'a' 'b' 'c' in
+  let fr = Bytescan.forward_range s 0 n '0' '9' in
+  let br = Bytescan.backward_range s 0 n '0' '9' in
   let w1 = Gc.minor_words () in
   check_int "forward miss" n f1;
   check_int "forward miss (3)" n f3;
   check_int "backward miss" 0 b1;
   check_int "backward miss (3)" 0 b3;
+  check_int "forward_range miss" n fr;
+  check_int "backward_range miss" 0 br;
   if Sys.backend_type = Sys.Native then
     Alcotest.(check (float 0.)) "minor words" 0. (w1 -. w0)
 
@@ -368,5 +437,6 @@ let suite =
           test_charclass_wellformed
       ; Alcotest.test_case "bytescan vs byte loop" `Quick
           test_bytescan_vs_byte_loop
+      ; Alcotest.test_case "bytescan ranges vs byte loop" `Quick test_bytescan_range
       ; Alcotest.test_case "bytescan allocates nothing" `Quick
           test_bytescan_allocates_nothing ] )

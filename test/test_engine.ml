@@ -315,8 +315,10 @@ let full_pass_find eng s =
 (* Bounded patterns (counters, alternation, [&]/[~], [.] over multi-byte
    scalars) planted in 4 KB+ of filler, at 8 alignments, so that the
    forward pass's start, [e - L] and [e + L] all fall strictly inside
-   the input.  Near-matches, multi-byte and malformed UTF-8 straddle
-   both window edges.  Spans must agree with the per-position scans,
+   the input.  Near-matches, multi-byte and malformed UTF-8 (3-byte
+   scalars, 4-byte sequences, which decode as four U+FFFD) straddle
+   both window edges, and one match of 3-byte scalars starts exactly
+   at [e - L], [L] being 3 bytes per code point in Utf8 mode.  Spans must agree with the per-position scans,
    with the full backward pass, in both modes, and an expired deadline
    must still raise. *)
 let test_window_find () =
@@ -330,10 +332,18 @@ let test_window_find () =
       (* the leftmost match ends after the earliest match end *)
     ; ("xabcde|bcd", "xabcde", "xab") ]
   in
-  let noise = [| "\xe4\xb8"; "\x80"; "\xc3"; "\xe4\xb8\xad"; "\xff"; "\xc3\xa9" |] in
+  let byte = Sbd_engine.Byteclass.Byte and utf8 = Sbd_engine.Byteclass.Utf8 in
+  let cases =
+    List.map (fun (pat, plant, near) -> (pat, plant, near, [ byte; utf8 ])) cases
+    @ [ ( "[\\u{4E00}-\\u{9FFF}]{3}", "\xe4\xb8\xad\xe4\xb8\x81\xe4\xb8\xad",
+          "\xe4\xb8\xad", [ utf8 ] ) ]
+  in
+  let noise =
+    [| "\xe4\xb8"; "\x80"; "\xc3"; "\xe4\xb8\xad"; "\xff"; "\xc3\xa9"; "\xf0\x9f\x98\x80" |]
+  in
   let windows = ref 0 in
   List.iter
-    (fun (pat, plant, near) ->
+    (fun (pat, plant, near, modes) ->
       let r = re pat in
       let m = Brz.Dfa.create r in
       List.iter
@@ -365,7 +375,7 @@ let test_window_find () =
             Alcotest.check span (name ^ " vs full pass") (full_pass_find eng s) got;
             Alcotest.check span (name ^ " vs per-position scan")
               (if mode = Sbd_engine.Byteclass.Byte then Brz.Dfa.find_scan m s
-               else Brz.Dfa.find_scan_lossy m ~kmax:(l / 4) s)
+               else Brz.Dfa.find_scan_lossy m ~kmax:(l / 3) s)
               got;
             check (name ^ " window inside") true
               (match got with Some (_, j) -> j - l > 0 && j + l < n | None -> false);
@@ -375,7 +385,7 @@ let test_window_find () =
               | _ -> false)
           done;
           windows := !windows + (Eng.stats eng).Eng.windows)
-        [ Sbd_engine.Byteclass.Byte; Sbd_engine.Byteclass.Utf8 ])
+        modes)
     cases;
   check "window path taken" true (!windows > 0);
   (* a worker's reply counts this request's window, also when its
@@ -393,7 +403,7 @@ let test_window_find () =
   done
 
 (* Counter bounds near [max_int]: a length bound at least as long as
-   the input takes the full backward pass (its UTF-8 byte bound, 4·(2^60
+   the input takes the full backward pass (its UTF-8 byte bound, 3·(2^60
    − 2), plus the match end 11 would pass [max_int]), and a product of
    bounds that would wrap to a small one must not cut a real match. *)
 let test_huge_bounds () =
@@ -609,6 +619,185 @@ let test_one_pass_full () =
   check_int "no factor, no scan" 0 (Eng.stats eng).Eng.scan_bytes;
   check_int "no factor, no anchored pass" 0 (Eng.stats eng).Eng.anchored
 
+(* -- accelerated states ------------------------------------------------------ *)
+
+module Dtbl = Hashtbl.Make (struct
+  type t = int * R.t
+
+  let equal (a, p) (b, q) = a = b && R.equal p q
+  let hash (a, p) = Hashtbl.hash (a, R.hash p)
+end)
+
+(* The scalars of [s] in [mode] and the byte offset of each boundary. *)
+let scalars mode s =
+  let n = String.length s in
+  match mode with
+  | Sbd_engine.Byteclass.Byte ->
+    (Array.init n (fun i -> Char.code s.[i]), Array.init (n + 1) Fun.id)
+  | Sbd_engine.Byteclass.Utf8 ->
+    let cps = ref [] and bnd = ref [ 0 ] and pos = ref 0 in
+    while !pos < n do
+      let cp, pos' = Sbd_engine.Byteclass.scalar_forward s !pos n in
+      cps := cp :: !cps;
+      bnd := pos' :: !bnd;
+      pos := pos'
+    done;
+    (Array.of_list (List.rev !cps), Array.of_list (List.rev !bnd))
+
+(* A linear reference for inputs past the per-position scans' reach:
+   classic derivatives ({!Brz.derive}) over the decoded input, memoized
+   per code point and term, with no byte tables, skips or windows.  The
+   full-match verdict, the leftmost-earliest span, and the number of
+   match starts below the end, from one backward pass of [⊤*·rev r] and
+   forward passes of [r]. *)
+let deriv_ref mode r s =
+  let cps, bnd = scalars mode s in
+  let k = Array.length cps in
+  let memo = Dtbl.create 64 in
+  let d cp p =
+    match Dtbl.find_opt memo (cp, p) with
+    | Some q -> q
+    | None ->
+      let q = Brz.derive cp p in
+      Dtbl.add memo (cp, p) q;
+      q
+  in
+  let full = R.nullable (Array.fold_left (fun p cp -> d cp p) r cps) in
+  let starts = Array.make (k + 1) false in
+  let p = ref (R.concat R.full (R.rev r)) in
+  for i = k downto 0 do
+    starts.(i) <- R.nullable !p;
+    if i > 0 then p := d cps.(i - 1) !p
+  done;
+  let count = ref 0 in
+  for i = 0 to k - 1 do
+    if starts.(i) then incr count
+  done;
+  let rec least i = if i > k then None else if starts.(i) then Some i else least (i + 1) in
+  let span =
+    Option.bind (least 0) (fun i0 ->
+        let rec go p j =
+          if R.nullable p then Some (bnd.(i0), bnd.(j))
+          else if j = k then None
+          else go (d cps.(j) p) (j + 1)
+        in
+        go r i0)
+  in
+  (full, span, !count)
+
+(* Patterns whose DFAs have states that loop on all but a few bytes or
+   one ASCII range: the unanchored and backward start states, states
+   past a prefix ([x[^y]*y]), nullable ones the full-match verdict and
+   the least start skip from (the password pattern), nullable backward
+   ones every position of which [count_matching_prefixes] counts
+   ([[^y]*z]), and one that loops on every byte (the [a]/[b] product).
+   Each is run over runs of filler (ASCII, 2-, 3- and 4-byte sequences,
+   stray and truncated bytes), with its exit strings planted at every
+   offset mod 8 around word edges, just before and after the 4 KB skip
+   cap, and at the first and last byte, in both modes; against the
+   linear reference, and on short inputs against the per-position scans
+   and the DP oracle.  Every case also runs under state caps that reset
+   the tables while an accelerated state is live, among them inside the
+   forcing of its row. *)
+let test_accelerated_states () =
+  let byte = Sbd_engine.Byteclass.Byte and utf8 = Sbd_engine.Byteclass.Utf8 in
+  let pieces = [| "q"; "qq\xc3\xa9"; "\xe4\xb8\xad"; "q\xff"; "\x80q"; "\xf0\x9f\x98\x80"; "\xe4\xb8q" |] in
+  let filler n =
+    let b = Buffer.create (n + 8) in
+    let i = ref 0 in
+    while Buffer.length b < n do
+      Buffer.add_string b pieces.(!i * 5 mod Array.length pieces);
+      incr i
+    done;
+    Buffer.sub b 0 n
+  in
+  let input n exits at =
+    let b = Bytes.of_string (filler n) in
+    List.iteri
+      (fun k p ->
+        let e = List.nth exits (k mod List.length exits) in
+        let p = max 0 (min (n - String.length e) p) in
+        Bytes.blit_string e 0 b p (String.length e))
+      at;
+    Bytes.to_string b
+  in
+  let skipped = ref 0 and resets = ref 0 in
+  List.iter
+    (fun (pat, exits) ->
+      let r = re pat in
+      let m = Brz.Dfa.create r in
+      List.iter
+        (fun mode ->
+          let eng = Eng.create ~mode r in
+          let capped = List.map (fun cap -> Eng.create ~max_states:cap ~mode r) [ 2; 5 ] in
+          let run ?(engines = [ eng ]) name s =
+            let want_full, want_span, want_count = deriv_ref mode r s in
+            List.iter
+              (fun eng ->
+                let full, got = Eng.full_and_find eng s in
+                check (name "full") want_full full;
+                Alcotest.check span (name "span") want_span got;
+                check (name "matches") want_full (Eng.matches eng s);
+                check_int (name "count") want_count (Eng.count_matching_prefixes eng s))
+              engines;
+            (want_full, want_span, want_count)
+          in
+          let mname = if mode = byte then "byte" else "utf8" in
+          for j = 0 to 7 do
+            let n = 9000 in
+            let s = input n exits [ 0; 64 + j; 129 + j; 4088 + j; 4100 + j; 8191 - j; n - 1 ] in
+            let name what = Printf.sprintf "%s %s %s j=%d" what pat mname j in
+            let engines = if j mod 4 = 0 then eng :: capped else [ eng ] in
+            ignore (run ~engines name s : bool * (int * int) option * int);
+            (* short inputs: the reference against the per-position scans
+               and the DP oracle *)
+            let s = input 40 exits [ j; 9 + j; 39 - j ] in
+            let name what = Printf.sprintf "%s %s %s short %S" what pat mname s in
+            let full, sp, count = run ~engines:(eng :: capped) name s in
+            let cps = Array.to_list (fst (scalars mode s)) in
+            check (name "oracle full") (Ref.matches r cps) full;
+            check (name "lazy DFA full") (Brz.Dfa.matches m cps) full;
+            Alcotest.check span (name "per-position scan")
+              (if mode = byte then Brz.Dfa.find_scan m s
+               else Brz.Dfa.find_scan_lossy m ~kmax:41 s)
+              sp;
+            if mode = byte then
+              check_int (name "per-position count") (Brz.Dfa.count_matching_prefixes_scan m s)
+                count
+          done;
+          List.iter
+            (fun eng ->
+              let st = Eng.stats eng in
+              skipped := !skipped + st.Eng.skip_bytes;
+              resets := !resets + st.Eng.resets)
+            (eng :: capped))
+        [ byte; utf8 ])
+    [ (".*needle.*", [ "needle"; "n"; "e"; "ne" ])
+    ; ("needle\\d+", [ "needle7"; "9"; "0"; "needle" ])
+    ; ("[0-9]+\\.[0-9]+", [ "3.14"; "9"; "."; "0." ])
+    ; (".*\\d.*&~(.*01.*)", [ "7"; "01"; "1"; "0"; "9" ])
+    ; ("(.*a.{6})&(.*b.{6})", [ "a"; "b"; "ab" ])
+    ; ("x[^y]*y", [ "x"; "y"; "xy" ])
+    ; ("[^y]*z", [ "z"; "y"; "zy" ])
+    ; ("[c-h]{8}", [ "cdefghcd"; "c"; "h" ]) ];
+  check "skips fired" true (!skipped > 0);
+  check "resets exercised" true (!resets > 0);
+  (* The short-skip guard: exits every other byte turn the unanchored
+     start state's skip off, and answers stay exact. *)
+  let r = re "[c-h]{8}" in
+  let eng = Eng.create ~mode:utf8 r in
+  let sparse = String.make 5000 'q' ^ "cdefghcd" in
+  Alcotest.check span "sparse" (Some (5000, 5008)) (Eng.find eng sparse);
+  check_int "sparse: the start state skips" 6 (Eng.stats eng).Eng.accel_bytes;
+  let dense = String.init 5000 (fun i -> if i mod 2 = 0 then 'q' else "cdefgh".[i / 2 mod 6]) in
+  let dense = dense ^ "cdefghcd" in
+  let _, want, _ = deriv_ref utf8 r dense in
+  Alcotest.check span "dense" want (Eng.find eng dense);
+  check_int "dense: the guard turned the skip off" 0 (Eng.stats eng).Eng.accel_bytes;
+  let before = (Eng.stats eng).Eng.skip_bytes in
+  Alcotest.check span "dense again" want (Eng.find eng dense);
+  check_int "dense again: no skip" before (Eng.stats eng).Eng.skip_bytes
+
 let suite =
   ( "engine",
     [
@@ -630,4 +819,5 @@ let suite =
     ; Alcotest.test_case "scan block edges" `Quick test_block_edges
     ; Alcotest.test_case "cache reset after grow" `Quick test_reset_after_grow
     ; Alcotest.test_case "one pass for a full match" `Quick test_one_pass_full
+    ; Alcotest.test_case "accelerated states" `Quick test_accelerated_states
     ] )

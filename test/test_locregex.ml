@@ -594,7 +594,7 @@ let ref_run mode t s =
    prefilter. *)
 let test_window_edges () =
   let modes = [ Byteclass.Byte; Byteclass.Utf8 ] in
-  let lossy = [| "\x80"; "\xe4\xb8"; "\xc3\xa9"; "\xf0\x9f\x98" |] in
+  let lossy = [| "\x80"; "\xe4\xb8"; "\xc3\xa9"; "\xf0\x9f\x98"; "\xf0\x9f\x98\x80" |] in
   let edges = [ 64; 192; 448; 4032 ] in
   let fired = ref 0 in
   List.iter
@@ -621,7 +621,7 @@ let test_window_edges () =
                 (LRef.full o, Option.map (fun e -> bnd.(e)) (LRef.earliest_end o))
                 (ref_run mode t s))
             [ ctx; head ^ decoy ^ "z" ^ witness; witness; "\x80" ^ witness ^ "\xe4" ];
-          let lbytes = if mode = Byteclass.Byte then lmax else 4 * lmax in
+          let lbytes = if mode = Byteclass.Byte then lmax else 3 * lmax in
           let f0 = 2048 in
           let st = max 0 (f0 + factor - lbytes) in
           List.iter
@@ -714,6 +714,106 @@ let test_reset_after_grow () =
       check (pat ^ " default cap holds it") true (LEng.resets big = 0))
     [ "(a|b)*a(a|b){4}(?=c)"; "(?<=[ab])(a|b)*a(a|b){4}c"; "^(a|b)*a(a|b){4}(?!a)" ]
 
+(* -- accelerated states ------------------------------------------------------ *)
+
+(* Skips in all three located scans: the walk of a pattern with no
+   lookahead (a lone search walk, a lone pattern walk, [$] at the
+   landing, lookbehind DFAs that skip along), the backward passes of unbounded and bounded lookaheads
+   (non-nullable states only), and the warm-up of an unbounded
+   lookbehind.  Runs of filler (ASCII, 2-, 3- and 4-byte sequences,
+   stray and truncated bytes) carry exit strings at every offset mod 8
+   around word edges and at the first and last byte, in both modes;
+   long inputs against the linear reference, short ones against Locref,
+   under the default cap and caps that reset the tables mid-run.  The
+   short-skip guard turns the walk's skip off where exits are dense. *)
+let test_accelerated_states () =
+  let pieces = [| "q"; "qq\xc3\xa9"; "\xe4\xb8\xad"; "q\xff"; "\x80q"; "\xf0\x9f\x98\x80"; "\xe4\xb8q" |] in
+  let filler n =
+    let b = Buffer.create (n + 8) in
+    let i = ref 0 in
+    while Buffer.length b < n do
+      Buffer.add_string b pieces.(!i * 5 mod Array.length pieces);
+      incr i
+    done;
+    Buffer.sub b 0 n
+  in
+  let input n exits at =
+    let b = Bytes.of_string (filler n) in
+    List.iteri
+      (fun k p ->
+        let e = List.nth exits (k mod List.length exits) in
+        let p = max 0 (min (n - String.length e) p) in
+        Bytes.blit_string e 0 b p (String.length e))
+      at;
+    Bytes.to_string b
+  in
+  let skipped = ref 0 and resets = ref 0 in
+  List.iter
+    (fun (pat, exits) ->
+      let t = lre pat in
+      List.iter
+        (fun mode ->
+          let eng = LEng.create ~mode t in
+          let capped = List.map (fun cap -> LEng.create ~mode ~max_states:cap t) [ 4; 7 ] in
+          let mname = if mode = Byteclass.Byte then "byte" else "utf8" in
+          for j = 0 to 7 do
+            List.iter
+              (fun (n, at) ->
+                let s = input n exits at in
+                let name = Printf.sprintf "%s %s j=%d n=%d" pat mname j n in
+                let want =
+                  if n <= 40 then begin
+                    let cps, bnd = decode mode s in
+                    let o = LRef.make t cps in
+                    let want = (LRef.full o, Option.map (fun e -> bnd.(e)) (LRef.earliest_end o)) in
+                    Alcotest.(check (pair bool (option int))) ("reference " ^ name) want
+                      (ref_run mode t s);
+                    want
+                  end
+                  else ref_run mode t s
+                in
+                List.iter
+                  (fun e ->
+                    let got = LEng.run e s in
+                    Alcotest.(check (pair bool (option int))) name want
+                      (got.LEng.full, got.LEng.found_end))
+                  (if j mod 4 = 0 || n <= 40 then eng :: capped else [ eng ]))
+              [ (9000, [ 0; 64 + j; 129 + j; 4088 + j; 4100 + j; 8191 - j; 8999 ])
+              ; (9000, [ 4100 + j; 8191 - j ])
+              ; (40, [ j; 9 + j; 39 - j ]) ]
+          done;
+          List.iter
+            (fun e ->
+              skipped := !skipped + LEng.skip_bytes e;
+              resets := !resets + LEng.resets e)
+            (eng :: capped))
+        [ Byteclass.Byte; Byteclass.Utf8 ])
+    [ ("^.*needle", [ "needle"; "n"; "ne" ])
+    ; ("needle.*$", [ "needle"; "n"; "\n" ])
+    ; ("^x[^y]*y$", [ "x"; "y"; "xy" ])
+    ; ("(?<![0-9])[^xy]*y", [ "x"; "y"; "xy" ])
+    ; ("(?<!z)[^0-9]*[0-9]{2}", [ "1"; "90"; "5"; "12" ])
+    ; ("(^|z)a[^y]*y", [ "za"; "a"; "y"; "zay" ])
+    ; ("needle(?=[^x]*x)", [ "needle"; "x"; "n" ])
+    ; ("ab(?=[^x]{0,30}x)", [ "ab"; "x"; "abx" ])
+    ; ("(?<=x[^y]*)ab", [ "x"; "y"; "ab"; "xab" ])
+    ; ("(?<=[0-9]{2}-)ab", [ "12-ab"; "1"; "-"; "ab"; "9-ab" ]) ];
+  check "skips fired" true (!skipped > 0);
+  check "resets exercised" true (!resets > 0);
+  (* the guard: a walk whose skips stop within a word stops skipping *)
+  let t = lre "[c-h]{8}$" in
+  let eng = LEng.create ~mode:Byteclass.Utf8 t in
+  let dense = String.init 6000 (fun i -> if i mod 2 = 0 then 'q' else "cdefgh".[i / 2 mod 6]) in
+  let want = ref_run Byteclass.Utf8 t dense in
+  let run () =
+    let got = LEng.run eng dense in
+    Alcotest.(check (pair bool (option int))) "dense" want (got.LEng.full, got.LEng.found_end)
+  in
+  run ();
+  let before = LEng.skip_bytes eng in
+  run ();
+  check_int "dense again: no skip" before (LEng.skip_bytes eng)
+
 let suite =
   ( "locregex",
     [ Alcotest.test_case "parse syntax" `Quick test_parse_syntax
@@ -732,4 +832,5 @@ let suite =
     ; Alcotest.test_case "table reset path" `Quick test_reset_path
     ; Alcotest.test_case "located window edges" `Quick test_window_edges
     ; Alcotest.test_case "cache reset after grow" `Quick test_reset_after_grow
+    ; Alcotest.test_case "accelerated states" `Quick test_accelerated_states
     ] )
