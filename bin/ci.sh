@@ -41,6 +41,12 @@ dune exec bin/fuzz.exe -- --rounds 300 --seed 1234
 # the ultimately-periodic length abstraction and its CRT intersections
 dune exec bin/fuzz.exe -- --rounds 300 --seed 2718 --counters
 
+echo "== paper table smoke =="
+# the quick, deterministic paper-table paths: the Figure 4(c) corpus
+# counts and the A1 clean-vs-raw DNF sizes (no solver timings)
+dune exec bin/experiments.exe -- fig4c
+dune exec bin/experiments.exe -- ablation-dnf
+
 echo "== analyzer corpus lint =="
 # analyzes every corpus instance; exits 1 if any Proved verdict or any
 # abstract pre-solver verdict (Absdom Unsat_proved/Sat_witnessed)
@@ -99,7 +105,8 @@ echo "== containment bench gates =="
 # boolean lattice facts): exits non-zero on any disagreement with the
 # is_empty (r & ~s) reduction, any witness the oracle rejects, any
 # mislabeled expected verdict, a decided rate < 95%, or a pairs/s
-# collapse; --no-bench skips wall-clock floors on shared runners
+# collapse below 20; --no-bench only skips appending the run to the
+# BENCH file (the timing and its floor still run)
 dune exec bin/experiments.exe -- contain-bench --no-bench --check
 
 echo "== derivation bench gates =="
@@ -108,16 +115,17 @@ echo "== derivation bench gates =="
 # hit rate >= 0.9 on every suite (a hash-consing or memo regression
 # shows up here before it shows up as wall time), and the dz3 verdict
 # digest over the three suites must equal the pinned one; --no-bench
-# skips the throughput timing, which is meaningless on shared CI
-# runners
+# only skips appending the run to the BENCH file (the throughput timing
+# still runs, and no gate reads it)
 dune exec bin/experiments.exe -- deriv-bench --no-bench --check
 
 echo "== abstract pre-solver gates =="
 # runs Absdom.presolve against the full solver over the whole corpus
 # and the containment pair corpus: exits non-zero on any unsound
 # abstract verdict, any witness the reference matcher rejects, a
-# corpus hit rate < 25%, or a pair hit rate < 15%; --no-bench skips
-# the password-family wall-clock A/B on shared runners
+# corpus hit rate < 25%, or a pair hit rate < 15%; --no-bench only
+# skips appending the run to the BENCH file (the password-family
+# wall-clock A/B still runs, and no gate reads it)
 dune exec bin/experiments.exe -- absdom-bench --no-bench --check
 
 echo "== match smoke =="

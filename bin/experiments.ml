@@ -1,16 +1,23 @@
 (* Experiment driver: regenerates every table and figure of the paper's
    evaluation (Section 6, Figure 4) plus the ablation studies listed in
-   DESIGN.md.  See EXPERIMENTS.md for the paper-vs-measured record.
-   Service throughput and latency are not measured here: perfbench
-   drives a real sbdserve for those (see perfbench/README.md).
+   DESIGN.md, and runs the bench sections whose runs make up the
+   BENCH_<date>.json trajectory.  See EXPERIMENTS.md for the
+   paper-vs-measured record.  Service throughput and latency are not
+   measured here: perfbench drives a real sbdserve for those (see
+   perfbench/README.md).
 
    Usage:
      experiments table [-c nb|b|h|all]    Figure 4(a) rows
      experiments fig4b [-c ...]           Figure 4(b) cumulative series
      experiments fig4c                    Figure 4(c) benchmark counts
-     experiments ablation-dead            dead-state elimination on/off
-     experiments ablation-algebra         BDD vs range-list alphabet algebra
+     experiments ablation-dnf             A1: clean vs raw DNF sizes
+     experiments ablation-dead            A2: dead-state elimination on/off
+     experiments ablation-algebra         A3: BDD vs range-list alphabet algebra
+     experiments ablation-simplify        A4: pre-simplification on/off
      experiments states                   lazy vs eager state-space sizes
+     experiments all                      all of the above; appends the
+                                          Figure 4(a) rows to the trajectory
+                                          as a "fig4" run
      experiments dump-smt2 DIR            write the corpus as .smt2 files
      experiments engine-bench             match-engine throughput vs the
                                           per-position scan and DP oracle
@@ -22,64 +29,97 @@
                                           reduction agreement on the pair corpus
      experiments lookaround-bench         located engine vs oracle vs labels on
                                           the anchored/lookaround corpus
-     experiments all                      everything above (except dump)
+     experiments absdom-bench             abstract pre-solver hit rates and
+                                          soundness on both corpora
 *)
 
 open Sbd_harness
 module I = Sbd_benchgen.Instance
 module Std = Sbd_benchgen.Standard
+module Hw = Sbd_benchgen.Handwritten
+module J = Harness.Obs.Json
 
 let fmt = Format.std_formatter
 
+let die msg =
+  Format.kasprintf
+    (fun s ->
+      prerr_endline ("experiments: " ^ s);
+      exit 1)
+    msg
+
 type cat = NB | B | H
+
+(* Also the [suite] value of the Figure 4(a) rows in the trajectory. *)
+let cat_name = function
+  | NB -> "non-boolean"
+  | B -> "boolean"
+  | H -> "handwritten"
 
 let cat_instances = function
   | NB -> Std.non_boolean ()
   | B -> Std.boolean ()
   | H -> Std.handwritten ()
 
-let cat_title = function
-  | NB -> "Figure 4(a): non-Boolean benchmarks"
-  | B -> "Figure 4(a): Boolean benchmarks"
-  | H -> "Figure 4(a): handwritten benchmarks"
+(* The eager automaton's state cap in the state-space table. *)
+let eager_state_budget = 100_000
 
-let cats_of_string = function
-  | "nb" -> [ NB ]
-  | "b" -> [ B ]
-  | "h" -> [ H ]
-  | "all" -> [ NB; B; H ]
-  | s -> invalid_arg (Printf.sprintf "unknown category %S (use nb|b|h|all)" s)
+(* One run's budgets plus everything computed under them: a category is
+   labeled once, and its Figure 4(a) rows are computed once and shared by
+   the table, the cumulative series and the trajectory. *)
+type run = {
+  budget : int;
+  timeout : float;
+  labeled : cat -> (I.t * I.expected) list;
+  fig4_rows : cat -> Harness.row list;
+}
 
-let labeled ~budget cat =
-  Harness.reset_sessions ();
-  let instances = cat_instances cat in
-  let labeled = Harness.label_all ~budget instances in
-  Harness.reset_sessions ();
-  labeled
+let memo f =
+  let tbl = Hashtbl.create 3 in
+  fun k ->
+    match Hashtbl.find_opt tbl k with
+    | Some v -> v
+    | None ->
+      let v = f k in
+      Hashtbl.add tbl k v;
+      v
 
-let run_rows ~budget ~timeout ~solvers cat =
-  let labeled = labeled ~budget cat in
+let rows ~budget ~timeout solvers labeled =
   List.map
     (fun id ->
       Harness.reset_sessions ();
       Harness.run_suite ~budget ~timeout id labeled)
     solvers
 
-let table ~budget ~timeout cats =
+let make_run ~budget ~timeout =
+  let labeled =
+    memo (fun cat ->
+        Harness.reset_sessions ();
+        Harness.label_all ~budget (cat_instances cat))
+  in
+  let fig4_rows =
+    memo (fun cat -> rows ~budget ~timeout Harness.default_solvers (labeled cat))
+  in
+  { budget; timeout; labeled; fig4_rows }
+
+let pp_rows title rows =
+  Harness.pp_table_header fmt title;
+  List.iter (Harness.pp_row fmt) rows;
+  Format.fprintf fmt "@."
+
+let fig4a run cats =
   List.iter
     (fun cat ->
-      let rows = run_rows ~budget ~timeout ~solvers:Harness.default_solvers cat in
-      Harness.pp_table_header fmt (cat_title cat);
-      List.iter (Harness.pp_row fmt) rows;
-      Format.fprintf fmt "@.")
+      pp_rows
+        (Printf.sprintf "Figure 4(a): %s benchmarks" (cat_name cat))
+        (run.fig4_rows cat))
     cats
 
-let fig4b ~budget ~timeout cats =
+let fig4b run cats =
   List.iter
     (fun cat ->
-      let rows = run_rows ~budget ~timeout ~solvers:Harness.default_solvers cat in
-      Format.fprintf fmt "== Figure 4(b) cumulative series (%s) ==@."
-        (match cat with NB -> "non-Boolean" | B -> "Boolean" | H -> "handwritten");
+      let rows = run.fig4_rows cat in
+      Format.fprintf fmt "== Figure 4(b) cumulative series (%s) ==@." (cat_name cat);
       Harness.pp_cumulative_ascii fmt rows;
       Format.fprintf fmt "@.-- CSV --@.";
       Harness.pp_cumulative_csv fmt rows;
@@ -88,7 +128,7 @@ let fig4b ~budget ~timeout cats =
 
 let fig4c () =
   Format.fprintf fmt "== Figure 4(c): benchmark counts ==@.";
-  let count name l = Format.fprintf fmt "%-20s %5d@." name (List.length l) in
+  let count name l = Format.fprintf fmt "  %-20s %5d@." name (List.length l) in
   count "Kaluza-like" (Std.kaluza ());
   count "Slog-like" (Std.slog ());
   count "Norn-like" (Std.norn ());
@@ -100,61 +140,83 @@ let fig4c () =
   count "Norn-Boolean" (Std.norn_boolean ());
   count "Total Boolean" (Std.boolean ());
   Format.fprintf fmt "@.";
-  count "Date" (Sbd_benchgen.Handwritten.date ());
-  count "Password" (Sbd_benchgen.Handwritten.password ());
-  count "Boolean+Loops" (Sbd_benchgen.Handwritten.loops ());
-  count "Determ.-Blowup" (Sbd_benchgen.Handwritten.blowup ());
+  count "Date" (Hw.date ());
+  count "Password" (Hw.password ());
+  count "Boolean+Loops" (Hw.loops ());
+  count "Determ.-Blowup" (Hw.blowup ());
   count "Total Handwritten" (Std.handwritten ());
   Format.fprintf fmt "@."
 
-let ablation_dead ~budget ~timeout =
-  Format.fprintf fmt
-    "== Ablation: dead-state elimination (handwritten, unsat-heavy) ==@.";
-  let labeled = labeled ~budget H in
+(* Average transition-regex size of each handwritten suite's top-level
+   derivative, with and without the sat-pruned branches. *)
+let ablation_dnf () =
+  Format.fprintf fmt "== Ablation A1: clean DNF vs raw DNF (transition regex sizes) ==@.";
+  Format.fprintf fmt "  %-34s %10s %10s@." "suite" "clean" "raw";
+  let module Tr = Harness.D.Tr in
+  List.iter
+    (fun (suite, gen) ->
+      let sizes =
+        List.filter_map
+          (fun (inst : I.t) ->
+            match Harness.P.parse inst.pattern with
+            | Error _ -> None
+            | Ok r ->
+              let d = Harness.D.delta r in
+              Some (Tr.size (Tr.dnf d), Tr.size (Tr.dnf ~clean:false d)))
+          (gen ())
+      in
+      let n = List.length sizes in
+      let avg f =
+        float_of_int (List.fold_left (fun acc s -> acc + f s) 0 sizes) /. float_of_int n
+      in
+      if n > 0 then Format.fprintf fmt "  %-34s %10.1f %10.1f@." suite (avg fst) (avg snd))
+    [ ("date", Hw.date); ("password", Hw.password); ("loops", Hw.loops)
+    ; ("blowup", Hw.blowup) ];
+  Format.fprintf fmt "@."
+
+let ablation_dead run =
+  Format.fprintf fmt "== Ablation A2: dead-state elimination (unsat handwritten) ==@.";
   let unsat_only =
-    List.filter (fun ((i : I.t), _) -> i.expected = I.Unsat) labeled
+    List.filter (fun ((i : I.t), _) -> i.expected = I.Unsat) (run.labeled H)
   in
-  Harness.pp_table_header fmt "unsat handwritten instances";
+  pp_rows "unsat handwritten instances (wall clock)"
+    (rows ~budget:run.budget ~timeout:run.timeout
+       [ Harness.Dz3; Harness.Dz3_no_dead ] unsat_only);
+  (* work measured in der-rule expansions; the second pass re-queries the
+     same constraints against the persistent graph *)
+  Format.fprintf fmt "  %-14s %14s %14s %12s@." "variant" "1st-pass-exp"
+    "requery-exp" "bot-hits";
   List.iter
-    (fun id ->
-      Harness.reset_sessions ();
-      Harness.pp_row fmt (Harness.run_suite ~budget ~timeout id unsat_only))
-    [ Harness.Dz3; Harness.Dz3_no_dead ];
+    (fun (name, dead) ->
+      let first, second, hits =
+        Harness.dz3_work ~budget:run.budget ~dead_state_elim:dead unsat_only
+      in
+      Format.fprintf fmt "  %-14s %14d %14d %12d@." name first second hits)
+    [ ("dz3", true); ("dz3-nodead", false) ];
   Format.fprintf fmt "@."
 
-let ablation_simplify ~budget ~timeout =
-  Format.fprintf fmt "== Ablation: pre-simplification of the input regex ==@.";
-  let labeled = labeled ~budget H in
-  Harness.pp_table_header fmt "handwritten instances";
-  List.iter
-    (fun id ->
-      Harness.reset_sessions ();
-      Harness.pp_row fmt (Harness.run_suite ~budget ~timeout id labeled))
-    [ Harness.Dz3; Harness.Dz3_simplify ];
-  Format.fprintf fmt "@."
-
-let ablation_algebra ~budget ~timeout =
-  Format.fprintf fmt "== Ablation: BDD vs range-list character algebra ==@.";
+let ablation_algebra run =
+  Format.fprintf fmt "== Ablation A3: BDD vs range-list character algebra ==@.";
   List.iter
     (fun cat ->
-      let labeled = labeled ~budget cat in
-      Harness.pp_table_header fmt
-        (match cat with NB -> "non-Boolean" | B -> "Boolean" | H -> "handwritten");
-      List.iter
-        (fun id ->
-          Harness.reset_sessions ();
-          Harness.pp_row fmt (Harness.run_suite ~budget ~timeout id labeled))
-        [ Harness.Dz3; Harness.Dz3_ranges ];
-      Format.fprintf fmt "@.")
+      pp_rows
+        (cat_name cat ^ " instances")
+        (rows ~budget:run.budget ~timeout:run.timeout
+           [ Harness.Dz3; Harness.Dz3_ranges ] (run.labeled cat)))
     [ B; H ]
+
+let ablation_simplify run =
+  Format.fprintf fmt "== Ablation A4: pre-simplification of the input regex ==@.";
+  pp_rows "handwritten instances"
+    (rows ~budget:run.budget ~timeout:run.timeout
+       [ Harness.Dz3; Harness.Dz3_simplify ] (run.labeled H))
 
 (* Lazy vs eager state spaces on the blowup family: the succinctness story
    of Sections 1 and 7 in numbers. *)
 let states () =
   Format.fprintf fmt
-    "== State spaces: lazy derivative exploration vs eager automata ==@.";
-  Format.fprintf fmt "%-28s %14s %14s@." "instance" "dz3-explored" "eager-states";
-  let module E = Sbd_sfa.Eager.Make (Harness.R) in
+    "== Theorem 7.3 evidence: lazy derivative exploration vs eager automata ==@.";
+  Format.fprintf fmt "  %-28s %14s %14s@." "instance" "dz3-explored" "eager-states";
   List.iter
     (fun (inst : I.t) ->
       match Harness.P.parse inst.pattern with
@@ -164,13 +226,43 @@ let states () =
         ignore (Harness.S.solve ~budget:2_000_000 session r);
         let explored = Harness.S.G.num_vertices session.Harness.S.graph in
         let eager =
-          match E.state_count ~budget:200_000 r with
+          match Harness.Eager.state_count ~budget:eager_state_budget r with
           | Some n -> string_of_int n
-          | None -> ">200000"
+          | None -> Printf.sprintf ">%d" eager_state_budget
         in
-        Format.fprintf fmt "%-28s %14d %14s@." inst.pattern explored eager)
-    (Sbd_benchgen.Handwritten.blowup ());
+        Format.fprintf fmt "  %-28s %14d %14s@." inst.pattern explored eager)
+    (Hw.blowup ());
   Format.fprintf fmt "@."
+
+(* Every table, figure and ablation; the Figure 4(a) rows are appended to
+   the trajectory file as a "fig4" run. *)
+let all run =
+  let cats = [ NB; B; H ] in
+  fig4c ();
+  fig4a run cats;
+  fig4b run cats;
+  let path = Harness.default_bench_path () in
+  let json =
+    J.Obj
+      [
+        ("budget", J.Int run.budget);
+        ("timeout_s", J.Float run.timeout);
+        ( "rows",
+          J.Arr
+            (List.concat_map
+               (fun cat ->
+                 List.map (Harness.row_json ~suite:(cat_name cat)) (run.fig4_rows cat))
+               cats) );
+      ]
+  in
+  (match Harness.append_bench ~section:"fig4" ~path json with
+  | Ok () -> Format.fprintf fmt "appended fig4 run to %s@.@." path
+  | Error e -> die "%s" e);
+  ablation_dnf ();
+  ablation_dead run;
+  ablation_algebra run;
+  ablation_simplify run;
+  states ()
 
 let dump_smt2 dir =
   let module T = Sbd_smtlib.To_smt.Make (Harness.R) in
@@ -192,6 +284,25 @@ let dump_smt2 dir =
     (Std.all ());
   Format.fprintf fmt "wrote %d .smt2 files to %s@." !written dir
 
+(* A bench section's run: appended to the trajectory unless [no_bench];
+   a fatal failure fails it always, a gate only under [--check]. *)
+let bench (s : Harness.section) no_bench out check =
+  let r = s.run () in
+  r.pp fmt;
+  if not no_bench then begin
+    let path = Option.value out ~default:(Harness.default_bench_path ()) in
+    match Harness.append_bench ~section:s.key ~path r.json with
+    | Ok () -> Format.fprintf fmt "appended %s run to %s@." s.key path
+    | Error e -> die "%s" e
+  end;
+  if r.fatal <> [] then die "%s: %s" s.name (String.concat "; " r.fatal);
+  if check then
+    match r.failures with
+    | [] -> Format.fprintf fmt "%s gates: ok@." s.name
+    | fails ->
+      List.iter (Format.fprintf fmt "%s gate FAILED: %s@." s.name) fails;
+      die "%s: regression gate failed" s.name
+
 (* -- command line --------------------------------------------------------- *)
 
 open Cmdliner
@@ -204,327 +315,60 @@ let timeout_t =
     value & opt float 10.0
     & info [ "timeout" ] ~doc:"Time charged to unsolved instances (seconds).")
 
-let cat_t =
-  Arg.(value & opt string "all" & info [ "c"; "category" ] ~doc:"nb|b|h|all")
+let run_t = Term.(const (fun budget timeout -> make_run ~budget ~timeout) $ budget_t $ timeout_t)
 
-let cmd name doc f = Cmd.v (Cmd.info name ~doc) f
+let cats_t =
+  let cats = [ ("nb", [ NB ]); ("b", [ B ]); ("h", [ H ]); ("all", [ NB; B; H ]) ] in
+  Arg.(value & opt (enum cats) [ NB; B; H ] & info [ "c"; "category" ] ~doc:"nb|b|h|all")
 
-let table_cmd =
-  cmd "table" "Figure 4(a) solver comparison table"
-    Term.(
-      const (fun budget timeout c -> table ~budget ~timeout (cats_of_string c))
-      $ budget_t $ timeout_t $ cat_t)
+let cmd name doc term = Cmd.v (Cmd.info name ~doc) term
 
-let fig4b_cmd =
-  cmd "fig4b" "Figure 4(b) cumulative plots"
-    Term.(
-      const (fun budget timeout c -> fig4b ~budget ~timeout (cats_of_string c))
-      $ budget_t $ timeout_t $ cat_t)
-
-let fig4c_cmd = cmd "fig4c" "Figure 4(c) benchmark counts" Term.(const fig4c $ const ())
-
-let ablation_simplify_cmd =
-  cmd "ablation-simplify" "pre-simplification ablation"
-    Term.(
-      const (fun b t -> ablation_simplify ~budget:b ~timeout:t) $ budget_t $ timeout_t)
-
-let ablation_dead_cmd =
-  cmd "ablation-dead" "dead-state elimination ablation"
-    Term.(const (fun b t -> ablation_dead ~budget:b ~timeout:t) $ budget_t $ timeout_t)
-
-let ablation_algebra_cmd =
-  cmd "ablation-algebra" "character algebra ablation"
-    Term.(const (fun b t -> ablation_algebra ~budget:b ~timeout:t) $ budget_t $ timeout_t)
-
-let states_cmd = cmd "states" "lazy vs eager state spaces" Term.(const states $ const ())
-
-let dump_cmd =
-  cmd "dump-smt2" "write the benchmark corpus as .smt2 files"
-    Term.(
-      const dump_smt2
-      $ Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"))
-
-let engine_bench no_bench out gate =
-  let report =
-    if no_bench then Engine_bench.run ()
-    else Engine_bench.run_and_append ?path:out ()
+let bench_cmd (s : Harness.section) =
+  let check_t =
+    match s.gates with
+    | None -> Term.const false
+    | Some gates ->
+      Arg.(
+        value & flag
+        & info [ "check" ] ~doc:("Enforce " ^ gates ^ "; non-zero exit on violation."))
   in
-  Engine_bench.pp fmt report;
-  if not report.Engine_bench.all_agree then
-    failwith "engine-bench: engine and per-position scan spans disagree";
-  if not no_bench then
-    Format.fprintf fmt "appended engine run to %s@."
-      (match out with
-      | Some p -> p
-      | None -> Harness.default_bench_path ());
-  if gate then begin
-    match Engine_bench.check report with
-    | [] -> Format.fprintf fmt "engine-bench gates: ok@."
-    | fails ->
-      List.iter (Format.fprintf fmt "engine-bench gate FAILED: %s@.") fails;
-      failwith "engine-bench: per-class throughput floor failed"
-  end
-
-let engine_bench_cmd =
-  cmd "engine-bench"
-    "match-engine throughput matrix vs the per-position scan and the DP oracle"
+  cmd s.name s.doc
     Term.(
-      const engine_bench
+      const (bench s)
       $ Arg.(
           value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
+          & info [ "no-bench" ] ~doc:"Do not append the report to the BENCH trajectory.")
       $ Arg.(
           value
           & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json).")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:
-                "Enforce the per-pattern-class steady-state MB/s floors \
-                 (literal / class / boolean / counter); non-zero exit on \
-                 violation."))
-
-let analyze_bench no_bench out =
-  let report =
-    if no_bench then Analysis_bench.run ()
-    else Analysis_bench.run_and_append ?path:out ()
-  in
-  Analysis_bench.pp fmt report;
-  if report.Analysis_bench.unsound > 0 then
-    failwith "analyze-bench: analyzer verdict contradicted by the solver";
-  if not no_bench then
-    Format.fprintf fmt "appended analysis run to %s@."
-      (match out with
-      | Some p -> p
-      | None -> Harness.default_bench_path ())
-
-let analyze_bench_cmd =
-  cmd "analyze-bench"
-    "static-analyzer throughput and predicted-vs-measured difficulty"
-    Term.(
-      const analyze_bench
-      $ Arg.(
-          value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json)."))
-
-let deriv_bench no_bench out label gate =
-  let report =
-    if no_bench then Deriv_bench.run ?label ()
-    else Deriv_bench.run_and_append ?label ?path:out ()
-  in
-  Deriv_bench.pp fmt report;
-  if not no_bench then
-    Format.fprintf fmt "appended deriv run to %s@."
-      (match out with
-      | Some p -> p
-      | None -> Harness.default_bench_path ());
-  if gate then begin
-    match Deriv_bench.check report with
-    | [] -> Format.fprintf fmt "deriv-bench gates: ok@."
-    | fails ->
-      List.iter (Format.fprintf fmt "deriv-bench gate FAILED: %s@.") fails;
-      failwith "deriv-bench: regression gate failed"
-  end
-
-let deriv_bench_cmd =
-  cmd "deriv-bench"
-    "derivation/DNF throughput and memo hit rates on the Boolean and \
-     handwritten generators"
-    Term.(
-      const deriv_bench
-      $ Arg.(
-          value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "label" ] ~docv:"LABEL"
-              ~doc:"Variant label recorded in the report (default hashcons).")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:
-                "Enforce the pinned regression floors (boolean dz3 solved%, \
-                 warm deriv.dnf memo hit rate); non-zero exit on violation."))
-
-let contain_bench no_bench out label gate =
-  let report =
-    if no_bench then Contain_bench.run ?label ()
-    else Contain_bench.run_and_append ?label ?path:out ()
-  in
-  Contain_bench.pp fmt report;
-  if not no_bench then
-    Format.fprintf fmt "appended contain run to %s@."
-      (match out with
-      | Some p -> p
-      | None -> Harness.default_bench_path ());
-  if gate then begin
-    match Contain_bench.check report with
-    | [] -> Format.fprintf fmt "contain-bench gates: ok@."
-    | fails ->
-      List.iter (Format.fprintf fmt "contain-bench gate FAILED: %s@.") fails;
-      failwith "contain-bench: regression gate failed"
-  end
-
-let contain_bench_cmd =
-  cmd "contain-bench"
-    "containment prover throughput, witness validity and agreement with the \
-     emptiness reduction on the pair corpus"
-    Term.(
-      const contain_bench
-      $ Arg.(
-          value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "label" ] ~docv:"LABEL"
-              ~doc:"Variant label recorded in the report (default contain).")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:
-                "Enforce the pinned gates (decided%, pairs/s floor, zero \
-                 disagreements / invalid witnesses); non-zero exit on \
-                 violation."))
-
-let lookaround_bench no_bench out label gate =
-  let report =
-    if no_bench then Lookaround_bench.run ?label ()
-    else Lookaround_bench.run_and_append ?label ?path:out ()
-  in
-  Lookaround_bench.pp fmt report;
-  if not no_bench then
-    Format.fprintf fmt "appended lookaround run to %s@."
-      (match out with
-      | Some p -> p
-      | None -> Harness.default_bench_path ());
-  if gate then begin
-    match Lookaround_bench.check report with
-    | [] -> Format.fprintf fmt "lookaround-bench gates: ok@."
-    | fails ->
-      List.iter
-        (Format.fprintf fmt "lookaround-bench gate FAILED: %s@.")
-        fails;
-      failwith "lookaround-bench: regression gate failed"
-  end
-
-let lookaround_bench_cmd =
-  cmd "lookaround-bench"
-    "located engine / all-splits oracle / hand-label agreement over the \
-     anchored and lookaround corpus"
-    Term.(
-      const lookaround_bench
-      $ Arg.(
-          value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "label" ] ~docv:"LABEL"
-              ~doc:"Variant label recorded in the report (default lookaround).")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:
-                "Enforce the pinned gates (zero parse failures, zero \
-                 engine/oracle/label/sat mismatches); non-zero exit on \
-                 violation."))
-
-let absdom_bench no_bench out label gate =
-  let report =
-    if no_bench then Absdom_bench.run ?label ()
-    else Absdom_bench.run_and_append ?label ?path:out ()
-  in
-  Absdom_bench.pp fmt report;
-  if not no_bench then
-    Format.fprintf fmt "appended absdom run to %s@."
-      (match out with
-      | Some p -> p
-      | None -> Harness.default_bench_path ());
-  if gate then begin
-    match Absdom_bench.check report with
-    | [] -> Format.fprintf fmt "absdom-bench gates: ok@."
-    | fails ->
-      List.iter (Format.fprintf fmt "absdom-bench gate FAILED: %s@.") fails;
-      failwith "absdom-bench: regression gate failed"
-  end
-
-let absdom_bench_cmd =
-  cmd "absdom-bench"
-    "abstract-domain pre-solver hit-rate, soundness sweep and time-saved on \
-     the satisfiability and containment corpora"
-    Term.(
-      const absdom_bench
-      $ Arg.(
-          value & flag
-          & info [ "no-bench" ]
-              ~doc:"Do not append the report to the BENCH trajectory.")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "out" ] ~docv:"FILE"
-              ~doc:"Trajectory file (default BENCH_<date>.json).")
-      $ Arg.(
-          value
-          & opt (some string) None
-          & info [ "label" ] ~docv:"LABEL"
-              ~doc:"Variant label recorded in the report (default absdom).")
-      $ Arg.(
-          value & flag
-          & info [ "check" ]
-              ~doc:
-                "Enforce the pinned gates (corpus and pair hit-rate floors, \
-                 zero unsound verdicts, zero invalid witnesses); non-zero \
-                 exit on violation."))
-
-let all_cmd =
-  cmd "all" "run every table, figure and ablation"
-    Term.(
-      const (fun budget timeout ->
-          table ~budget ~timeout [ NB; B; H ];
-          fig4b ~budget ~timeout [ NB; B; H ];
-          fig4c ();
-          ablation_dead ~budget ~timeout;
-          ablation_simplify ~budget ~timeout;
-          ablation_algebra ~budget ~timeout;
-          states ())
-      $ budget_t $ timeout_t)
+          & info [ "out" ] ~docv:"FILE" ~doc:"Trajectory file (default BENCH_<date>.json).")
+      $ check_t)
 
 let () =
   let info = Cmd.info "experiments" ~doc:"Reproduce the paper's evaluation" in
   exit
     (Cmd.eval
        (Cmd.group info
-          [ table_cmd; fig4b_cmd; fig4c_cmd; ablation_dead_cmd
-          ; ablation_simplify_cmd; ablation_algebra_cmd; states_cmd; dump_cmd
-          ; engine_bench_cmd; analyze_bench_cmd; deriv_bench_cmd
-          ; contain_bench_cmd; lookaround_bench_cmd; absdom_bench_cmd
-          ; all_cmd ]))
+          ([ cmd "table" "Figure 4(a) solver comparison table"
+               Term.(const fig4a $ run_t $ cats_t)
+           ; cmd "fig4b" "Figure 4(b) cumulative plots" Term.(const fig4b $ run_t $ cats_t)
+           ; cmd "fig4c" "Figure 4(c) benchmark counts" Term.(const fig4c $ const ())
+           ; cmd "ablation-dnf" "clean vs raw DNF ablation (sizes only)"
+               Term.(const ablation_dnf $ const ())
+           ; cmd "ablation-dead" "dead-state elimination ablation"
+               Term.(const ablation_dead $ run_t)
+           ; cmd "ablation-algebra" "character algebra ablation"
+               Term.(const ablation_algebra $ run_t)
+           ; cmd "ablation-simplify" "pre-simplification ablation"
+               Term.(const ablation_simplify $ run_t)
+           ; cmd "states" "lazy vs eager state spaces" Term.(const states $ const ())
+           ; cmd "all" "run every table, figure and ablation" Term.(const all $ run_t)
+           ; cmd "dump-smt2" "write the benchmark corpus as .smt2 files"
+               Term.(
+                 const dump_smt2
+                 $ Arg.(required & pos 0 (some string) None & info [] ~docv:"DIR"))
+           ]
+          @ List.map bench_cmd
+              [ Engine_bench.section; Analysis_bench.section; Deriv_bench.section
+              ; Contain_bench.section; Lookaround_bench.section; Absdom_bench.section
+              ])))

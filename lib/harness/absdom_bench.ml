@@ -31,7 +31,7 @@ module P = Harness.P
 module S = Harness.S
 module C = Sbd_service.Default.C
 module Ab = Sbd_service.Default.Ab
-module Ref = Sbd_classic.Refmatch.Make (R)
+module Ref = Sbd_service.Default.Ref
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
 module I = Sbd_benchgen.Instance
@@ -54,6 +54,9 @@ let prover_budget = Sbd_service.Default.C.default_budget
 (* Times each A/B arm solves the whole password suite. *)
 let password_reps = 25
 
+(* The variant label recorded in every run. *)
+let label = "absdom"
+
 type row = {
   suite : string;
   n : int;
@@ -65,7 +68,6 @@ type row = {
 }
 
 type report = {
-  label : string;
   rows : row list;
   total : int;
   hits : int;  (** corpus instances the pre-solver decides *)
@@ -89,13 +91,7 @@ type report = {
 let word_of_witness (w : string) : int list =
   List.init (String.length w) (fun i -> Char.code w.[i])
 
-(* The reduction regex whose emptiness is equivalent to the pair. *)
-let reduction_regex (mode : Pairs.mode) (l : R.t) (r : R.t) : R.t =
-  match mode with
-  | Pairs.Subset -> R.inter l (R.compl r)
-  | Pairs.Equiv -> R.alt (R.inter l (R.compl r)) (R.inter r (R.compl l))
-
-let run ?(label = "absdom") () : report =
+let run () : report =
   Sbd_service.Default.clear ();
   let corpus = Std.all () in
   let ssession = S.create_session () in
@@ -184,7 +180,9 @@ let run ?(label = "absdom") () : report =
       | Error _, _ | _, Error _ -> ()
       | Ok l, Ok r ->
         incr pair_total;
-        let verdict = Ab.presolve (reduction_regex p.Pairs.mode l r) in
+        let verdict =
+          Ab.presolve (Contain_bench.reduction_regex p.Pairs.mode l r)
+        in
         (match verdict with
         | Ab.Unknown -> ()
         | Ab.Unsat_proved | Ab.Sat_witnessed _ -> incr pair_hits);
@@ -192,14 +190,8 @@ let run ?(label = "absdom") () : report =
            pair *)
         (match verdict with
         | Ab.Sat_witnessed w ->
-          let word = word_of_witness w in
-          let in_l = Ref.matches l word and in_r = Ref.matches r word in
-          let ok =
-            match p.Pairs.mode with
-            | Pairs.Subset -> in_l && not in_r
-            | Pairs.Equiv -> in_l <> in_r
-          in
-          if not ok then incr invalid_witnesses
+          if not (Contain_bench.witness_ok p.Pairs.mode l r (word_of_witness w))
+          then incr invalid_witnesses
         | Ab.Unsat_proved | Ab.Unknown -> ());
         (* coinductive prover with the fast path off, as ground truth *)
         (match verdict with
@@ -301,7 +293,6 @@ let run ?(label = "absdom") () : report =
       ]
   in
   {
-    label;
     rows;
     total;
     hits;
@@ -336,7 +327,7 @@ let check (r : report) : string list =
 
 let pp fmt (r : report) =
   Format.fprintf fmt "== abstract-domain pre-solver benchmark (%s) ==@."
-    r.label;
+    label;
   Format.fprintf fmt "  %-12s %6s %7s %6s %8s %12s %12s@." "suite" "n"
     "unsat" "sat" "unknown" "presolve(s)" "solver(s)";
   List.iter
@@ -354,14 +345,24 @@ let pp fmt (r : report) =
     "  password suite: %.4fs with fast path, %.4fs without (%.2fx)@."
     r.password_wall_on_s r.password_wall_off_s r.password_speedup
 
-(** Run and append to the ["absdom"] section of the trajectory file
-    (default [BENCH_<date>.json]). *)
-let run_and_append ?label ?path () : report =
-  let r = run ?label () in
-  let path =
-    match path with
-    | Some p -> p
-    | None -> Harness.default_bench_path ()
-  in
-  Harness.append_bench ~section:"absdom" ~path r.json;
-  r
+let section =
+  {
+    Harness.name = "absdom-bench";
+    key = "absdom";
+    doc =
+      "abstract-domain pre-solver hit-rate, soundness sweep and time-saved \
+       on the satisfiability and containment corpora";
+    gates =
+      Some
+        "the pinned gates (corpus and pair hit-rate floors, zero unsound \
+         verdicts, zero invalid witnesses)";
+    run =
+      (fun () ->
+        let r = run () in
+        {
+          Harness.json = r.json;
+          pp = (fun fmt -> pp fmt r);
+          fatal = [];
+          failures = check r;
+        });
+  }

@@ -107,8 +107,13 @@ let solver_effort ~budget ~timeout (r : R.t) : S.result * int * float =
   let res = S.solve ~budget ~deadline:timeout session r in
   (res, session.S.expansions, Obs.now () -. t0)
 
-let run ?(budget = 50_000) ?(timeout = 0.5) ?(analyze_budget = 2_000)
-    ?(instances = Sbd_benchgen.Standard.all ()) () : report =
+(* The solver's work budget and deadline per pattern, and the analyzer's
+   Layer 2 budget. *)
+let budget = 50_000
+let timeout = 0.5
+let analyze_budget = 2_000
+
+let run () : report =
   Sbd_service.Default.clear ();
   let errors = ref 0 and warnings = ref 0 and infos = ref 0 in
   let proved_empty = ref 0
@@ -160,7 +165,7 @@ let run ?(budget = 50_000) ?(timeout = 0.5) ?(analyze_budget = 2_000)
           { id = inst.id; suite = inst.suite; difficulty; expansions
           ; solve_wall_s }
           :: !rows)
-    instances;
+    (Sbd_benchgen.Standard.all ());
   let rows = List.rev !rows in
   let diff = Array.of_list (List.map (fun r -> r.difficulty) rows) in
   let exp_a =
@@ -230,16 +235,21 @@ let pp fmt (r : report) =
      (Spearman)@."
     r.spearman_expansions r.spearman_wall
 
-(** Run the phase and append it to the ["analysis"] section of the
-    trajectory file (default [BENCH_<date>.json]).  Returns the report;
-    [unsound > 0] should fail the caller. *)
-let run_and_append ?budget ?timeout ?analyze_budget ?instances ?path () :
-    report =
-  let r = run ?budget ?timeout ?analyze_budget ?instances () in
-  let path =
-    match path with
-    | Some p -> p
-    | None -> Harness.default_bench_path ()
-  in
-  Harness.append_bench ~section:"analysis" ~path r.json;
-  r
+let section =
+  {
+    Harness.name = "analyze-bench";
+    key = "analysis";
+    doc = "static-analyzer throughput and predicted-vs-measured difficulty";
+    gates = None;
+    run =
+      (fun () ->
+        let r = run () in
+        {
+          Harness.json = r.json;
+          pp = (fun fmt -> pp fmt r);
+          fatal =
+            (if r.unsound = 0 then []
+             else [ "analyzer verdict contradicted by the solver" ]);
+          failures = [];
+        });
+  }

@@ -23,7 +23,7 @@ module R = Harness.R
 module P = Harness.P
 module S = Harness.S
 module C = Sbd_service.Default.C
-module Ref = Sbd_classic.Refmatch.Make (R)
+module Ref = Sbd_service.Default.Ref
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
 module Pairs = Sbd_benchgen.Pairs
@@ -39,6 +39,9 @@ let pairs_per_s_floor = 20.0
 let budget = C.default_budget
 let reduction_budget = 50_000
 
+(* The variant label recorded in every run. *)
+let label = "contain"
+
 type row = {
   family : string;
   pairs : int;
@@ -50,7 +53,6 @@ type row = {
 }
 
 type report = {
-  label : string;
   rows : row list;
   total : int;
   decided : int;
@@ -78,7 +80,7 @@ let witness_ok (mode : Pairs.mode) (l : R.t) (r : R.t) (w : int list) : bool =
   | Pairs.Subset -> in_l && not in_r
   | Pairs.Equiv -> in_l <> in_r
 
-let run ?(label = "contain") () : report =
+let run () : report =
   let corpus = Pairs.all () in
   let session = C.create_session () in
   let ssession = S.create_session () in
@@ -203,7 +205,6 @@ let run ?(label = "contain") () : report =
       ]
   in
   {
-    label;
     rows;
     total;
     decided;
@@ -235,7 +236,7 @@ let check (r : report) : string list =
   List.rev !fails
 
 let pp fmt (r : report) =
-  Format.fprintf fmt "== containment benchmark (%s) ==@." r.label;
+  Format.fprintf fmt "== containment benchmark (%s) ==@." label;
   Format.fprintf fmt "  %-10s %6s %7s %8s %8s %10s@." "family" "pairs"
     "proved" "refuted" "unknown" "pairs/s";
   List.iter
@@ -249,14 +250,24 @@ let pp fmt (r : report) =
     r.decided r.total r.decided_pct r.pairs_per_s r.disagreements
     r.invalid_witnesses r.label_mismatches r.reduction_undecided r.memo_entries
 
-(** Run and append to the ["contain"] section of the trajectory file
-    (default [BENCH_<date>.json]). *)
-let run_and_append ?label ?path () : report =
-  let r = run ?label () in
-  let path =
-    match path with
-    | Some p -> p
-    | None -> Harness.default_bench_path ()
-  in
-  Harness.append_bench ~section:"contain" ~path r.json;
-  r
+let section =
+  {
+    Harness.name = "contain-bench";
+    key = "contain";
+    doc =
+      "containment prover throughput, witness validity and agreement with \
+       the emptiness reduction on the pair corpus";
+    gates =
+      Some
+        "the pinned gates (decided%, pairs/s floor, zero disagreements / \
+         invalid witnesses)";
+    run =
+      (fun () ->
+        let r = run () in
+        {
+          Harness.json = r.json;
+          pp = (fun fmt -> pp fmt r);
+          fatal = [];
+          failures = check r;
+        });
+  }

@@ -47,6 +47,9 @@ let dnf_hit_rate_floor = 0.9
    abstract-domain or solver layers must reproduce it bit for bit. *)
 let pinned_verdict_digest = "5c5fdbd8da921bc7a58d4330c32f3479"
 
+(* The variant label recorded in every run. *)
+let label = "hashcons"
+
 (* Deterministic budgets: state exploration is bounded per pattern by a
    node budget (not wall time), so runs are reproducible. *)
 let solve_budget = 20_000
@@ -207,7 +210,6 @@ let boolean_solved_pct () : float =
   Harness.percent row
 
 type report = {
-  label : string;
   rows : suite_row list;
   boolean_solved_pct : float;
   verdict_digest : string;
@@ -230,7 +232,7 @@ let json_of_row (r : suite_row) : J.t =
       ("dnf_hit_rate", J.Float r.dnf_hit_rate);
     ]
 
-let run ?(label = "hashcons") () : report =
+let run () : report =
   let rows =
     [
       sweep ~suite:"boolean" (Std.boolean ());
@@ -254,7 +256,7 @@ let run ?(label = "hashcons") () : report =
         ("min_dnf_hit_rate", J.Float min_dnf_hit_rate);
       ]
   in
-  { label; rows; boolean_solved_pct; verdict_digest; min_dnf_hit_rate; json }
+  { rows; boolean_solved_pct; verdict_digest; min_dnf_hit_rate; json }
 
 (** Regression gates for CI: boolean dz3 solved% must not drop below
     the seed value, the warm [deriv.dnf] hit rate must stay near 1, and
@@ -280,7 +282,7 @@ let check (r : report) : string list =
   List.rev !fails
 
 let pp fmt (r : report) =
-  Format.fprintf fmt "== derivation microbenchmark (%s) ==@." r.label;
+  Format.fprintf fmt "== derivation microbenchmark (%s) ==@." label;
   Format.fprintf fmt "  %-12s %8s %7s %7s %12s %10s %12s %9s@." "suite"
     "patterns" "states" "edges" "cold d/s" "dnf(s)" "warm d/s" "hit-rate";
   List.iter
@@ -293,14 +295,24 @@ let pp fmt (r : report) =
     "  boolean dz3 solved %.2f%%, verdict digest %s, min dnf hit rate %.3f@."
     r.boolean_solved_pct r.verdict_digest r.min_dnf_hit_rate
 
-(** Run and append to the ["deriv"] section of the trajectory file
-    (default [BENCH_<date>.json]). *)
-let run_and_append ?label ?path () : report =
-  let r = run ?label () in
-  let path =
-    match path with
-    | Some p -> p
-    | None -> Harness.default_bench_path ()
-  in
-  Harness.append_bench ~section:"deriv" ~path r.json;
-  r
+let section =
+  {
+    Harness.name = "deriv-bench";
+    key = "deriv";
+    doc =
+      "derivation/DNF throughput and memo hit rates on the Boolean and \
+       handwritten generators";
+    gates =
+      Some
+        "the pinned regression floors (boolean dz3 solved%, warm deriv.dnf \
+         memo hit rate)";
+    run =
+      (fun () ->
+        let r = run () in
+        {
+          Harness.json = r.json;
+          pp = (fun fmt -> pp fmt r);
+          fatal = [];
+          failures = check r;
+        });
+  }

@@ -35,7 +35,7 @@ module Obs = Sbd_obs.Obs
 module J = Obs.Json
 module Eng = Sbd_service.Default.Eng
 module Brz = Sbd_classic.Brzozowski.Make (R)
-module Ref = Sbd_classic.Refmatch.Make (R)
+module Ref = Sbd_service.Default.Ref
 module LP = Sbd_service.Default.LP
 module LM = Sbd_service.Default.LM
 module LRef = Sbd_service.Default.LRef
@@ -351,8 +351,13 @@ let class_matrix (rows : row list) : (pattern_class * float) list =
           (k, List.fold_left (fun acc r -> Float.min acc r.hot_mb_s) infinity rs))
     [ Literal; Class_heavy; Boolean; Counter ]
 
-let run ?(engine_bytes = 1 lsl 20) ?(scan_bytes = 8_192) ?(ref_bytes = 160) ()
-    : report =
+(* Input sizes: the engine's, the per-position scan's (quadratic on live
+   patterns) and the DP oracle's. *)
+let engine_bytes = 1 lsl 20
+let scan_bytes = 8_192
+let ref_bytes = 160
+
+let run () : report =
   let big = filler engine_bytes in
   let small = filler scan_bytes in
   let planted_mid = planted scan_bytes in
@@ -462,16 +467,25 @@ let pp fmt (r : report) =
         (if l.lagree then "" else "  ORACLE MISMATCH"))
     r.located
 
-(** Run the matrix and append it to the ["engine"] section of the
-    trajectory file (default [BENCH_<date>.json]). Returns the report;
-    [all_agree = false] or a non-empty {!check} should fail the
-    caller. *)
-let run_and_append ?engine_bytes ?scan_bytes ?ref_bytes ?path () : report =
-  let r = run ?engine_bytes ?scan_bytes ?ref_bytes () in
-  let path =
-    match path with
-    | Some p -> p
-    | None -> Harness.default_bench_path ()
-  in
-  Harness.append_bench ~section:"engine" ~path r.json;
-  r
+let section =
+  {
+    Harness.name = "engine-bench";
+    key = "engine";
+    doc = "match-engine throughput matrix vs the per-position scan and the DP oracle";
+    gates =
+      Some
+        "the per-pattern-class steady-state MB/s floors (literal / class / \
+         boolean / counter), the located-vs-plain rate ratio floor and span \
+         agreement with the scan and the oracle";
+    run =
+      (fun () ->
+        let r = run () in
+        {
+          Harness.json = r.json;
+          pp = (fun fmt -> pp fmt r);
+          fatal =
+            (if r.all_agree then []
+             else [ "engine and per-position scan spans disagree" ]);
+          failures = check r;
+        });
+  }

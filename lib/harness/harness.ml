@@ -186,8 +186,7 @@ let median xs =
 
 module Obs = Sbd_obs.Obs
 
-(** One row as a JSON object, for the [BENCH_*.json] trajectory files
-    and the emit sink. *)
+(** One row as a JSON object, for the [BENCH_*.json] trajectory files. *)
 let row_json ~(suite : string) (row : row) : Obs.Json.t =
   Obs.Json.Obj
     [
@@ -200,10 +199,8 @@ let row_json ~(suite : string) (row : row) : Obs.Json.t =
       ("median_s", Obs.Json.Float row.median_time);
     ]
 
-(** Run a solver over a labeled instance list.  When [suite] is given,
-    the finished row is also emitted as one JSON line through the
-    [Obs] sink. *)
-let run_suite ~budget ~timeout ?suite (id : solver_id)
+(** Run a solver over a labeled instance list. *)
+let run_suite ~budget ~timeout (id : solver_id)
     (instances : (Sbd_benchgen.Instance.t * Sbd_benchgen.Instance.expected) list) : row
     =
   let outcomes =
@@ -213,22 +210,15 @@ let run_suite ~budget ~timeout ?suite (id : solver_id)
   let solved_times =
     List.filter_map (fun (o : outcome) -> if o.solved then Some o.time else None) outcomes
   in
-  let row =
-    {
-      solver = id;
-      total = List.length outcomes;
-      solved = List.length solved_times;
-      avg_time =
-        List.fold_left ( +. ) 0.0 charged
-        /. float_of_int (max 1 (List.length charged));
-      median_time = median charged;
-      times = solved_times;
-    }
-  in
-  (match suite with
-  | Some name -> Obs.emit (Obs.Json.to_string (row_json ~suite:name row))
-  | None -> ());
-  row
+  {
+    solver = id;
+    total = List.length outcomes;
+    solved = List.length solved_times;
+    avg_time =
+      List.fold_left ( +. ) 0.0 charged /. float_of_int (max 1 (List.length charged));
+    median_time = median charged;
+    times = solved_times;
+  }
 
 (** Label a raw instance list once (shared across solvers). *)
 let label_all ~budget instances =
@@ -303,33 +293,6 @@ let dz3_work ~budget ~dead_state_elim
 
 (* -- machine-readable trajectory files ----------------------------------- *)
 
-(** The [BENCH_*.json] document: one object per (suite, solver) row plus
-    run metadata.  Schema documented in DESIGN.md ("BENCH_*.json
-    schema"). *)
-let bench_json ~(date : string) ~(budget : int) ~(timeout : float)
-    (suites : (string * row list) list) : Obs.Json.t =
-  Obs.Json.Obj
-    [
-      ("schema", Obs.Json.Str "sbd-bench/1");
-      ("date", Obs.Json.Str date);
-      ("budget", Obs.Json.Int budget);
-      ("timeout_s", Obs.Json.Float timeout);
-      ( "suites",
-        Obs.Json.Arr
-          (List.concat_map
-             (fun (name, rows) -> List.map (row_json ~suite:name) rows)
-             suites) );
-    ]
-
-(** Write the per-suite solver rows of a bench run to [path] (the
-    [BENCH_<date>.json] perf-trajectory file). *)
-let write_bench_json ~(path : string) ~(date : string) ~(budget : int)
-    ~(timeout : float) (suites : (string * row list) list) : unit =
-  let oc = open_out path in
-  output_string oc (Obs.Json.to_string_pretty (bench_json ~date ~budget ~timeout suites));
-  output_char oc '\n';
-  close_out oc
-
 let today () =
   let tm = Unix.localtime (Unix.time ()) in
   Printf.sprintf "%04d-%02d-%02d" (tm.Unix.tm_year + 1900) (tm.Unix.tm_mon + 1)
@@ -339,46 +302,82 @@ let default_bench_path () = Printf.sprintf "BENCH_%s.json" (today ())
 
 let read_file path =
   let ic = open_in_bin path in
-  let n = in_channel_length ic in
-  let s = really_input_string ic n in
-  close_in ic;
-  s
+  Fun.protect
+    ~finally:(fun () -> close_in ic)
+    (fun () -> really_input_string ic (in_channel_length ic))
 
-(** Append a report to the given section of the [BENCH_<date>.json]
-    trajectory document, preserving every other section (the suites
-    recorded by the experiment harness, the engine throughput runs,
-    ...); creates the file if absent. *)
-let append_bench ~section ~path (report : Obs.Json.t) : unit =
+(** Append a run to the given section of the [BENCH_<date>.json]
+    trajectory document (schema in DESIGN.md §8), keeping every other
+    section; creates the file if absent.  A file that does not parse as
+    such a document is an error naming it, and is left untouched: the
+    new document goes to a temporary file renamed over [path], so a
+    crash mid-write never truncates it either. *)
+let append_bench ~section ~path (report : Obs.Json.t) : (unit, string) result =
   let module J = Obs.Json in
   let report =
     match[@warning "-4"] report with
     | J.Obj kvs -> J.Obj (("date", J.Str (today ())) :: kvs)
     | other -> other
   in
-  let fresh () =
-    J.Obj
-      [
-        ("schema", J.Str "sbd-bench/1");
-        ("date", J.Str (today ()));
-        (section, J.Arr [ report ]);
-      ]
-  in
   let doc =
-    match if Sys.file_exists path then Some (read_file path) else None with
-    | Some src -> (
-      match[@warning "-4"] Sbd_service.Jsonin.parse src with
-      | Ok (J.Obj kvs) ->
-        let runs =
-          match[@warning "-4"] List.assoc_opt section kvs with
-          | Some (J.Arr rs) -> rs
-          | _ -> []
-        in
-        let kvs = List.remove_assoc section kvs in
-        J.Obj (kvs @ [ (section, J.Arr (runs @ [ report ])) ])
-      | _ -> fresh ())
-    | None -> fresh ()
+    if not (Sys.file_exists path) then
+      Ok
+        (J.Obj
+           [
+             ("schema", J.Str "sbd-bench/1");
+             ("date", J.Str (today ()));
+             (section, J.Arr [ report ]);
+           ])
+    else
+      match[@warning "-4"] Sbd_service.Jsonin.parse (read_file path) with
+      | exception Sys_error e -> Error e
+      | Error e -> Error (Printf.sprintf "%s: not a trajectory file: %s" path e)
+      | Ok (J.Obj kvs) -> (
+        match[@warning "-4"] List.assoc_opt section kvs with
+        | None -> Ok (J.Obj (kvs @ [ (section, J.Arr [ report ]) ]))
+        | Some (J.Arr runs) ->
+          Ok
+            (J.Obj
+               (List.remove_assoc section kvs
+               @ [ (section, J.Arr (runs @ [ report ])) ]))
+        | Some _ ->
+          Error (Printf.sprintf "%s: section %S is not an array" path section))
+      | Ok _ -> Error (Printf.sprintf "%s: not a JSON object" path)
   in
-  let oc = open_out path in
-  output_string oc (J.to_string_pretty doc);
-  output_char oc '\n';
-  close_out oc
+  Result.bind doc (fun doc ->
+      let tmp = path ^ ".tmp" in
+      match
+        let oc = open_out tmp in
+        Fun.protect
+          ~finally:(fun () -> close_out_noerr oc)
+          (fun () ->
+            output_string oc (J.to_string_pretty doc);
+            output_char oc '\n';
+            close_out oc);
+        Sys.rename tmp path
+      with
+      | () -> Ok ()
+      | exception Sys_error e -> Error e)
+
+(* -- bench sections ---------------------------------------------------------- *)
+
+(** What one run of a bench section produced. *)
+type report = {
+  json : Obs.Json.t;  (** the run appended to the trajectory file *)
+  pp : Format.formatter -> unit;
+  fatal : string list;
+      (** correctness failures: the run fails on them with or without
+          [--check] *)
+  failures : string list;  (** the gates [--check] enforces; [] = pass *)
+}
+
+(** A bench section: one [*-bench] subcommand of [bin/experiments] and
+    one section of the trajectory file. *)
+type section = {
+  name : string;  (** the subcommand *)
+  key : string;  (** the trajectory section its runs are appended to *)
+  doc : string;
+  gates : string option;
+      (** what [--check] enforces; [None]: the subcommand has no [--check] *)
+  run : unit -> report;
+}

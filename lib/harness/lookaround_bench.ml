@@ -35,6 +35,9 @@ module J = Obs.Json
 let inputs_per_s_floor = 50.0
 let solve_budget = 50_000
 
+(* The variant label recorded in every run. *)
+let label = "lookaround"
+
 (* Lossy-decode exactly as the engine segments: scalar values plus the
    byte offset of every scalar boundary. *)
 let segment s =
@@ -51,7 +54,6 @@ let segment s =
 type mismatch = { case : string; input : string; detail : string }
 
 type report = {
-  label : string;
   cases : int;
   inputs : int;
   parse_failures : int;
@@ -65,7 +67,7 @@ type report = {
   json : J.t;
 }
 
-let run ?(label = "lookaround") () : report =
+let run () : report =
   let corpus = Lk.cases () in
   let ssession = S.create_session () in
   let parse_failures = ref 0 in
@@ -165,8 +167,7 @@ let run ?(label = "lookaround") () : report =
       ; ("wall_s", J.Float wall)
       ; ("inputs_per_s", J.Float inputs_per_s) ]
   in
-  { label
-  ; cases = List.length corpus
+  { cases = List.length corpus
   ; inputs = !n_inputs
   ; parse_failures = !parse_failures
   ; label_mismatches = List.rev !label_mm
@@ -199,7 +200,7 @@ let check (r : report) : string list =
   List.rev !fails
 
 let pp fmt (r : report) =
-  Format.fprintf fmt "== lookaround corpus (%s) ==@." r.label;
+  Format.fprintf fmt "== lookaround corpus (%s) ==@." label;
   Format.fprintf fmt
     "  %d cases, %d labeled inputs, %.0f inputs/s, %d lint findings@."
     r.cases r.inputs r.inputs_per_s r.lint_findings;
@@ -223,14 +224,24 @@ let pp fmt (r : report) =
     && r.oracle_mismatches = [] && r.sat_mismatches = []
   then Format.fprintf fmt "  all verdicts agree@."
 
-(** Run and append to the ["lookaround"] section of the trajectory file
-    (default [BENCH_<date>.json]). *)
-let run_and_append ?label ?path () : report =
-  let r = run ?label () in
-  let path =
-    match path with
-    | Some p -> p
-    | None -> Harness.default_bench_path ()
-  in
-  Harness.append_bench ~section:"lookaround" ~path r.json;
-  r
+let section =
+  {
+    Harness.name = "lookaround-bench";
+    key = "lookaround";
+    doc =
+      "located engine / all-splits oracle / hand-label agreement over the \
+       anchored and lookaround corpus";
+    gates =
+      Some
+        "the pinned gates (zero parse failures, zero engine/oracle/label/sat \
+         mismatches)";
+    run =
+      (fun () ->
+        let r = run () in
+        {
+          Harness.json = r.json;
+          pp = (fun fmt -> pp fmt r);
+          fatal = [];
+          failures = check r;
+        });
+  }

@@ -259,6 +259,40 @@ let test_median () =
   feq "even 4" 2.5 (H.median [ 4.0; 1.0; 3.0; 2.0 ]);
   feq "empty" 0.0 (H.median [])
 
+(* The trajectory file: sections accumulate runs, and a file that does
+   not parse is an error naming it, never overwritten. *)
+let test_append_bench () =
+  let module J = Obs.Json in
+  let path = Filename.temp_file "bench" ".json" in
+  Sys.remove path;
+  let append section =
+    H.append_bench ~section ~path (J.Obj [ ("n", J.Int 1) ])
+  in
+  let runs section =
+    match[@warning "-4"] Sbd_service.Jsonin.parse (H.read_file path) with
+    | Ok (J.Obj kvs) -> (
+      match[@warning "-4"] List.assoc_opt section kvs with
+      | Some (J.Arr rs) -> List.length rs
+      | _ -> 0)
+    | _ -> Alcotest.fail "not a JSON object"
+  in
+  check "missing file" true (append "a" = Ok ());
+  check_int "a after one append" 1 (runs "a");
+  check "second section" true (append "b" = Ok ());
+  check_int "a kept" 1 (runs "a");
+  check_int "b added" 1 (runs "b");
+  check "a again" true (append "a" = Ok ());
+  check_int "a accumulates" 2 (runs "a");
+  let whole = H.read_file path in
+  let truncated = String.sub whole 0 (String.length whole / 2) in
+  Out_channel.with_open_bin path (fun oc -> output_string oc truncated);
+  (match append "c" with
+  | Ok () -> Alcotest.fail "appended to a truncated file"
+  | Error msg ->
+    check "error names the file" true (String.starts_with ~prefix:path msg));
+  check_str "truncated file untouched" truncated (H.read_file path);
+  Sys.remove path
+
 let suite =
   ( "obs",
     [ Alcotest.test_case "counters" `Quick test_counters
@@ -275,4 +309,5 @@ let suite =
     ; Alcotest.test_case "witness under depth saturation" `Quick
         test_witness_depth_saturation
     ; Alcotest.test_case "bfs shortest witness" `Quick test_bfs_shortest_guarantee
-    ; Alcotest.test_case "harness median" `Quick test_median ] )
+    ; Alcotest.test_case "harness median" `Quick test_median
+    ; Alcotest.test_case "harness append_bench" `Quick test_append_bench ] )
