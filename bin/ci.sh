@@ -174,19 +174,25 @@ echo "== long plain match lines =="
 # the front and at the very end: the required-factor search locates it,
 # and find's DFA passes read only the bytes around it (the forward pass
 # from just before the factor, the backward pass over the window around
-# the earliest match end)
+# the earliest match end).  Both lines end in CRLF and go out in one
+# write with a stats line after them, so the reader parses a 16 MB line
+# with a '\r' in place and finds the next line in the same buffer.
 out=$(python3 -c '
 import json, sys
 n = int(sys.argv[1])
-print(json.dumps({"id": 1, "op": "match", "re": "needle\\d{2}", "input": "needle42" + "x" * n}))
-print(json.dumps({"id": 2, "op": "match", "re": "needle\\d{2}", "input": "x" * n + "needle42"}))
-print(json.dumps({"id": 3, "op": "shutdown"}))' "$n" \
+sys.stdout.write(
+    json.dumps({"id": 1, "op": "match", "re": "needle\\d{2}", "input": "needle42" + "x" * n}) + "\r\n"
+    + json.dumps({"id": 2, "op": "match", "re": "needle\\d{2}", "input": "x" * n + "needle42"}) + "\r\n"
+    + json.dumps({"id": 3, "op": "stats"}) + "\n"
+    + json.dumps({"id": 4, "op": "shutdown"}) + "\n")' "$n" \
   | timeout 120 dune exec bin/sbdserve.exe) \
   || { echo "16 MB plain match: server failed or timed out"; exit 1; }
 echo "$out" | grep -q "\"id\":1,\"status\":\"ok\",.*\"span\":\[0,8\]," \
   || { echo "16 MB plain match (front): wrong or missing span"; exit 1; }
 echo "$out" | grep -q "\"id\":2,\"status\":\"ok\",.*\"span\":\[$n,$((n + 8))\]," \
   || { echo "16 MB plain match (end): wrong or missing span"; exit 1; }
+echo "$out" | grep -q "\"id\":3,\"status\":\"ok\"," \
+  || { echo "16 MB plain match: no stats reply after the CRLF lines"; exit 1; }
 
 echo "== long accelerated match lines =="
 # three 16 MB match requests whose scans spend the input in states that

@@ -32,7 +32,9 @@
     [q → q]; that forces the rest of [q]'s row, so states that never
     loop pay nothing, and a cache reset drops the sets with the table.
     A state whose skips keep stopping within a word loses its flag
-    ({!max_strikes}), so dense exits cost no more than plain stepping.
+    ({!max_strikes}), so dense exits cost no more than plain stepping;
+    {!rearm} gives it back at the start of the next scan, so one dense
+    input does not turn the skip off for the inputs after it.
 
     Unbounded state growth (complement/intersection blowups) is bounded
     by a hard [max_states] cap: exceeding it {e resets} the cache —
@@ -75,17 +77,23 @@ let max_strikes = 16
 
 (** The guard's bookkeeping for one skip of [len] bytes from state [id]
     of a table with per-state [flags] and [strikes] bytes; it clears
-    [id]'s [f_accel] bit on its last strike.  {!Locmatch}'s walk table
+    [id]'s [f_accel] bit on its last strike, and then returns [true]
+    so that the caller can re-arm [id] later.  {!Locmatch}'s walk table
     shares it. *)
-let guard ~(flags : Bytes.t) ~(strikes : Bytes.t) id len =
+let guard ~(flags : Bytes.t) ~(strikes : Bytes.t) id len : bool =
   let k = Char.code (Bytes.unsafe_get strikes id) in
   if len >= short_skip then begin
-    if k > 0 then Bytes.unsafe_set strikes id (Char.unsafe_chr (k - 1))
+    if k > 0 then Bytes.unsafe_set strikes id (Char.unsafe_chr (k - 1));
+    false
   end
-  else if k + 1 < max_strikes then Bytes.unsafe_set strikes id (Char.unsafe_chr (k + 1))
+  else if k + 1 < max_strikes then begin
+    Bytes.unsafe_set strikes id (Char.unsafe_chr (k + 1));
+    false
+  end
   else begin
     Bytes.unsafe_set strikes id '\000';
-    Bytes.set flags id (Char.chr (Char.code (Bytes.get flags id) land lnot f_accel))
+    Bytes.set flags id (Char.chr (Char.code (Bytes.get flags id) land lnot f_accel));
+    true
   end
 
 module Make (R : Sbd_regex.Regex.S) = struct
@@ -117,6 +125,7 @@ module Make (R : Sbd_regex.Regex.S) = struct
         (** per-state [f_nullable]/[f_dead]/[f_full]/[f_accel] *)
     mutable skips : Byteclass.skip array;  (** per state, read under [f_accel] *)
     mutable strikes : Bytes.t;  (** per state, the short-skip guard's count *)
+    mutable struck : int list;  (** states the guard turned off since {!rearm} *)
     mutable n : int;  (** number of materialized states *)
     mutable resets : int;
     mutable skip_bytes : int;  (** bytes passed by skips, over the DFA's life *)
@@ -172,6 +181,7 @@ module Make (R : Sbd_regex.Regex.S) = struct
   let reset t =
     Tbl.reset t.index;
     t.n <- 0;
+    t.struck <- [];
     t.resets <- t.resets + 1;
     Sbd_obs.Obs.Counter.incr c_resets;
     ignore (add_state t t.start : int)
@@ -208,6 +218,7 @@ module Make (R : Sbd_regex.Regex.S) = struct
         flags = Bytes.empty;
         skips = [||];
         strikes = Bytes.empty;
+        struck = [];
         n = 0;
         resets = 0;
         skip_bytes = 0;
@@ -269,7 +280,17 @@ module Make (R : Sbd_regex.Regex.S) = struct
 
   let skipped t id len =
     t.skip_bytes <- t.skip_bytes + len;
-    guard ~flags:t.flags ~strikes:t.strikes id len
+    if guard ~flags:t.flags ~strikes:t.strikes id len then t.struck <- id :: t.struck
+
+  (** Turn the skips the guard turned off back on; the scans call it on
+      entry.  A struck state keeps its exit set, so this is one flag
+      write per state. *)
+  let rearm t =
+    match t.struck with
+    | [] -> ()
+    | ids ->
+      List.iter (fun id -> set_flag t id f_accel) ids;
+      t.struck <- []
 
   (** From accelerated state [id] at the scalar start [pos], the least
       offset in [\[pos, limit\]] where a forward scan must step again:

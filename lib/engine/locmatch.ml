@@ -90,6 +90,9 @@ let f_looped = Dfa.f_looped
 let block = Dfa.block
 let guard = Dfa.guard
 
+(* {!Search}'s counter: a compile of either engine counts *)
+let c_compiles = Obs.Counter.make "engine.compiles"
+
 module Make
     (Ab : Sbd_absdom.Absdom.S)
     (L : Sbd_locregex.Locregex.S with module R = Ab.D.R) =
@@ -179,6 +182,7 @@ struct
             1 false, 2 true), [f_looped] once the state's skip under
             that valuation is worked out, [f_accel] while it skips *)
     mutable vstrikes : Bytes.t;  (** per ν cell, {!Dfa.guard}'s count *)
+    mutable vstruck : int list;  (** ν cells the guard turned off since {!run} began *)
     mutable vskips : Byteclass.skip array;  (** per ν cell, read under [f_accel] *)
     mutable filled : int;  (** cells derived since the last reset *)
     mutable last_mask : int;  (** one-entry cache of {!valuation} *)
@@ -229,6 +233,12 @@ struct
       Bytes.blit t.vstrikes (q lsl old) vstrikes (q lsl sshift) (1 lsl old);
       Array.blit t.vskips (q lsl old) vskips (q lsl sshift) (1 lsl old)
     done;
+    t.vstruck <-
+      List.filter_map
+        (fun c ->
+          let q = c lsr old in
+          if q < keep then Some ((q lsl sshift) lor (c land ((1 lsl old) - 1))) else None)
+        t.vstruck;
     t.terms <- terms;
     t.flags <- flags;
     t.trans <- trans;
@@ -268,6 +278,7 @@ struct
     Tbl.reset t.index;
     t.n <- 0;
     t.filled <- 0;
+    t.vstruck <- [];
     t.resets <- t.resets + 1;
     Option.iter (fun term -> t.wp <- intern t term) wp;
     Option.iter (fun term -> t.ws <- intern t term) ws
@@ -445,6 +456,7 @@ struct
 
   let create ?(mode = Byteclass.Utf8) ?(max_states = default_max_states)
       (pattern : L.t) : t =
+    Obs.Counter.incr c_compiles;
     let all = L.atoms pattern in
     if List.length all > max_atoms then
       invalid_arg
@@ -538,6 +550,7 @@ struct
         trans = [||];
         nul = Bytes.empty;
         vstrikes = Bytes.empty;
+        vstruck = [];
         vskips = [||];
         filled = 0;
         last_mask = -1;
@@ -824,7 +837,8 @@ struct
             let d = Array.unsafe_get t.behinds j in
             p := Byteclass.skip_forward (Dfa.skip_of d (Array.unsafe_get bq j)) s !pos !p
           done;
-          guard ~flags:t.nul ~strikes:t.vstrikes c (!p - !pos);
+          if guard ~flags:t.nul ~strikes:t.vstrikes c (!p - !pos) then
+            t.vstruck <- c :: t.vstruck;
           t.walk_skip_bytes <- t.walk_skip_bytes + (!p - !pos);
           pos := !p
         end
@@ -929,6 +943,14 @@ struct
       {!Obs.Deadline_exceeded} when [deadline] expires, checked on
       entry and polled once per 4096 bytes of every pass. *)
   let run ?(deadline = Obs.Deadline.none) (t : t) (s : string) : result =
+    (* a skip the guard turned off on an earlier input is back on *)
+    (match t.vstruck with
+    | [] -> ()
+    | cells ->
+      List.iter (fun c -> set_nul_bits t c f_accel) cells;
+      t.vstruck <- []);
+    Array.iter Dfa.rearm t.aheads;
+    Array.iter Dfa.rearm t.behinds;
     Fun.protect
       ~finally:(fun () ->
         t.wp <- -1;

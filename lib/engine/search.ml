@@ -181,6 +181,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
       state itself is tested first. *)
   let scan_fwd ?(deadline = Obs.Deadline.none) (t : t) (dfa : Dfa.t)
       ~(stop : int) (s : string) (pos : int) (limit : int) : int * int =
+    Dfa.rearm dfa;
     let table = t.bc.Bc.table in
     let nc = dfa.Dfa.num_classes in
     (* a flagged state ends the block: one that meets [stop] also ends
@@ -266,6 +267,7 @@ module Make (Ab : Sbd_absdom.Absdom.S) = struct
   let backward_scan ?(deadline = Obs.Deadline.none) ~least (t : t)
       (s : string) ~lo ~hi (on_hit : int -> unit) : unit =
     let dfa = backward t in
+    Dfa.rearm dfa;
     let table = t.bc.Bc.table in
     let nc = dfa.Dfa.num_classes in
     let byte_mode = t.mode = Byteclass.Byte in

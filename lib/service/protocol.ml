@@ -145,11 +145,17 @@ and parse_batch ~id json ~finish =
     end
   | Some _ -> Error (id, "\"reqs\" must be an array")
 
-(** Parse one request line. *)
-let parse_request (line : string) : (request, J.t * string) result =
-  match Jsonin.parse line with
+(** Parse the request line [line.[off, off + len)] in place (a view of
+    {!Jsonin.Lines}); error offsets count from [off]. *)
+let parse_request_sub (line : string) (off : int) (len : int) :
+    (request, J.t * string) result =
+  match Jsonin.parse_sub line off len with
   | Error msg -> Error (J.Null, "malformed JSON: " ^ msg)
   | Ok json -> request_of_json ~nested:false json
+
+(** Parse one request line. *)
+let parse_request (line : string) : (request, J.t * string) result =
+  parse_request_sub line 0 (String.length line)
 
 (* -- responses ----------------------------------------------------------- *)
 

@@ -363,29 +363,41 @@ let handle_request t session (parsed : (Protocol.request, J.t * string) result)
       dispatch_one t session ~id:req.Protocol.id (classify t session req);
       `Continue)
 
-let handle_line t session line : [ `Continue | `Shutdown ] =
-  handle_request t session (Protocol.parse_request line)
+(* A line of nothing but the whitespace [String.trim] removes is
+   skipped; the test reads the view in place and stops at the first
+   other byte. *)
+let blank (s : string) off len =
+  let i = ref off and stop = off + len in
+  while
+    !i < stop
+    && match String.unsafe_get s !i with ' ' | '\t' | '\n' | '\r' | '\012' -> true | _ -> false
+  do
+    incr i
+  done;
+  !i = stop
 
 (** Serve one channel pair until EOF or [shutdown].  The reader drains
     every complete line available per read ({!Jsonin.Lines}), so a
-    pipelining client pays one syscall per burst, and because every
-    solve runs on the pool, the reader loops straight back into [read]
-    — a request in flight never blocks the next line. *)
+    pipelining client pays one syscall per burst, and parses each line
+    where it lies in the reader's buffer, before the next read; because
+    every solve runs on the pool, the reader loops
+    straight back into [read] — a request in flight never blocks the
+    next line.  Lines after a [shutdown] in the same read are not
+    served. *)
 let serve_channel t ic oc : [ `Eof | `Shutdown ] =
   let session = make_session oc in
   let reader = Jsonin.Lines.create ic in
+  let stopped = ref false in
+  let serve s off len =
+    if not (!stopped || blank s off len) then
+      match handle_request t session (Protocol.parse_request_sub s off len) with
+      | `Continue -> ()
+      | `Shutdown -> stopped := true
+  in
   let rec loop () =
-    match Jsonin.Lines.read reader with
-    | None -> `Eof
-    | Some lines -> burst lines
-  and burst = function
-    | [] -> loop ()
-    | line :: rest ->
-      if String.trim line = "" then burst rest
-      else (
-        match handle_line t session line with
-        | `Continue -> burst rest
-        | `Shutdown -> `Shutdown)
+    if not (Jsonin.Lines.read_views reader serve) then `Eof
+    else if !stopped then `Shutdown
+    else loop ()
   in
   loop ()
 

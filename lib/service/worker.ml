@@ -298,25 +298,23 @@ let generation () : (module GENERATION) =
 
     (* -- the match workload ------------------------------------------- *)
 
-    (* Compiled engines are cached per pattern string; the cap bounds
-       worker memory on adversarial pattern churn (reset is cheap — the
-       engine recompiles lazily). *)
-    let engines : (string, Eng.t) Hashtbl.t = Hashtbl.create 16
+    (* Compiled engines are cached per pattern string, plain and located
+       ones in separate tables (a pattern lands in exactly one).  The
+       cap bounds worker memory on pattern churn: a full table evicts
+       its oldest entry, so a new pattern costs one compile and leaves
+       the others compiled. *)
     let engine_cap = 64
 
-    (* Located engines are cached separately: same cap, same churn
-       bound.  A pattern lands in exactly one of the two tables. *)
-    let loc_engines : (string, LM.t) Hashtbl.t = Hashtbl.create 16
+    type 'e engines = { table : (string, 'e) Hashtbl.t; order : string Queue.t }
 
-    let loc_engine_for pat (t : LR.t) : LM.t =
-      match Hashtbl.find_opt loc_engines pat with
-      | Some e -> e
-      | None ->
-        if Hashtbl.length loc_engines >= engine_cap then
-          Hashtbl.reset loc_engines;
-        let e = LM.create ~mode:Sbd_engine.Byteclass.Utf8 t in
-        Hashtbl.add loc_engines pat e;
-        e
+    let engines : Eng.t engines = { table = Hashtbl.create 16; order = Queue.create () }
+    let loc_engines : LM.t engines = { table = Hashtbl.create 16; order = Queue.create () }
+
+    let remember c pat e =
+      if Hashtbl.length c.table >= engine_cap then
+        Hashtbl.remove c.table (Queue.pop c.order);
+      Hashtbl.add c.table pat e;
+      Queue.push pat c.order
 
     (* Engine state caps come from the structural analyzer: a tight cap
        (Theorem 7.3 bound with slack) for linear-fragment patterns, the
@@ -324,21 +322,8 @@ let generation () : (module GENERATION) =
        shapes where a reset would thrash. *)
     let cap_for r = (An.hints_of (An.metrics_of r)).An.max_states
 
-    (* [r] is [pat]'s zero-width-free term under the extended grammar,
-       the one parse {!match_input} already made. *)
-    let engine_for pat (r : R.t) : Eng.t =
-      match Hashtbl.find_opt engines pat with
-      | Some e -> e
-      | None ->
-        if Hashtbl.length engines >= engine_cap then Hashtbl.reset engines;
-        let e =
-          Eng.create ~max_states:(cap_for r) ~mode:Sbd_engine.Byteclass.Utf8 r
-        in
-        Hashtbl.add engines pat e;
-        e
-
     let engine_max_states pat =
-      match Hashtbl.find_opt engines pat with
+      match Hashtbl.find_opt engines.table pat with
       | Some e -> Ok (Eng.max_states e)
       | None ->
         Result.bind (parse_ext pat) (fun t ->
@@ -356,8 +341,7 @@ let generation () : (module GENERATION) =
           | None -> LA.json_of_report (LA.analyze t))
         (parse_ext pat)
 
-    let loc_match_input ?deadline ~pattern ~input (t : LR.t) =
-      let e = loc_engine_for pattern t in
+    let loc_match_input ?deadline ~input (e : LM.t) =
       let f = float_of_int in
       let bytes0 = LM.scan_bytes e and skipped0 = LM.skip_bytes e in
       let windows0 = LM.windows e in
@@ -383,42 +367,59 @@ let generation () : (module GENERATION) =
             ("locmatch.windows", f (LM.windows e - windows0));
           ] )
 
+    let plain_match_input ?deadline ~input (e : Eng.t) =
+      let st0 = Eng.stats e in
+      let verdict =
+        try
+          let full, span = Eng.full_and_find ?deadline e input in
+          Protocol.Matched { full; span; found_end = None }
+        with Obs.Deadline_exceeded _ -> Protocol.Match_unknown "deadline"
+      in
+      let st = Eng.stats e in
+      let f = float_of_int in
+      Ok
+        ( verdict,
+          [
+            ("engine.classes", f st.Eng.num_classes);
+            ("engine.fwd_states", f st.Eng.fwd_states);
+            ("engine.unanch_states", f st.Eng.unanch_states);
+            ("engine.back_states", f st.Eng.back_states);
+            ("engine.resets", f st.Eng.resets);
+            (* the start states' exit bytes: 0 = they do not skip *)
+            ("engine.accel_bytes", f st.Eng.accel_bytes);
+            ("engine.back_accel_bytes", f st.Eng.back_accel_bytes);
+            ("engine.factor_len", f st.Eng.factor_len);
+            (* bytes this request's DFA loops stepped and skipped,
+               and whether its find took the bounded-length window *)
+            ("engine.scan_bytes", f (st.Eng.scan_bytes - st0.Eng.scan_bytes));
+            ("engine.skip_bytes", f (st.Eng.skip_bytes - st0.Eng.skip_bytes));
+            ("engine.find_windows", f (st.Eng.windows - st0.Eng.windows));
+          ] )
+
+    (* The engine tables are keyed by the pattern string, so a cached
+       engine answers without parsing the pattern again. *)
     let match_input ?deadline ~pattern ~input () =
       let deadline = Option.map Obs.Deadline.of_seconds deadline in
-      match parse_ext pattern with
-      | Error msg -> Error msg
-      | Ok t ->
-      match LR.to_plain t with
-      | None -> loc_match_input ?deadline ~pattern ~input t
-      | Some r ->
-        let e = engine_for pattern r in
-        let st0 = Eng.stats e in
-        let verdict =
-          try
-            let full, span = Eng.full_and_find ?deadline e input in
-            Protocol.Matched { full; span; found_end = None }
-          with Obs.Deadline_exceeded _ -> Protocol.Match_unknown "deadline"
-        in
-        let st = Eng.stats e in
-        let f = float_of_int in
-        Ok
-          ( verdict,
-            [
-              ("engine.classes", f st.Eng.num_classes);
-              ("engine.fwd_states", f st.Eng.fwd_states);
-              ("engine.unanch_states", f st.Eng.unanch_states);
-              ("engine.back_states", f st.Eng.back_states);
-              ("engine.resets", f st.Eng.resets);
-              (* the start states' exit bytes: 0 = they do not skip *)
-              ("engine.accel_bytes", f st.Eng.accel_bytes);
-              ("engine.back_accel_bytes", f st.Eng.back_accel_bytes);
-              ("engine.factor_len", f st.Eng.factor_len);
-              (* bytes this request's DFA loops stepped and skipped,
-                 and whether its find took the bounded-length window *)
-              ("engine.scan_bytes", f (st.Eng.scan_bytes - st0.Eng.scan_bytes));
-              ("engine.skip_bytes", f (st.Eng.skip_bytes - st0.Eng.skip_bytes));
-              ("engine.find_windows", f (st.Eng.windows - st0.Eng.windows));
-            ] )
+      match Hashtbl.find_opt engines.table pattern with
+      | Some e -> plain_match_input ?deadline ~input e
+      | None -> (
+        match Hashtbl.find_opt loc_engines.table pattern with
+        | Some e -> loc_match_input ?deadline ~input e
+        | None -> (
+          match parse_ext pattern with
+          | Error msg -> Error msg
+          | Ok t -> (
+            match LR.to_plain t with
+            | None ->
+              let e = LM.create ~mode:Sbd_engine.Byteclass.Utf8 t in
+              remember loc_engines pattern e;
+              loc_match_input ?deadline ~input e
+            | Some r ->
+              let e =
+                Eng.create ~max_states:(cap_for r) ~mode:Sbd_engine.Byteclass.Utf8 r
+              in
+              remember engines pattern e;
+              plain_match_input ?deadline ~input e)))
 
     let match_ref ~pattern ~input =
       match parse pattern with

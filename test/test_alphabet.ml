@@ -397,6 +397,97 @@ let test_bytescan_range () =
     done
   done
 
+(* The 4-word step: one hit planted at every offset of the first word
+   and the first three 32-byte steps after it, from each start
+   alignment [pos mod 8], counted from the start for the forward
+   kernels and from the stop for the backward ones, with stops just
+   short of, at and past the first word's and each step's end and at
+   the end of the string, so a hit lands in every lane of every word of
+   a step, in a step cut short, and in the word and byte tails.  The
+   filler is the bytes next to the targets (the borrow lanes), and the
+   needle sets have 1, 2 and 3 distinct bytes in every order. *)
+let test_bytescan_steps () =
+  let n = 136 in
+  let sweep name ~is_hit ~pool ~target ~fwd ~bwd =
+    let fwd_ref s pos limit =
+      let i = ref pos in
+      while !i < limit && not (is_hit s.[!i]) do incr i done;
+      !i
+    and bwd_ref s lo hi =
+      let i = ref hi in
+      while !i > lo && not (is_hit s.[!i - 1]) do decr i done;
+      !i
+    in
+    let base = Bytes.init n (fun i -> pool.(i * 5 mod Array.length pool)) in
+    for pos = 0 to 7 do
+      List.iter
+        (fun span ->
+          let limit = min n (pos + span) in
+          for t = -1 to limit - pos - 1 do
+            let agree what s want got =
+              if want <> got then
+                Alcotest.failf "%s %s pos=%d limit=%d hit=%d on %S: %d, want %d" what name
+                  pos limit t s got want
+            in
+            let b = Bytes.copy base in
+            if t >= 0 then Bytes.set b (pos + t) target;
+            let s = Bytes.to_string b in
+            agree "forward" s (fwd_ref s pos limit) (fwd s pos limit);
+            let b = Bytes.copy base in
+            if t >= 0 then Bytes.set b (limit - 1 - t) target;
+            let s = Bytes.to_string b in
+            agree "backward" s (bwd_ref s pos limit) (bwd s pos limit)
+          done)
+        [ 7; 8; 9; 39; 40; 41; 71; 72; 73; 104; 105; n ]
+    done
+  in
+  let near cs =
+    List.concat_map
+      (fun c ->
+        let b = Char.code c in
+        [ b lxor 1; (b + 1) land 255; (b + 255) land 255; b lxor 0x80 ])
+      cs
+    @ [ 0x00; 0x01; 0x7F; 0x80; 0xFF ]
+    |> List.filter_map (fun b ->
+           let c = Char.chr b in
+           if List.mem c cs then None else Some c)
+    |> Array.of_list
+  in
+  List.iter
+    (fun (c1, c2, c3) ->
+      let cs = [ c1; c2; c3 ] in
+      List.iter
+        (fun target ->
+          sweep
+            (Printf.sprintf "%C%C%C hit %C" c1 c2 c3 target)
+            ~is_hit:(fun c -> List.mem c cs)
+            ~pool:(near cs) ~target
+            ~fwd:(fun s pos limit -> Bytescan.forward s pos limit c1 c2 c3)
+            ~bwd:(fun s lo hi -> Bytescan.backward s lo hi c1 c2 c3))
+        (List.sort_uniq compare cs))
+    [ ('\n', '\n', '\n'); ('\000', '\000', '\000'); ('\255', '\255', '\255')
+    ; ('"', '\\', '\\'); ('a', 'a', 'b'); ('a', 'b', 'a'); ('\128', '\001', '\001')
+    ; ('a', 'b', 'c'); ('\000', '\128', '\255') ];
+  List.iter
+    (fun (lo, hi) ->
+      let clo = Char.chr lo and chi = Char.chr hi in
+      let outside =
+        List.filter
+          (fun b -> b >= 0 && b <= 255 && (b < lo || b > hi))
+          [ lo - 1; hi + 1; lo lor 0x80; hi lor 0x80; 0x00; 0x7F; 0x80; 0xFF ]
+      in
+      List.iter
+        (fun target ->
+          sweep
+            (Printf.sprintf "[%d, %d] hit %d" lo hi (Char.code target))
+            ~is_hit:(fun c -> Char.code c >= lo && Char.code c <= hi)
+            ~pool:(Array.of_list (List.map Char.chr outside))
+            ~target
+            ~fwd:(fun s pos limit -> Bytescan.forward_range s pos limit clo chi)
+            ~bwd:(fun s l h -> Bytescan.backward_range s l h clo chi))
+        [ clo; chi ])
+    [ (0x30, 0x39); (0x61, 0x61); (0x00, 0x00); (0x7F, 0x7F); (0x20, 0x7E) ]
+
 (* The kernel keeps its words unboxed: a 1 MB scan allocates nothing
    in native code. *)
 let test_bytescan_allocates_nothing () =
@@ -404,15 +495,19 @@ let test_bytescan_allocates_nothing () =
   let s = String.make n 'z' in
   let w0 = Gc.minor_words () in
   let f1 = Bytescan.forward s 0 n 'a' 'a' 'a' in
+  let f2 = Bytescan.forward s 0 n 'a' 'b' 'b' in
   let f3 = Bytescan.forward s 0 n 'a' 'b' 'c' in
   let b1 = Bytescan.backward s 0 n 'a' 'a' 'a' in
+  let b2 = Bytescan.backward s 0 n 'a' 'b' 'a' in
   let b3 = Bytescan.backward s 0 n 'a' 'b' 'c' in
   let fr = Bytescan.forward_range s 0 n '0' '9' in
   let br = Bytescan.backward_range s 0 n '0' '9' in
   let w1 = Gc.minor_words () in
   check_int "forward miss" n f1;
+  check_int "forward miss (2)" n f2;
   check_int "forward miss (3)" n f3;
   check_int "backward miss" 0 b1;
+  check_int "backward miss (2)" 0 b2;
   check_int "backward miss (3)" 0 b3;
   check_int "forward_range miss" n fr;
   check_int "backward_range miss" 0 br;
@@ -439,4 +534,5 @@ let suite =
           test_bytescan_vs_byte_loop
       ; Alcotest.test_case "bytescan ranges vs byte loop" `Quick test_bytescan_range
       ; Alcotest.test_case "bytescan allocates nothing" `Quick
-          test_bytescan_allocates_nothing ] )
+          test_bytescan_allocates_nothing
+      ; Alcotest.test_case "bytescan 4-word steps" `Quick test_bytescan_steps ] )

@@ -783,7 +783,9 @@ let test_accelerated_states () =
   check "skips fired" true (!skipped > 0);
   check "resets exercised" true (!resets > 0);
   (* The short-skip guard: exits every other byte turn the unanchored
-     start state's skip off, and answers stay exact. *)
+     start state's skip off, and answers stay exact.  The next scan
+     re-arms it: a dense input costs at most [max_strikes] short skips
+     per scan, and a sparse input after it skips again. *)
   let r = re "[c-h]{8}" in
   let eng = Eng.create ~mode:utf8 r in
   let sparse = String.make 5000 'q' ^ "cdefghcd" in
@@ -796,7 +798,15 @@ let test_accelerated_states () =
   check_int "dense: the guard turned the skip off" 0 (Eng.stats eng).Eng.accel_bytes;
   let before = (Eng.stats eng).Eng.skip_bytes in
   Alcotest.check span "dense again" want (Eng.find eng dense);
-  check_int "dense again: no skip" before (Eng.stats eng).Eng.skip_bytes
+  let strikes = Sbd_engine.Dfa.max_strikes * Sbd_engine.Dfa.short_skip in
+  check "dense again: the guard turns the skip off within the scan" true
+    ((Eng.stats eng).Eng.skip_bytes - before < strikes);
+  check_int "dense again: off after the scan" 0 (Eng.stats eng).Eng.accel_bytes;
+  let before = (Eng.stats eng).Eng.skip_bytes in
+  Alcotest.check span "sparse after dense" (Some (5000, 5008)) (Eng.find eng sparse);
+  check "sparse after dense: the start state skips again" true
+    ((Eng.stats eng).Eng.skip_bytes - before >= 5000 - strikes);
+  check_int "sparse after dense: exits" 6 (Eng.stats eng).Eng.accel_bytes
 
 let suite =
   ( "engine",

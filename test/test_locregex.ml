@@ -800,7 +800,8 @@ let test_accelerated_states () =
     ; ("(?<=[0-9]{2}-)ab", [ "12-ab"; "1"; "-"; "ab"; "9-ab" ]) ];
   check "skips fired" true (!skipped > 0);
   check "resets exercised" true (!resets > 0);
-  (* the guard: a walk whose skips stop within a word stops skipping *)
+  (* the guard: a walk whose skips stop within a word stops skipping
+     for the rest of the run, and the next run re-arms it *)
   let t = lre "[c-h]{8}$" in
   let eng = LEng.create ~mode:Byteclass.Utf8 t in
   let dense = String.init 6000 (fun i -> if i mod 2 = 0 then 'q' else "cdefgh".[i / 2 mod 6]) in
@@ -812,7 +813,16 @@ let test_accelerated_states () =
   run ();
   let before = LEng.skip_bytes eng in
   run ();
-  check_int "dense again: no skip" before (LEng.skip_bytes eng)
+  check "dense again: at most the guard's strikes" true
+    (LEng.skip_bytes eng - before < Sbd_engine.Dfa.max_strikes * Sbd_engine.Dfa.short_skip);
+  let sparse = String.make 6000 'q' ^ "cdefghcd" in
+  let before = LEng.skip_bytes eng in
+  let got = LEng.run eng sparse in
+  Alcotest.(check (pair bool (option int)))
+    "sparse after dense" (ref_run Byteclass.Utf8 t sparse)
+    (got.LEng.full, got.LEng.found_end);
+  check "sparse after dense: the walk skips again" true
+    (LEng.skip_bytes eng - before >= 5000)
 
 let suite =
   ( "locregex",
