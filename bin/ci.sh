@@ -256,6 +256,21 @@ for w in 1 2; do
   [ "$errs" -eq 2 ] || { echo "workers=$w: expected 2 structured batch errors, got $errs"; exit 1; }
 done
 
+echo "== reader-hit smoke =="
+# an exact repeat of a decided solve is answered by the session's reader
+# from the cache's raw-text key and never reaches the pool.  Inline (1
+# worker) the repeat is read only after the first answer is cached, so
+# the counts are exact; a pooled stdin session would race the worker.
+out=$(printf '%s\n' \
+  '{"id":1,"op":"solve","re":"a{2,3}&~(.*b)"}' \
+  '{"id":2,"op":"solve","re":"a{2,3}&~(.*b)"}' \
+  '{"id":3,"op":"stats"}' \
+  '{"id":4,"op":"shutdown"}' \
+  | dune exec bin/sbdserve.exe -- --workers 1)
+echo "$out" | grep -q '"id":2,"status":"sat",.*"cached":true' || { echo "reader hit: repeat not cached"; exit 1; }
+echo "$out" | grep -q '"service.cache.reader_hits":1[,}]' || { echo "reader hit: expected service.cache.reader_hits 1"; exit 1; }
+echo "$out" | grep -q '"service.pool.submitted":1[,}]' || { echo "reader hit: expected service.pool.submitted 1"; exit 1; }
+
 echo "== many-worker smoke =="
 # one domain per worker: 63 workers must answer every request and exit
 # 0 after shutdown

@@ -77,8 +77,8 @@ let () =
       value & opt int 256
       & info [ "queue-cap" ]
           ~doc:
-            "Bounded request-queue capacity; beyond it requests are \
-             rejected with {\"error\":\"overloaded\"}.")
+            "Bounded request-queue capacity; beyond it requests that need \
+             a worker are rejected with {\"error\":\"overloaded\"}.")
   in
   let cache_cap_t =
     Arg.(

@@ -5,12 +5,16 @@
     One session per connection (stdin/stdout is one session).  The
     reader thread never parses regexes and never blocks on the pool:
     [assert] is recorded locally (validated lazily at [check], like
-    [check-sat] in SMT solvers), solve/check jobs capture a snapshot
-    of the session's assertions, and a full queue rejects the request
+    [check-sat] in SMT solvers), an exact repeat of a decided
+    single-pattern solve is answered from the cache's raw-text key on
+    the reader itself, other solve/check jobs capture a snapshot of
+    the session's assertions, and a full queue rejects the request
     immediately with [{"error":"overloaded"}]. *)
 
 module Obs = Sbd_obs.Obs
 module J = Obs.Json
+
+let c_reader_hits = Obs.Counter.make "service.cache.reader_hits"
 
 type config = {
   workers : int;
@@ -100,63 +104,60 @@ let stats_doc t ~id =
   in
   Protocol.ok_response ~id [ ("stats", Protocol.json_of_stats rows) ]
 
-(** The pool-side work of a solve/check request: raw-text fast-path
-    lookup, canonical cache key, shared-LRU lookup, solve on miss,
-    cache the deterministic verdicts (never [Unknown] — those depend on
-    the budget/deadline of the losing query, not on the language).
+(** The raw-text cache key of a single-pattern solve: ["r:<pattern>"]
+    for [Solve_re], or [Check] over exactly one asserted pattern. *)
+let raw_key = function [ one ] -> Some ("r:" ^ one) | _ -> None
+
+(** The pool-side work of a solve/check request whose raw key (if any)
+    {!classify} already missed: canonical cache key, shared-LRU
+    lookup, solve on miss, cache the deterministic verdicts (never
+    [Unknown] — those depend on the budget/deadline of the losing
+    query, not on the language).
 
     Deterministic verdicts are stored under {e two} keys: the canonical
     digest (so commuted/renamed forms of the same language still hit)
-    and a raw-text key ["r:<pattern>"] — an exact repeat of a solved
-    query, the overwhelmingly common case under Zipfian traffic, is
-    then answered without parsing or canonicalizing the pattern at
-    all. *)
+    and the raw-text key — an exact repeat of a solved query, the
+    overwhelmingly common case under Zipfian traffic, is then answered
+    by the session's reader without parsing the pattern or touching
+    the pool. *)
 let solve_job t ~id ~want_stats ~deadline ~budget ~respond patterns
     (module W : Worker.WORKER) =
   let t0 = Obs.now () in
-  let raw_key =
-    match patterns with [ one ] -> Some ("r:" ^ one) | _ -> None
+  let key_res =
+    match patterns with
+    | [ one ] -> W.cache_key one
+    | many -> W.conj_cache_key many
   in
-  match Option.bind raw_key (Lru.find t.cache) with
-  | Some v ->
-    respond
-      (Protocol.solve_response ~id ~cached:true ~wall_s:(Obs.now () -. t0) v)
-  | None -> (
-    let key_res =
-      match patterns with
-      | [ one ] -> W.cache_key one
-      | many -> W.conj_cache_key many
+  match key_res with
+  | Error msg -> respond (Protocol.error_response ~id msg)
+  | Ok key -> (
+    let put_raw v =
+      Option.iter (fun rk -> Lru.put t.cache rk v) (raw_key patterns)
     in
-    match key_res with
-    | Error msg -> respond (Protocol.error_response ~id msg)
-    | Ok key -> (
-      let put_raw v = Option.iter (fun rk -> Lru.put t.cache rk v) raw_key in
-      match Lru.find t.cache key with
-      | Some v ->
-        (* seed the raw fast path for the next exact repeat *)
-        put_raw v;
+    match Lru.find t.cache key with
+    | Some v ->
+      (* seed the raw fast path for the next exact repeat *)
+      put_raw v;
+      respond
+        (Protocol.solve_response ~id ~cached:true ~wall_s:(Obs.now () -. t0) v)
+    | None -> (
+      let solved =
+        match patterns with
+        | [ one ] -> W.solve_pattern ?deadline ~budget one
+        | many -> W.solve_conj ?deadline ~budget many
+      in
+      match solved with
+      | Error msg -> respond (Protocol.error_response ~id msg)
+      | Ok (verdict, stats) ->
+        (match verdict with
+        | Protocol.Sat _ | Protocol.Unsat ->
+          Lru.put t.cache key verdict;
+          put_raw verdict
+        | Protocol.Unknown _ -> ());
         respond
-          (Protocol.solve_response ~id ~cached:true ~wall_s:(Obs.now () -. t0)
-             v)
-      | None -> (
-        let solved =
-          match patterns with
-          | [ one ] -> W.solve_pattern ?deadline ~budget one
-          | many -> W.solve_conj ?deadline ~budget many
-        in
-        match solved with
-        | Error msg -> respond (Protocol.error_response ~id msg)
-        | Ok (verdict, stats) ->
-          (match verdict with
-          | Protocol.Sat _ | Protocol.Unsat ->
-            Lru.put t.cache key verdict;
-            put_raw verdict
-          | Protocol.Unknown _ -> ());
-          respond
-            (Protocol.solve_response ~id ~cached:false
-               ~wall_s:(Obs.now () -. t0)
-               ?stats:(if want_stats then Some stats else None)
-               verdict))))
+          (Protocol.solve_response ~id ~cached:false ~wall_s:(Obs.now () -. t0)
+             ?stats:(if want_stats then Some stats else None)
+             verdict)))
 
 (** The pool-side work of a containment/equivalence request: canonical
     order-independent cache key for [equiv], shared-LRU lookup, prover
@@ -228,7 +229,12 @@ type dispatchable =
   | Immediate of J.t
   | Queued of (respond:(J.t -> unit) -> Pool.job)
 
-(** Classify one non-[batch], non-[shutdown] request. *)
+(** Classify one non-[batch], non-[shutdown] request.  [stats],
+    [assert] and a single-pattern solve whose raw key hits the cache
+    are [Immediate]: the hit costs one shard lookup and never waits on
+    the queue, so it is answered even when the queue is full.  The
+    lookup comes after the [stopping] test, so once drain has begun a
+    repeat is refused like any other solve. *)
 let classify t session (req : Protocol.request) : dispatchable =
   let id = req.Protocol.id in
   let deadline =
@@ -238,6 +244,21 @@ let classify t session (req : Protocol.request) : dispatchable =
   in
   let budget = Option.value req.budget ~default:t.cfg.default_budget in
   let want_stats = req.want_stats in
+  let solve patterns =
+    let t0 = Obs.now () in
+    match
+      if Atomic.get t.stopping then None
+      else Option.bind (raw_key patterns) (Lru.find t.cache)
+    with
+    | Some v ->
+      Obs.Counter.incr c_reader_hits;
+      Immediate
+        (Protocol.solve_response ~id ~cached:true ~wall_s:(Obs.now () -. t0) v)
+    | None ->
+      Queued
+        (fun ~respond ->
+          solve_job t ~id ~want_stats ~deadline ~budget ~respond patterns)
+  in
   match[@warning "-4"] req.payload with
   | Protocol.Stats -> Immediate (stats_doc t ~id)
   | Protocol.Assert_re pat ->
@@ -245,15 +266,8 @@ let classify t session (req : Protocol.request) : dispatchable =
     Immediate
       (Protocol.ok_response ~id
          [ ("asserted", J.Int (List.length session.asserted)) ])
-  | Protocol.Solve_re pat ->
-    Queued
-      (fun ~respond ->
-        solve_job t ~id ~want_stats ~deadline ~budget ~respond [ pat ])
-  | Protocol.Check ->
-    let snapshot = List.rev session.asserted in
-    Queued
-      (fun ~respond ->
-        solve_job t ~id ~want_stats ~deadline ~budget ~respond snapshot)
+  | Protocol.Solve_re pat -> solve [ pat ]
+  | Protocol.Check -> solve (List.rev session.asserted)
   | Protocol.Match_re { pattern; input } ->
     Queued
       (fun ~respond ->
@@ -299,14 +313,15 @@ let chunks k xs =
   go [] [] 0 xs
 
 (** Execute a validated batch envelope.  Reader-side responses (parse
-    errors of wrapped requests, [stats], [assert]) flush as one burst;
-    the pool-bound members are split in arrival order into at most one
-    contiguous chunk per worker, and each chunk becomes {e one} pool
-    job that runs its requests in order and writes all their responses
-    with a single lock/flush.  Compared to one job and one flush per
-    request this amortizes the queue hand-off, wake-up, and write
-    syscall across the chunk, while out-of-order id correlation lets
-    the chunks run on different workers. *)
+    errors of wrapped requests, [stats], [assert], cached repeats)
+    flush as one burst; the pool-bound members are split in arrival
+    order into at most one contiguous chunk per worker, and each chunk
+    becomes {e one} pool job that runs its requests in order and
+    writes all their responses with a single lock/flush.  Compared to
+    one job and one flush per request this amortizes the queue
+    hand-off, wake-up, and write syscall across the chunk, while
+    out-of-order id correlation lets the chunks run on different
+    workers. *)
 let handle_batch t session (reqs : (Protocol.request, J.t * string) result list)
     =
   let immediate = ref [] and queued = ref [] in
@@ -379,8 +394,9 @@ let blank (s : string) off len =
 (** Serve one channel pair until EOF or [shutdown].  The reader drains
     every complete line available per read ({!Jsonin.Lines}), so a
     pipelining client pays one syscall per burst, and parses each line
-    where it lies in the reader's buffer, before the next read; because
-    every solve runs on the pool, the reader loops
+    where it lies in the reader's buffer, before the next read.  The
+    reader answers [stats], [assert] and exact repeats of decided
+    solves itself and queues everything else on the pool, so it loops
     straight back into [read] — a request in flight never blocks the
     next line.  Lines after a [shutdown] in the same read are not
     served. *)

@@ -84,14 +84,6 @@ module type GENERATION = sig
       verdict's [found_end] field, mirrored as the
       ["locmatch.found_end"] stat (-1 = no match). *)
 
-  val match_ref :
-    pattern:string -> input:string -> (bool * (int * int) option) option
-  (** Independent reference for {!match_input} verdicts: decodes the
-      input the same way, then asks {!Sbd_classic.Refmatch} for the
-      full-match flag and (by brute-force enumeration over scalar
-      boundaries) the leftmost-earliest span.  Exponential in the input
-      length — test-sized inputs only.  [None] on parse error. *)
-
   val contain_pattern :
     ?deadline:float ->
     ?budget:int ->
@@ -421,37 +413,6 @@ let generation () : (module GENERATION) =
               remember engines pattern e;
               plain_match_input ?deadline ~input e)))
 
-    let match_ref ~pattern ~input =
-      match parse pattern with
-      | Error _ -> None
-      | Ok r ->
-        (* Segment the input exactly like the engine: lossy UTF-8
-           scalars with their byte offsets. *)
-        let n = String.length input in
-        let rec seg i offs cps =
-          if i >= n then (List.rev (i :: offs), List.rev cps)
-          else
-            let cp, i' = Sbd_engine.Byteclass.scalar_forward input i n in
-            seg i' (i :: offs) (cp :: cps)
-        in
-        let offs, cps = seg 0 [] [] in
-        let offs = Array.of_list offs and cps = Array.of_list cps in
-        let k = Array.length cps in
-        let full = Ref.matches r (Array.to_list cps) in
-        let sub i j = Array.to_list (Array.sub cps i (j - i)) in
-        let span = ref None in
-        (try
-           for i = 0 to k do
-             for j = i to k do
-               if Ref.matches r (sub i j) then begin
-                 span := Some (offs.(i), offs.(j));
-                 raise Exit
-               end
-             done
-           done
-         with Exit -> ());
-        Some (full, !span)
-
     let check_witness ?(ref_limit = 64) pat w =
       match P.parse pat with
       | Ok r ->
@@ -506,10 +467,6 @@ let create ?(memo_cap = 200_000) () : (module WORKER) =
       op (fun (module G : GENERATION) -> G.analyze_pattern ?deadline ?budget pat)
 
     (* Lookups: no op runs, so no check either. *)
-    let match_ref ~pattern ~input =
-      let (module G : GENERATION) = !current in
-      G.match_ref ~pattern ~input
-
     let cache_key pat =
       let (module G : GENERATION) = !current in
       G.cache_key pat

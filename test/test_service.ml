@@ -530,9 +530,10 @@ let test_lines_reader () =
 
 (* Run a server on its own thread, speaking the newline-delimited JSON
    protocol over two pipes, exactly as a socket client would see it.
-   The pool is shut down when the session ends; an exception from that
+   Unless [stop_pool] is false (a second session on the same server),
+   the pool is shut down when the session ends; an exception from that
    (a worker domain that died) fails the test. *)
-let with_server t f =
+let with_server ?(stop_pool = true) t f =
   let req_r, req_w = Unix.pipe ~cloexec:true () in
   let resp_r, resp_w = Unix.pipe ~cloexec:true () in
   let shutdown_error = ref None in
@@ -542,8 +543,9 @@ let with_server t f =
         let ic = Unix.in_channel_of_descr req_r in
         let oc = Unix.out_channel_of_descr resp_w in
         ignore (Server.serve_channel t ic oc);
-        (try Pool.shutdown t.Server.pool
-         with e -> shutdown_error := Some (Printexc.to_string e));
+        (if stop_pool then
+           try Pool.shutdown t.Server.pool
+           with e -> shutdown_error := Some (Printexc.to_string e));
         close_out_noerr oc;
         close_in_noerr ic)
       ()
@@ -915,6 +917,34 @@ let decode_witness s =
   in
   go 0 []
 
+(* Independent oracle for match verdicts: segment the input as the
+   engine does (lossy UTF-8 scalars with their byte offsets), then ask
+   the reference matcher for the full-match flag and, by brute force
+   over scalar boundaries, the leftmost-earliest span.  Cubic calls to
+   a cubic matcher: test-sized inputs only.  [None] on a parse error. *)
+let match_ref ~pattern ~input =
+  let module Ref = Sbd_service.Default.Ref in
+  match Sbd_service.Default.P.parse pattern with
+  | Error _ -> None
+  | Ok r ->
+    let n = String.length input in
+    let rec seg i offs cps =
+      if i >= n then (Array.of_list (List.rev (i :: offs)), Array.of_list (List.rev cps))
+      else
+        let cp, i' = Sbd_engine.Byteclass.scalar_forward input i n in
+        seg i' (i :: offs) (cp :: cps)
+    in
+    let offs, cps = seg 0 [] [] in
+    let k = Array.length cps in
+    let matches i j = Ref.matches r (Array.to_list (Array.sub cps i (j - i))) in
+    let rec span i j =
+      if i > k then None
+      else if j > k then span (i + 1) (i + 1)
+      else if matches i j then Some (offs.(i), offs.(j))
+      else span i (j + 1)
+    in
+    Some (matches 0 k, span 0 0)
+
 (* One pipelined pass and one batched pass of the same solve stream over
    a 2-worker session with the result cache on, plus match requests:
    every id answered once without error, no sat/unsat conflict with a
@@ -982,7 +1012,7 @@ let test_pool_agreement () =
                   [ ("id", J.Int (96 + k)); ("op", J.Str "match");
                     ("re", J.Str pattern); ("input", J.Str input) ]));
           let r = (take recv; Hashtbl.find replies (96 + k)) in
-          match W0.match_ref ~pattern ~input with
+          match match_ref ~pattern ~input with
           | None -> Alcotest.fail ("oracle cannot parse " ^ pattern)
           | Some (full, span) ->
             check ("full " ^ pattern) true (Jsonin.bool_member "full" r = Some full);
@@ -1140,7 +1170,7 @@ let test_match_generations () =
     let plain = Printf.sprintf "(ab|c{%d})*d" i
     and located = Printf.sprintf "^a{%d}(?=b)" (1 + (i mod 7))
     and input = String.concat "" [ "xx"; String.make (1 + (i mod 7)) 'a'; "bcd" ] in
-    (match (W.match_input ~pattern:plain ~input (), W.match_ref ~pattern:plain ~input) with
+    (match (W.match_input ~pattern:plain ~input (), match_ref ~pattern:plain ~input) with
     | Ok (Protocol.Matched { full; span; _ }, _), Some (full', span') ->
       check ("full " ^ plain) full' full;
       check ("span " ^ plain) true (span = span')
@@ -1591,6 +1621,149 @@ let test_located_deadline () =
       send {|{"id": 0, "op": "shutdown"}|};
       ignore (recv ()))
 
+(* -- exact repeats answered by the reader ----------------------------------- *)
+
+(* The session's [stats] reply as a counter lookup; a counter the
+   reply omits (the snapshot drops zeros) reads 0. *)
+let stat_counters ~send ~recv =
+  send {|{"id":"st","op":"stats"}|};
+  match Jsonin.member "stats" (recv ()) with
+  | Some (J.Obj rows) -> (
+    fun name -> match List.assoc_opt name rows with Some (J.Int n) -> n | _ -> 0)
+  | _ -> Alcotest.fail "stats payload missing"
+
+let reader_hits = "service.cache.reader_hits"
+let submitted = "service.pool.submitted"
+
+(* A decided solve sent again is answered by the reader with the first
+   reply's verdict: [cached] set, one more reader hit, no pool job.  So
+   is [check] over one asserted, already-solved pattern; [check] over
+   two such patterns is a conjunction no raw key names, and goes to the
+   pool. *)
+let test_reader_hits () =
+  List.iter
+    (fun workers ->
+      let label s = Printf.sprintf "%d-worker %s" workers s in
+      with_session { small_cfg with workers } (fun ~send ~recv ->
+          let solve id re =
+            send (Printf.sprintf {|{"id":%d,"op":"solve","re":"%s"}|} id re);
+            recv ()
+          in
+          let same_answer ~first r =
+            check (label "repeat cached") true (Jsonin.bool_member "cached" r = Some true);
+            check (label "repeat status") true (status r = status first);
+            check (label "repeat witness") true
+              (Jsonin.str_member "witness" r = Jsonin.str_member "witness" first)
+          in
+          (* [f] moves the reader-hit and pool-job counters by exactly
+             these amounts *)
+          let counted expect_hits expect_jobs f =
+            let c0 = stat_counters ~send ~recv in
+            f ();
+            let c1 = stat_counters ~send ~recv in
+            check_int (label "reader hits") expect_hits (c1 reader_hits - c0 reader_hits);
+            check_int (label "pool jobs") expect_jobs (c1 submitted - c0 submitted)
+          in
+          let firsts =
+            List.mapi
+              (fun i re ->
+                let r = solve (1 + i) re in
+                check (label "first not cached") true
+                  (Jsonin.bool_member "cached" r = Some false);
+                (re, r))
+              [ "ab*c"; "a{2}&a{3}"; "a+"; "b+" ]
+          in
+          check (label "sat and unsat") true
+            (List.map (fun (_, r) -> status r) firsts
+            = [ Some "sat"; Some "unsat"; Some "sat"; Some "sat" ]);
+          List.iteri
+            (fun i (re, first) ->
+              counted 1 0 (fun () -> same_answer ~first (solve (10 + i) re)))
+            firsts;
+          send {|{"id":20,"op":"assert","re":"a+"}|};
+          ignore (recv ());
+          counted 1 0 (fun () ->
+              send {|{"id":21,"op":"check"}|};
+              same_answer ~first:(List.assoc "a+" firsts) (recv ()));
+          send {|{"id":22,"op":"assert","re":"b+"}|};
+          ignore (recv ());
+          counted 0 1 (fun () ->
+              send {|{"id":23,"op":"check"}|};
+              let r = recv () in
+              check (label "conjunction unsat") true (status r = Some "unsat");
+              check (label "conjunction solved") true
+                (Jsonin.bool_member "cached" r = Some false));
+          send {|{"id":0,"op":"shutdown"}|};
+          ignore (recv ())))
+    [ 1; 2 ]
+
+(* A batch that mixes decided repeats with first-seen patterns: the
+   repeats go out in the reader's burst, the rest on the pool, and every
+   id is answered exactly once. *)
+let test_batch_reader_hits () =
+  with_session small_cfg (fun ~send ~recv ->
+      send {|{"id":"s","op":"solve","re":"ab*c"}|};
+      let sat = recv () in
+      send {|{"id":"u","op":"solve","re":"a{2}&a{3}"}|};
+      check "unsat first" true (status (recv ()) = Some "unsat");
+      let c0 = stat_counters ~send ~recv in
+      send
+        {|{"op":"batch","reqs":[{"id":"r1","op":"solve","re":"ab*c"},{"id":"n1","op":"solve","re":"x+y"},{"id":"r2","op":"solve","re":"a{2}&a{3}"},{"id":"n2","op":"solve","re":"[0-9]{3}&~(.*0.*)"},{"id":"r3","op":"solve","re":"ab*c"}]}|};
+      let by_id = recv_ids recv 5 in
+      List.iter
+        (fun id ->
+          check (id ^ " cached sat") true
+            (Jsonin.bool_member "cached" (by_id id) = Some true
+            && status (by_id id) = Some "sat"
+            && Jsonin.str_member "witness" (by_id id) = Jsonin.str_member "witness" sat))
+        [ "r1"; "r3" ];
+      check "r2 cached unsat" true
+        (Jsonin.bool_member "cached" (by_id "r2") = Some true
+        && status (by_id "r2") = Some "unsat");
+      List.iter
+        (fun id ->
+          check (id ^ " solved") true
+            (Jsonin.bool_member "cached" (by_id id) = Some false
+            && status (by_id id) = Some "sat"))
+        [ "n1"; "n2" ];
+      (* no sixth reply: the next line is the stats reply *)
+      let c1 = stat_counters ~send ~recv in
+      check_int "three reader hits" 3 (c1 reader_hits - c0 reader_hits);
+      send {|{"id":0,"op":"shutdown"}|};
+      ignore (recv ()))
+
+(* A hit is answered while the queue is full; once a [shutdown] drain
+   has begun on another session, the same repeat is refused. *)
+let test_repeat_during_drain () =
+  let t = Server.create { small_cfg with queue_cap = 1 } in
+  with_server t (fun ~send ~recv ->
+      send {|{"id":"x","op":"solve","re":"ab*c"}|};
+      check "first sat" true (status (recv ()) = Some "sat");
+      let repeat = {|{"id":"again","op":"solve","re":"ab*c"}|} in
+      with_blocked_workers t.Server.pool (fun releases ->
+          send {|{"id":"queued","op":"solve","re":"x+y"}|};
+          spin_until (fun () -> Pool.queue_length t.Server.pool = 1);
+          send repeat;
+          let r = recv () in
+          check "hit answered with the queue full" true
+            (Jsonin.member "id" r = Some (J.Str "again")
+            && Jsonin.bool_member "cached" r = Some true);
+          with_server ~stop_pool:false t (fun ~send:send_b ~recv:recv_b ->
+              send_b {|{"id":"stop","op":"shutdown"}|};
+              spin_until (fun () -> Atomic.get t.Server.stopping);
+              send repeat;
+              let r = recv () in
+              (* released before any check, so a failing one cannot
+                 leave the drain waiting on blocked workers *)
+              List.iter (fun release -> release ()) releases;
+              check_str "repeat during drain" "shutting down"
+                (Option.value (Jsonin.str_member "error" r) ~default:"<none>");
+              check "drained" true
+                (Jsonin.bool_member "drained" (recv_b ()) = Some true));
+          let r = recv () in
+          check "queued request answered" true
+            (Jsonin.member "id" r = Some (J.Str "queued") && status r = Some "sat")))
+
 let suite =
   ( "service",
     [
@@ -1633,4 +1806,7 @@ let suite =
     ; Alcotest.test_case "line reader warm allocation" `Quick test_lines_warm_allocation
     ; Alcotest.test_case "blank and CRLF lines" `Quick test_blank_lines
     ; Alcotest.test_case "engine cache eviction" `Quick test_engine_cache
+    ; Alcotest.test_case "reader answers repeats" `Quick test_reader_hits
+    ; Alcotest.test_case "batch with reader hits" `Quick test_batch_reader_hits
+    ; Alcotest.test_case "repeat during drain" `Quick test_repeat_during_drain
     ] )
