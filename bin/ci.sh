@@ -3,8 +3,9 @@
 # and runs this script.  Build (with lib/ warnings-as-errors), run the
 # full test suite, fuzz the match engine against the classic lazy DFA
 # and the DP oracle (each round also cross-checks the static analyzer's
-# Proved/Refuted verdicts against the solver), lint the whole benchmark
-# corpus through the analyzer, then drive every benchmark workload
+# Proved/Refuted verdicts against the solver), smoke every sbdsolve
+# mode, run every bench gate (analyze-bench cross-checks the analyzer
+# over the whole benchmark corpus), then drive every benchmark workload
 # through a real sbdserve and check every reply (verdict/span agreement
 # and witness validity are checked inside the fuzzer, the service
 # session tests and perfbench; non-zero exit on any mismatch).
@@ -47,19 +48,36 @@ echo "== paper table smoke =="
 dune exec bin/experiments.exe -- fig4c
 dune exec bin/experiments.exe -- ablation-dnf
 
-echo "== analyzer corpus lint =="
-# analyzes every corpus instance; exits 1 if any Proved verdict or any
-# abstract pre-solver verdict (Absdom Unsat_proved/Sat_witnessed)
-# contradicts the corpus ground-truth label, or any SBD203-SBD206
-# replacement suggestion fails the solver equivalence check, 2 on a
-# parse failure
-dune exec bin/sbdsolve.exe -- --lint --corpus all --json > /dev/null
+echo "== solver CLI smoke =="
+# pattern and script modes, with the exit codes scripts rely on: 0 =
+# sat/unsat, 3 = unknown (budget exhausted, a lookaround obligation, a
+# script with an unknown check-sat), 2 = parse error
+expect_rc() {
+  want=$1; shift
+  rc=0; dune exec bin/sbdsolve.exe -- "$@" > /dev/null 2>&1 || rc=$?
+  [ "$rc" -eq "$want" ] || { echo "sbdsolve $*: expected exit $want, got $rc"; exit 1; }
+}
+out=$(dune exec bin/sbdsolve.exe -- 'a{2,3}&~(.*b)')
+[ "$out" = 'sat "aa"' ] || { echo "pattern mode: expected sat \"aa\", got $out"; exit 1; }
+out=$(dune exec bin/sbdsolve.exe -- 'ab&~ab')
+[ "$out" = 'unsat' ] || { echo "pattern mode: expected unsat, got $out"; exit 1; }
+expect_rc 3 --budget 1 '~(.*a{8,16}.*)&.*b{9,17}.*'
+expect_rc 2 'a('
+expect_rc 3 '(?=a)b'
+smt=$(mktemp -d)
+trap 'rm -rf "$smt"' EXIT
+dune exec bin/experiments.exe -- dump-smt2 "$smt" > /dev/null
+expect_rc 0 "$smt/norn-bool-001.smt2"
+expect_rc 3 --budget 1 "$smt/norn-bool-001.smt2"
 
 echo "== analyzer smoke =="
 # single-pattern JSON reports, plain and located (a located pattern's
-# emptiness is undecided: exit 3), then analyzer throughput and the
-# difficulty-vs-solver-effort correlations; exits non-zero on any
-# verdict contradiction
+# emptiness is undecided: exit 3), then analyze-bench over the whole
+# benchmark corpus: analyzer throughput and the
+# difficulty-vs-solver-effort correlations; exits non-zero if a
+# Proved/Refuted verdict contradicts the solver, a Refuted witness or a
+# Proved universality fails the reference matcher, or an SBD203-SBD206
+# replacement fails the solver equivalence check
 dune exec bin/sbdsolve.exe -- --lint '~(.*a{8,16}.*)&.*b.*' --json
 rc=0; dune exec bin/sbdsolve.exe -- --lint '^a(?=b*)c$' --json || rc=$?
 [ "$rc" -eq 3 ] || { echo "expected located lint exit 3, got $rc"; exit 1; }
@@ -82,9 +100,7 @@ rc=0; dune exec bin/sbdsolve.exe -- --lint '(?=a)b' > /dev/null 2>&1 || rc=$?
 echo "== lookaround corpus gates =="
 # located engine vs the all-splits oracle vs hand labels on the
 # anchored/lookaround corpus, plus solver cross-checks of the
-# anchor-elimination translation; exits
-# non-zero on any mismatch (2 on a parse failure)
-dune exec bin/sbdsolve.exe -- --lint --corpus lookaround > /dev/null
+# anchor-elimination translation; exits non-zero on any mismatch
 dune exec bin/experiments.exe -- lookaround-bench --no-bench --check
 
 echo "== containment smoke =="

@@ -71,8 +71,9 @@
     language for SBD404).  Each replacement is justified by a [Proved]
     containment/emptiness theorem or an abstract-interpretation theorem
     ({!Sbd_absdom.Absdom}), and the corpus sweep
-    ([sbdsolve --lint --corpus]) additionally re-checks every suggestion
-    against the solver (symmetric difference must be unsatisfiable). *)
+    ([experiments analyze-bench]) additionally re-checks every
+    suggestion against the solver (symmetric difference must be
+    unsatisfiable). *)
 
 module Make (C : Sbd_contain.Contain.S) = struct
   module Ab = C.Ab

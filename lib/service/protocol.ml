@@ -185,33 +185,38 @@ let json_of_stats (stats : (string * float) list) : J.t =
            else J.Float v ))
        stats)
 
+let stats_fields = function
+  | None -> []
+  | Some s -> [ ("stats", json_of_stats s) ]
+
 let solve_response ~id ~(cached : bool) ~(wall_s : float)
     ?(stats : (string * float) list option) (v : verdict) : J.t =
   with_id id
     (verdict_fields v
     @ [ ("cached", J.Bool cached); ("wall_s", J.Float wall_s) ]
-    @ match stats with None -> [] | Some s -> [ ("stats", json_of_stats s) ])
+    @ stats_fields stats)
 
-(** Response to a containment/equivalence request.  The carried
+(** The verdict of a containment/equivalence request.  The carried
     {!verdict} reuses the solver shape via the emptiness reduction view
     — [subset l r] iff [is_empty (l & ~r)] — so the shared LRU stays a
     [verdict Lru.t]: [Unsat] means {e proved}, [Sat] means {e refuted}
     with the distinguishing word as the witness. *)
+let contain_fields = function
+  | Unsat -> [ ("status", J.Str "proved") ]
+  | Sat { witness; codepoints } ->
+    [
+      ("status", J.Str "refuted");
+      ("witness", J.Str witness);
+      ("witness_codepoints", J.Arr (List.map (fun c -> J.Int c) codepoints));
+    ]
+  | Unknown reason -> [ ("status", J.Str "unknown"); ("reason", J.Str reason) ]
+
 let contain_response ~id ~(cached : bool) ~(wall_s : float)
     ?(stats : (string * float) list option) (v : verdict) : J.t =
   with_id id
-    ((match v with
-     | Unsat -> [ ("status", J.Str "proved") ]
-     | Sat { witness; codepoints } ->
-       [
-         ("status", J.Str "refuted");
-         ("witness", J.Str witness);
-         ("witness_codepoints", J.Arr (List.map (fun c -> J.Int c) codepoints));
-       ]
-     | Unknown reason ->
-       [ ("status", J.Str "unknown"); ("reason", J.Str reason) ])
+    (contain_fields v
     @ [ ("cached", J.Bool cached); ("wall_s", J.Float wall_s) ]
-    @ match stats with None -> [] | Some s -> [ ("stats", json_of_stats s) ])
+    @ stats_fields stats)
 
 (** Outcome of a [match] request: either the engine ran to completion
     (full-match flag + leftmost-earliest span in byte offsets; located
@@ -226,26 +231,23 @@ type match_verdict =
     }
   | Match_unknown of string
 
+let match_fields = function
+  | Matched { full; span; found_end } ->
+    [
+      ("status", J.Str "ok");
+      ("matched", J.Bool (span <> None || found_end <> None));
+      ("full", J.Bool full);
+    ]
+    @ (match span with
+      | Some (i, j) -> [ ("span", J.Arr [ J.Int i; J.Int j ]) ]
+      | None -> [])
+    @ (match found_end with Some j -> [ ("found_end", J.Int j) ] | None -> [])
+  | Match_unknown reason ->
+    [ ("status", J.Str "unknown"); ("reason", J.Str reason) ]
+
 let match_response ~id ~(wall_s : float)
     ?(stats : (string * float) list option) (v : match_verdict) : J.t =
-  with_id id
-    ((match v with
-     | Matched { full; span; found_end } ->
-       [
-         ("status", J.Str "ok");
-         ("matched", J.Bool (span <> None || found_end <> None));
-         ("full", J.Bool full);
-       ]
-       @ (match span with
-         | Some (i, j) -> [ ("span", J.Arr [ J.Int i; J.Int j ]) ]
-         | None -> [])
-       @ (match found_end with
-         | Some j -> [ ("found_end", J.Int j) ]
-         | None -> [])
-     | Match_unknown reason ->
-       [ ("status", J.Str "unknown"); ("reason", J.Str reason) ])
-    @ [ ("wall_s", J.Float wall_s) ]
-    @ match stats with None -> [] | Some s -> [ ("stats", json_of_stats s) ])
+  with_id id (match_fields v @ [ ("wall_s", J.Float wall_s) ] @ stats_fields stats)
 
 let smt2_response ~id ~(wall_s : float)
     (answers : (string * string option) list) (output : string) : J.t =

@@ -251,13 +251,15 @@ module Make (S : Sbd_solver.Solve.S) = struct
   type script_result = {
     outcomes : outcome list;  (** one per [check-sat] *)
     output : string;  (** what a solver binary would print *)
+    stopped : bool;  (** the script ended on an [(error ...)] *)
   }
 
   let run ?budget ?deadline (source : string) : script_result =
     match Sexp.parse_all source with
     | Error (pos, msg) ->
       { outcomes = [ Unknown (Printf.sprintf "parse error at %d: %s" pos msg) ]
-      ; output = Printf.sprintf "(error \"parse error at %d: %s\")\n" pos msg }
+      ; output = Printf.sprintf "(error \"parse error at %d: %s\")\n" pos msg
+      ; stopped = true }
     | Ok cmds ->
       let env = { vars = [] } in
       let session = S.create_session () in
@@ -312,9 +314,14 @@ module Make (S : Sbd_solver.Solve.S) = struct
         | Sexp.List [ Sexp.Atom "exit" ] -> ()
         | cmd -> unsupported "command %s" (Format.asprintf "%a" Sexp.pp cmd)
       in
-      (try List.iter do_cmd cmds
-       with Unsupported why ->
-         outcomes := Unknown why :: !outcomes;
-         Buffer.add_string buf (Printf.sprintf "(error \"%s\")\n" why));
-      { outcomes = List.rev !outcomes; output = Buffer.contents buf }
+      let stopped =
+        try
+          List.iter do_cmd cmds;
+          false
+        with Unsupported why ->
+          outcomes := Unknown why :: !outcomes;
+          Buffer.add_string buf (Printf.sprintf "(error \"%s\")\n" why);
+          true
+      in
+      { outcomes = List.rev !outcomes; output = Buffer.contents buf; stopped }
 end

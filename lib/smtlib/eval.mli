@@ -28,6 +28,9 @@ module Make (S : Sbd_solver.Solve.S) : sig
   type script_result = {
     outcomes : outcome list;  (** one per [check-sat] *)
     output : string;  (** what a solver binary would print *)
+    stopped : bool;
+        (** the script ended on an [(error ...)]: a parse error or an
+            unsupported command, whose message is the last outcome *)
   }
 
   val run : ?budget:int -> ?deadline:float -> string -> script_result

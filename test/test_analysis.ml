@@ -116,7 +116,7 @@ let test_semantic_verdicts () =
     check "budget-starved empty is unknown" true (sem.An.empty = An.Unknown)
   | None -> Alcotest.fail "layer 2 missing"
 
-(* -- entailment lints (SBD205/SBD206, containment-backed) ------------- *)
+(* -- replacement lints (SBD203/SBD204; SBD205/SBD206 containment-backed) *)
 
 let find_rule rule (rep : An.report) =
   List.find_opt (fun (f : An.finding) -> f.An.rule = rule) rep.An.findings
@@ -157,6 +157,14 @@ let test_entailment_lints () =
   (match find_rule "SBD206" rep with
   | Some f -> check_replacement (re "(a|b)&a") f
   | None -> Alcotest.fail "SBD206 expected on (a|b)&a");
+  (* SBD203/SBD204, the derivative-graph siblings: a branch proved
+     empty, a conjunct proved universal *)
+  List.iter
+    (fun (rule, src) ->
+      match find_rule rule (analyze src) with
+      | Some f -> check_replacement (re src) f
+      | None -> Alcotest.failf "%s expected on %s" rule src)
+    [ ("SBD203", "(ab&ba)|b"); ("SBD204", "ab&~(ba&ab)") ];
   (* textbook pair: the two branches denote the same language *)
   check "SBD205 on equal-language branches" true
     (has_rule "SBD205" (analyze "(ab)*a|a(ba)*"));

@@ -1764,6 +1764,61 @@ let test_repeat_during_drain () =
           check "queued request answered" true
             (Jsonin.member "id" r = Some (J.Str "queued") && status r = Some "sat")))
 
+(* The solver reads a pattern the plain grammar rejects with the
+   extended one: an anchor-only pattern is lowered and solved (and its
+   decided verdict cached like any other), a lookaround answers unknown
+   with the lookaround reason (never cached), in [solve] and in a
+   single-pattern [check] alike. *)
+let test_located_solve () =
+  with_session small_cfg (fun ~send ~recv ->
+      let solve id re =
+        send (Printf.sprintf {|{"id":%d,"op":"solve","re":%S}|} id re);
+        recv ()
+      in
+      let check_once id =
+        send (Printf.sprintf {|{"id":%d,"op":"check"}|} id);
+        recv ()
+      in
+      let is_lookaround what r =
+        check (what ^ ": unknown") true (status r = Some "unknown");
+        check_str (what ^ ": reason") Worker.lookaround_unknown
+          (Option.value (Jsonin.str_member "reason" r) ~default:"<none>");
+        check (what ^ ": not cached") true (Jsonin.bool_member "cached" r = Some false)
+      in
+      let look = "(?=a)b" in
+      is_lookaround "solve" (solve 1 look);
+      is_lookaround "repeat" (solve 2 look);
+      send (Printf.sprintf {|{"id":3,"op":"assert","re":%S}|} look);
+      ignore (recv ());
+      is_lookaround "check" (check_once 4);
+      is_lookaround "check again" (check_once 5);
+      (* the lookahead's branch is empty (it ends in the complement of
+         everything), so the parse keeps only the anchor *)
+      let anchored = "^(b|(?=a)~(.*))" in
+      let r = solve 6 anchored in
+      check "anchor-only sat" true (status r = Some "sat");
+      check_str "anchor-only witness" "b"
+        (Option.value (Jsonin.str_member "witness" r) ~default:"<none>");
+      check "anchor-only first not cached" true
+        (Jsonin.bool_member "cached" r = Some false);
+      let r = solve 7 anchored in
+      check "anchor-only repeat cached" true
+        (status r = Some "sat" && Jsonin.bool_member "cached" r = Some true);
+      send {|{"id":0,"op":"shutdown"}|};
+      ignore (recv ()));
+  let (module W) = Worker.create () in
+  check "lookaround has a key" true (Result.is_ok (W.cache_key "(?=a)b"));
+  check "anchor witness validated" true
+    (W.check_witness "^(b|(?=a)~(.*))" [ Char.code 'b' ] = Some true);
+  check "a lookaround conjunct answers unknown" true
+    (match W.solve_conj [ "a"; "(?=a)b" ] with
+    | Ok (Protocol.Unknown _, _) -> true
+    | _ -> false);
+  check "a parse error in a conjunct wins" true
+    (Result.is_error (W.solve_conj [ "(?=a)b"; "a(" ]));
+  check "other syntax reports the plain error" true
+    (W.solve_pattern "a(" = Error "parse error at 2: expected ')'")
+
 let suite =
   ( "service",
     [
@@ -1809,4 +1864,6 @@ let suite =
     ; Alcotest.test_case "reader answers repeats" `Quick test_reader_hits
     ; Alcotest.test_case "batch with reader hits" `Quick test_batch_reader_hits
     ; Alcotest.test_case "repeat during drain" `Quick test_repeat_during_drain
+    ; Alcotest.test_case "located patterns in solve and check" `Quick
+        test_located_solve
     ] )

@@ -252,6 +252,23 @@ let test_output_format () =
     run_output (script_header ^ "(assert (str.in_re s re.none))\n(check-sat)\n")
   in
   check_str "prints unsat" "unsat\n" out
+(* [stopped] marks a script that ended on an (error ...): a parse error
+   or an unsupported command, never an unknown check-sat or a get-model
+   without a model. *)
+let test_stopped () =
+  let decl = "(declare-const s String)(assert (str.in_re s (str.to_re \"ab\")))" in
+  List.iter
+    (fun (what, src, expect) ->
+      check what expect (E.run src).E.stopped)
+    [
+      ("complete script", decl ^ "(check-sat)", false);
+      ("get-model without a model", "(get-model)" ^ decl ^ "(check-sat)", false);
+      ("truncated script", decl ^ "(check-sat", true);
+      ("unsupported command", decl ^ "(check-sat)(frob)(check-sat)", true);
+    ];
+  let r = E.run (decl ^ "(frob)") in
+  check "the stop is the last outcome" true
+    (match List.rev r.E.outcomes with E.Unknown _ :: _ -> true | _ -> false)
 
 let suite =
   ( "smtlib",
@@ -270,4 +287,5 @@ let suite =
     ; Alcotest.test_case "ite and xor" `Quick test_ite_xor
     ; Alcotest.test_case "re.diff and loops" `Quick test_re_diff_and_loop
     ; Alcotest.test_case "nested push/pop" `Quick test_nested_push_pop
-    ; Alcotest.test_case "output format" `Quick test_output_format ] )
+    ; Alcotest.test_case "output format" `Quick test_output_format
+    ; Alcotest.test_case "script stops on an error" `Quick test_stopped ] )
