@@ -8,7 +8,9 @@
     truth.  The phase is a soundness sweep as much as a benchmark:
 
     - an [Unsat_proved] on an instance the solver (or the corpus label)
-      shows satisfiable is {b unsound} and fails the run;
+      shows satisfiable is {b unsound} and fails the run; one the timed
+      solve leaves undecided is solved again at 200 000 expansions and
+      2 s;
     - every [Sat_witnessed] word is replayed through the independent
       reference matcher ([Sbd_classic.Refmatch]) and cross-checked
       against solver/label [Unsat] verdicts;
@@ -82,6 +84,9 @@ type report = {
           ground-truth label *)
   invalid_witnesses : int;
   solver_undecided : int;  (** ground truth ran out of budget *)
+  solver_rechecked : int;
+      (** [Unsat_proved] verdicts the timed solve left undecided, solved
+          again at 200 000 expansions *)
   password_wall_on_s : float;
   password_wall_off_s : float;
   password_speedup : float;
@@ -98,6 +103,7 @@ let run () : report =
   let unsound = ref 0 in
   let invalid_witnesses = ref 0 in
   let solver_undecided = ref 0 in
+  let solver_rechecked = ref 0 in
   let time_saved = ref 0.0 in
   let suites = ref [] in
   let suite_rows : (string, row) Hashtbl.t = Hashtbl.create 8 in
@@ -143,6 +149,14 @@ let run () : report =
         | Ab.Unknown -> ()
         | Ab.Unsat_proved ->
           time_saved := !time_saved +. (full_wall -. pre_wall);
+          let full =
+            match full with
+            | S.Unknown _ ->
+              incr solver_rechecked;
+              S.solve ~budget:200_000 ~deadline:2.0 ~presolve:false ssession
+                r
+            | S.Sat _ | S.Unsat -> full
+          in
           (match full with
           | S.Sat _ -> incr unsound
           | S.Unsat -> ()
@@ -286,6 +300,7 @@ let run () : report =
         ("unsound", J.Int !unsound);
         ("invalid_witnesses", J.Int !invalid_witnesses);
         ("solver_undecided", J.Int !solver_undecided);
+        ("solver_rechecked", J.Int !solver_rechecked);
         ("password_wall_on_s", J.Float password_wall_on_s);
         ("password_wall_off_s", J.Float password_wall_off_s);
         ("password_speedup", J.Float password_speedup);
@@ -304,6 +319,7 @@ let run () : report =
     unsound = !unsound;
     invalid_witnesses = !invalid_witnesses;
     solver_undecided = !solver_undecided;
+    solver_rechecked = !solver_rechecked;
     password_wall_on_s;
     password_wall_off_s;
     password_speedup;
@@ -338,9 +354,11 @@ let pp fmt (r : report) =
     r.rows;
   Format.fprintf fmt
     "  corpus %d/%d decided (%.1f%%), pairs %d/%d (%.1f%%), %.4fs saved, %d \
-     unsound, %d invalid witnesses, %d solver-undecided@."
+     unsound, %d invalid witnesses, %d solver-undecided (%d unsat \
+     rechecked at 200k expansions)@."
     r.hits r.total r.hit_pct r.pair_hits r.pair_total r.pair_hit_pct
-    r.time_saved_s r.unsound r.invalid_witnesses r.solver_undecided;
+    r.time_saved_s r.unsound r.invalid_witnesses r.solver_undecided
+    r.solver_rechecked;
   Format.fprintf fmt
     "  password suite: %.4fs with fast path, %.4fs without (%.2fx)@."
     r.password_wall_on_s r.password_wall_off_s r.password_speedup

@@ -323,14 +323,14 @@ let test_worker () =
   | Error msg -> Alcotest.fail msg);
   (* extended analyze returns the located report shape *)
   (match W.analyze_pattern "(?!a*)b" with
-  | Ok (Sbd_obs.Obs.Json.Obj fields) ->
+  | Ok { Sbd_service.Worker.report = Sbd_obs.Obs.Json.Obj fields; _ } ->
     check "worker loc analyze" true
       (List.assoc_opt "zero_width" fields = Some (Sbd_obs.Obs.Json.Bool true))
   | Ok _ -> Alcotest.fail "unexpected analyze shape"
   | Error msg -> Alcotest.fail msg);
   (* plain analyze unchanged *)
   match W.analyze_pattern "a*b" with
-  | Ok (Sbd_obs.Obs.Json.Obj fields) ->
+  | Ok { Sbd_service.Worker.report = Sbd_obs.Obs.Json.Obj fields; _ } ->
     check "worker plain analyze" true
       (List.mem_assoc "metrics" fields)
   | Ok _ -> Alcotest.fail "unexpected analyze shape"
